@@ -8,10 +8,8 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -300,59 +298,22 @@ def _read_csv_rows(path: str | Path) -> list[list[str]]:
 def shortest_paths(g: WeightedGraph) -> DistanceMatrix:
     """Exact all-pairs shortest-path distances under the weighted path metric.
 
-    Uses breadth-first traversal when all edge weights are equal and
-    priority-queue relaxation (Dijkstra) otherwise.  Unreachable pairs get a
-    +inf sentinel and a cleared ``reachable`` flag.
+    One vectorized Floyd-Warshall pass over the dense n x n matrix: O(n^3)
+    time and O(n^2) memory, meant for small graphs; the library calls it on
+    k-hop balls.  Sums are exact on integer and half-integer weights, and
+    the matrix stays exactly symmetric because float addition commutes.
+    Unreachable pairs get a +inf sentinel and a cleared ``reachable`` flag.
     """
     n = g.num_nodes
-    adj = g.adjacency
     dist = np.full((n, n), math.inf)
-    weights = {w for _, _, w in g.edges}
-    uniform = len(weights) <= 1
-    w0 = weights.pop() if uniform and weights else 1.0
-
-    for s in range(n):
-        row = dist[s]
-        if uniform:
-            hops = _bfs_hops(adj, s, n)
-            finite = hops >= 0
-            row[finite] = hops[finite] * w0
-        else:
-            _dijkstra_into(adj, s, row)
+    if g.edges:
+        u, v, w = (np.array(col) for col in zip(*g.edges))
+        dist[u, v] = w
+        dist[v, u] = w
     np.fill_diagonal(dist, 0.0)
-    # Mirror the upper triangle so float round-off cannot break symmetry.
-    iu = np.triu_indices(n, k=1)
-    dist[(iu[1], iu[0])] = dist[iu]
+    for m in range(n):
+        np.minimum(dist, dist[:, m, None] + dist[None, m, :], out=dist)
     return DistanceMatrix(d=dist, reachable=np.isfinite(dist))
-
-
-def _bfs_hops(adj, source: int, n: int) -> np.ndarray:
-    hops = np.full(n, -1, dtype=np.int64)
-    hops[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v, _ in adj[u]:
-            if hops[v] < 0:
-                hops[v] = hops[u] + 1
-                queue.append(v)
-    return hops
-
-
-def _dijkstra_into(adj, source: int, row: np.ndarray) -> None:
-    row[source] = 0.0
-    done = [False] * row.shape[0]
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in adj[u]:
-            alt = du + w
-            if alt < row[v]:
-                row[v] = alt
-                heapq.heappush(heap, (alt, v))
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +325,31 @@ def k_hop_subgraph(g: WeightedGraph, v: int, k: int) -> tuple[WeightedGraph, tup
 
     Hops are counted by edge count even on weighted graphs; weights only shape
     the metric.  Returns the subgraph plus the old-id table indexed by new id.
+    The search stops at depth ``k`` and the induced edges come from the
+    ball's own adjacency lists, so the cost depends on the ball, not on the
+    whole graph.
     """
     if not (0 <= v < g.num_nodes):
         raise GraphValidationError(f"node {v} out of range")
     if k < 0:
         raise GraphValidationError("hop count must be >= 0")
-    hops = _bfs_hops(g.adjacency, v, g.num_nodes)
-    keep = sorted(int(u) for u in np.nonzero((hops >= 0) & (hops <= k))[0])
+    adj = g.adjacency
+    start = int(v)
+    seen = {start}
+    frontier = [start]
+    for _ in range(k):
+        reached = []
+        for u in frontier:
+            for w, _ in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        frontier = reached
+    keep = sorted(seen)
     new_id = {old: new for new, old in enumerate(keep)}
-    keep_set = set(keep)
     sub_edges = tuple(
-        (new_id[u], new_id[w_], wt) for u, w_, wt in g.edges
-        if u in keep_set and w_ in keep_set
+        (new_id[u], new_id[w], wt) for u in keep for w, wt in adj[u]
+        if u < w and w in new_id
     )
     feats = g.features[keep] if g.features is not None else None
     labs = g.labels[np.asarray(keep)] if g.labels is not None else None

@@ -17,6 +17,7 @@ produced.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -127,6 +128,15 @@ def _require_connected(dm: DistanceMatrix) -> None:
             "metric spans multiple components; restrict to one component first")
 
 
+@functools.lru_cache(maxsize=128)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(n, 1)``, shared by every metric of size n."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
 # ---------------------------------------------------------------------------
 # Tree-metric certificate
 # ---------------------------------------------------------------------------
@@ -175,7 +185,7 @@ def delta_inf(dm: DistanceMatrix) -> float:
         return 0.0
     d = dm.d
 
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _pair_indices(n)
     pd = d[iu, ju]
     order = np.argsort(-pd, kind="stable")
     iu, ju, pd = iu[order], ju[order], pd[order]
@@ -227,7 +237,7 @@ def delta_one_exact(dm: DistanceMatrix,
     if is_tree_metric(dm):
         return 0.0
     d = dm.d
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _pair_indices(n)
     pd = d[iu, ju]
     num_pairs = pd.shape[0]
 
@@ -292,6 +302,12 @@ def delta_one_sampled(dm: DistanceMatrix,
 # Local profiles and distributions
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _node_ids(n: int) -> tuple[int, ...]:
+    """``tuple(range(n))``, shared by every profile of an n-node graph."""
+    return tuple(range(n))
+
+
 def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
                   exact_limit: int = DEFAULT_EXACT_LIMIT,
                   num_samples: int = DEFAULT_NUM_SAMPLES,
@@ -308,22 +324,28 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
     if mode not in ("inf", "one"):
         raise ValueError(f"mode must be 'inf' or 'one', got {mode!r}")
     per_node: dict[int, float] = {}
-    for v in range(g.num_nodes):
+    # Keys come from one shared tuple per graph size, and each distinct value
+    # is stored as one float object (profiles repeat few values, multiples of
+    # 1/2 on integer weights), so a profile a caller keeps costs little more
+    # than its dict.
+    shared: dict[float, float] = {}
+    for v in _node_ids(g.num_nodes):
         sub, _ = k_hop_subgraph(g, v, k)
         if sub.num_nodes < 4:
-            per_node[v] = 0.0
-            continue
-        dm = shortest_paths(sub)
-        if mode == "inf":
-            per_node[v] = delta_inf(dm)
+            value = 0.0
         else:
-            if is_tree_metric(dm):
-                per_node[v] = 0.0
+            dm = shortest_paths(sub)
+            if mode == "inf":
+                value = delta_inf(dm)
             elif sub.num_nodes <= exact_limit:
-                per_node[v] = delta_one_exact(dm, exact_limit)
+                # delta_one_exact certifies tree metrics itself.
+                value = delta_one_exact(dm, exact_limit)
+            elif is_tree_metric(dm):
+                value = 0.0
             else:
-                est, _ = delta_one_sampled(dm, num_samples, seed=seed * 1_000_003 + v)
-                per_node[v] = est
+                value, _ = delta_one_sampled(dm, num_samples,
+                                             seed=seed * 1_000_003 + v)
+        per_node[v] = shared.setdefault(value, value)
     return HyperbolicityProfile(per_node=per_node, k=k, mode=mode)
 
 

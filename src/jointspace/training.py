@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +107,11 @@ class TrainConfig:
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("config JSON must be an object")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if obj.get("split_fractions") is not None:
             obj["split_fractions"] = tuple(obj["split_fractions"])
         return cls(**obj)
@@ -318,6 +323,11 @@ def train(g: WeightedGraph, cfg: TrainConfig, split: SplitSpec | None = None,
         if g.labels is None:
             raise ValueError("node classification requires labels on the graph")
         labels = g.labels
+        negative = np.flatnonzero(labels < 0)
+        if negative.size:
+            v = int(negative[0])
+            raise ValueError(f"node {v} has negative label {int(labels[v])}; "
+                             "labels must be class ids >= 0")
         out_dim = int(labels.max()) + 1
         if split is None:
             split = split_nodes(g, cfg.fractions, cfg.seed)

@@ -91,6 +91,24 @@ class TestTraining:
         assert main(["train-nc", "--graph", str(edges),
                      "--features", str(feats), "--max-epochs", "5"]) == 2
 
+    def test_train_nc_negative_label_exit_2(self, tmp_path, combined_files, capsys):
+        edges, feats, labels = combined_files
+        rows = labels.read_text().splitlines()
+        rows[4] = "3,-1"
+        labels.write_text("\n".join(rows) + "\n")
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--max-epochs", "2"]) == 2
+        assert "node 3 has negative label" in capsys.readouterr().err
+
+    def test_train_nc_unknown_config_key_exit_2(self, tmp_path, combined_files,
+                                                capsys):
+        edges, feats, labels = combined_files
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"bogus": 1}')
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--config", str(cfg_path)]) == 2
+        assert "unknown config keys: bogus" in capsys.readouterr().err
+
     def test_train_nc_divergence_exit_3(self, tmp_path, combined_files):
         edges, feats, labels = combined_files
         with np.errstate(invalid="ignore", over="ignore"):

@@ -146,6 +146,24 @@ class TestShortestPaths:
         dm = shortest_paths(cycle_graph(5))
         assert np.all(np.diag(dm.d) == 0.0)
 
+    def test_non_dyadic_weights_match_bellman_ford(self):
+        # Weights drawn from [0.5, 2) round path sums; the dense kernel must
+        # still be symmetric bit for bit and agree with edge relaxation.
+        rng = np.random.default_rng(29)
+        for trial in range(6):
+            n = int(rng.integers(5, 31))
+            g = random_connected_graph(rng, n, p=0.2)
+            d = shortest_paths(g).d
+            assert np.array_equal(d, d.T)
+            for s in range(n):
+                ref = [math.inf] * n
+                ref[s] = 0.0
+                for _ in range(n - 1):
+                    for u, v, w in g.edges:
+                        ref[v] = min(ref[v], ref[u] + w)
+                        ref[u] = min(ref[u], ref[v] + w)
+                assert np.allclose(d[s], ref, rtol=0.0, atol=1e-12)
+
 
 class TestKHopSubgraph:
     def test_star_center_k1_is_whole_star(self):
@@ -183,6 +201,18 @@ class TestKHopSubgraph:
             _, ids = k_hop_subgraph(g, 0, k)
             assert prev.issubset(set(ids))
             prev = set(ids)
+
+    def test_edges_match_bruteforce_filter(self):
+        rng = np.random.default_rng(12)
+        for trial in range(6):
+            g = random_connected_graph(rng, int(rng.integers(8, 25)), p=0.15)
+            for v in range(g.num_nodes):
+                for k in range(4):
+                    sub, ids = k_hop_subgraph(g, v, k)
+                    assert list(ids) == sorted(ids)
+                    keep = set(ids)
+                    expected = {e for e in g.edges if e[0] in keep and e[1] in keep}
+                    assert {(ids[a], ids[b], w) for a, b, w in sub.edges} == expected
 
     def test_features_sliced(self):
         g = path_graph(4).with_features(np.arange(8.0).reshape(4, 2))

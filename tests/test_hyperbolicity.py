@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointspace.graphs import WeightedGraph, generate_lattice, generate_tree, shortest_paths
+from jointspace.graphs import (WeightedGraph, generate_lattice, generate_tree,
+                               k_hop_subgraph, shortest_paths)
 from jointspace.hyperbolicity import (CrossComponentError, EmpiricalDistribution,
                                       ExactLimitExceeded, HyperbolicityProfile,
                                       delta_inf, delta_one_exact,
@@ -235,6 +236,23 @@ class TestLocalProfile:
         tree_vals = vals[25:]
         assert (tree_vals == 0.0).all()
         assert (vals[:25] >= 1.0).all()
+
+    def test_inf_matches_naive_on_every_ball(self):
+        rng = np.random.default_rng(37)
+        for trial in range(6):
+            g = random_halfint_graph(rng, int(rng.integers(6, 13)), p=0.3)
+            for k in (1, 2):
+                prof = local_profile(g, k, "inf")
+                for v in range(g.num_nodes):
+                    sub, _ = k_hop_subgraph(g, v, k)
+                    assert prof.per_node[v] == naive_delta_inf(shortest_paths(sub))
+
+    def test_profiles_share_key_and_value_objects(self):
+        g = generate_lattice(17, 17)  # ids above 256 are not cached by Python
+        a, b = local_profile(g, 2, "inf"), local_profile(g, 2, "inf")
+        values = list(a.per_node.values())
+        assert len({id(x) for x in values}) == len(set(values))
+        assert all(x is y for x, y in zip(a.per_node, b.per_node))
 
     def test_small_subgraph_zero(self):
         # k=1 balls on a 3-path have fewer than 4 vertices

@@ -36,6 +36,12 @@ class TestConfig:
         cfg = TrainConfig(task="lp", lr=0.005, split_fractions=(0.7, 0.1, 0.2))
         assert TrainConfig.from_json(cfg.to_json()) == cfg
 
+    def test_from_json_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="unknown config keys: bogus, zeta"):
+            TrainConfig.from_json('{"zeta": 1, "hidden": 8, "bogus": 1}')
+        with pytest.raises(ValueError, match="object"):
+            TrainConfig.from_json("[1, 2]")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(task="xyz")
@@ -121,6 +127,13 @@ class TestTrainLoop:
         g = g.with_features(identity_features(g.num_nodes))
         with pytest.raises(ValueError, match="labels"):
             train(g, quick_cfg())
+
+    def test_negative_label_rejected(self):
+        g = synthetic_nc_graph(seed=0)
+        labels = g.labels.copy()
+        labels[[7, 12]] = -1
+        with pytest.raises(ValueError, match="node 7 has negative label -1"):
+            train(g.with_labels(labels), quick_cfg(max_epochs=2, patience=2))
 
     def test_missing_features_rejected(self):
         g = generate_tree(2, 3).with_labels(
