@@ -41,10 +41,8 @@ from .objectives import (
 from .poincare import (
     BallPoint,
     Curvature,
-    exp_at,
     exp_origin,
     hyp_distance,
-    log_at,
     log_origin,
     mobius_add,
     mobius_matvec,

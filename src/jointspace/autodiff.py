@@ -7,7 +7,8 @@ primitive computes its forward value eagerly and registers an analytic VJP.
 populates ``grad`` on every reachable node exactly once.
 
 The engine is deliberately small: the set of primitives below is exactly what
-the attention layers, ball arithmetic and loss terms need.
+the attention layers and loss terms need.  The ball operations are their own
+fused nodes in ``poincare``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ __all__ = [
     "finite_diff_check",
     "add", "sub", "mul", "div", "neg", "matmul", "transpose",
     "concat", "reshape", "gather_rows", "segment_sum", "segment_softmax",
-    "tanh", "atanh", "exp", "log", "sqrt", "abs_", "clamp", "pow_const",
+    "tanh", "exp", "log", "abs_", "pow_const",
     "leaky_relu", "elu", "sigmoid", "softplus",
     "sum_", "mean_", "vector_norm",
 ]
@@ -206,13 +207,6 @@ def tanh(a) -> DiffValue:
     return DiffValue(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def atanh(a) -> DiffValue:
-    """Inverse hyperbolic tangent; callers must clamp inputs inside (-1, 1)."""
-    a = as_diff(a)
-    out = np.arctanh(a.value)
-    return DiffValue(out, (a,), lambda g: (g / (1.0 - a.value * a.value),))
-
-
 def exp(a) -> DiffValue:
     a = as_diff(a)
     out = np.exp(a.value)
@@ -224,31 +218,9 @@ def log(a) -> DiffValue:
     return DiffValue(np.log(a.value), (a,), lambda g: (g / a.value,))
 
 
-def sqrt(a) -> DiffValue:
-    """Square root with subgradient 0 at exactly 0."""
-    a = as_diff(a)
-    out = np.sqrt(a.value)
-    def vjp(g):
-        d = np.where(a.value > 0.0, 0.5 / np.where(out > 0.0, out, 1.0), 0.0)
-        return (g * d,)
-    return DiffValue(out, (a,), vjp)
-
-
 def abs_(a) -> DiffValue:
     a = as_diff(a)
     return DiffValue(np.abs(a.value), (a,), lambda g: (g * np.sign(a.value),))
-
-
-def clamp(a, lo: float | None = None, hi: float | None = None) -> DiffValue:
-    """Clip values; gradient is identity inside [lo, hi] and zero outside."""
-    a = as_diff(a)
-    out = np.clip(a.value, lo, hi)
-    inside = np.ones_like(a.value)
-    if lo is not None:
-        inside = inside * (a.value >= lo)
-    if hi is not None:
-        inside = inside * (a.value <= hi)
-    return DiffValue(out, (a,), lambda g: (g * inside,))
 
 
 def pow_const(a, p: float) -> DiffValue:

@@ -18,8 +18,8 @@ from .hyperbolicity import histogram, local_profile, profile_to_json, to_distrib
 from .layers import save_params_json
 from .objectives import normalize_delta
 from .training import (RunReport, TrainConfig, TrainingDiverged,
-                       analyze_hyperbolicities, identity_features, mu_profile,
-                       train)
+                       analyze_hyperbolicities, identity_features,
+                       message_graph, mu_profile, train)
 
 
 def _emit(obj: dict | str, out: str | None) -> None:
@@ -156,7 +156,10 @@ def _cmd_compare_modes(args) -> int:
 def _cmd_report(args) -> int:
     g = _load_graph(args)
     report = RunReport.from_json(Path(args.run).read_text())
-    profile = mu_profile(g, args.k, args.mode)
+    # Compare against the profile the run aligned to: its k, its delta mode
+    # and, for link prediction, its training-edge message graph.
+    cfg = TrainConfig.from_json(json.dumps(report.config))
+    profile = mu_profile(message_graph(g, cfg), cfg.k, cfg.delta_mode)
     mu = normalize_delta(profile)
     w2_unif, w2_mu = analyze_hyperbolicities(report, mu)
     _emit({"w2_nu_unif": w2_unif, "w2_nu_mu": w2_mu,
@@ -251,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="learned-hyperbolicity diagnostics of a run")
     _add_graph_args(p)
     p.add_argument("--run", required=True, help="RunReport JSON file")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--mode", choices=("inf", "one"), default="inf")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_report)
 

@@ -6,9 +6,9 @@ with a learned two-way softmax.  The Euclidean selection weight beta_r of each
 node is the model's hyperbolicity score and is recorded per layer for the
 alignment and non-uniformity losses.
 
-All ball arithmetic here is built from autodiff primitives so gradients flow
-through the hyperbolic branch; the plain-numpy kernel in ``poincare`` mirrors
-the same formulas.
+The layers hold no ball arithmetic: the hyperbolic branch calls the tape
+operations of ``poincare``, whose forward values are the ball kernel's and
+whose gradients are closed-form.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import poincare as pc
 from .autodiff import DiffValue
 from .graphs import WeightedGraph
-from .poincare import PROJECTION_MARGIN
 
 __all__ = [
     "GATParams",
@@ -37,72 +37,9 @@ __all__ = [
     "fusion_forward",
     "joint_space_forward",
     "JointSpaceGNN",
-    "d_project",
-    "d_exp_origin",
-    "d_log_origin",
-    "d_mobius_add",
-    "d_mobius_matvec",
-    "d_hyp_distance",
     "save_params_json",
     "load_params_json",
 ]
-
-_MIN = 1e-15
-_ATANH_MAX = 1.0 - 1e-15
-
-
-# ---------------------------------------------------------------------------
-# Differentiable ball operations (curvature may itself be a DiffValue)
-# ---------------------------------------------------------------------------
-
-def _sqrt_c(c) -> DiffValue:
-    return ad.sqrt(ad.as_diff(c))
-
-
-def d_project(x, c) -> DiffValue:
-    """Radial rescale of rows exceeding the ball margin; identity inside."""
-    x = ad.as_diff(x)
-    max_norm = ad.div(1.0 - PROJECTION_MARGIN, _sqrt_c(c))
-    n = ad.clamp(ad.vector_norm(x), lo=_MIN)
-    scale = ad.clamp(ad.div(max_norm, n), hi=1.0)
-    return ad.mul(x, scale)
-
-
-def d_exp_origin(v, c) -> DiffValue:
-    v = ad.as_diff(v)
-    s = ad.clamp(ad.mul(ad.vector_norm(v), _sqrt_c(c)), lo=_MIN)
-    return d_project(ad.mul(v, ad.div(ad.tanh(s), s)), c)
-
-
-def d_log_origin(y, c) -> DiffValue:
-    y = ad.as_diff(y)
-    s = ad.clamp(ad.mul(ad.vector_norm(y), _sqrt_c(c)), lo=_MIN, hi=_ATANH_MAX)
-    return ad.mul(y, ad.div(ad.atanh(s), s))
-
-
-def d_mobius_add(x, y, c) -> DiffValue:
-    x, y, c = ad.as_diff(x), ad.as_diff(y), ad.as_diff(c)
-    x2 = ad.sum_(ad.mul(x, x), axis=-1, keepdims=True)
-    y2 = ad.sum_(ad.mul(y, y), axis=-1, keepdims=True)
-    xy = ad.sum_(ad.mul(x, y), axis=-1, keepdims=True)
-    cxy2 = ad.mul(2.0, ad.mul(c, xy))
-    num = ad.add(ad.mul(ad.add(ad.add(1.0, cxy2), ad.mul(c, y2)), x),
-                 ad.mul(ad.sub(1.0, ad.mul(c, x2)), y))
-    den = ad.clamp(ad.add(ad.add(1.0, cxy2), ad.mul(ad.mul(c, c), ad.mul(x2, y2))),
-                   lo=_MIN)
-    return d_project(ad.div(num, den), c)
-
-
-def d_mobius_matvec(w: DiffValue, x, c) -> DiffValue:
-    return d_exp_origin(ad.matmul(d_log_origin(x, c), ad.transpose(w)), c)
-
-
-def d_hyp_distance(x, y, c) -> DiffValue:
-    """Row-wise geodesic distance, returned as a flat vector."""
-    u = d_mobius_add(ad.neg(ad.as_diff(x)), y, c)
-    s = ad.clamp(ad.mul(ad.vector_norm(u), _sqrt_c(c)), hi=_ATANH_MAX)
-    dist = ad.mul(ad.div(2.0, _sqrt_c(c)), ad.atanh(s))
-    return ad.reshape(dist, (dist.shape[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -254,31 +191,31 @@ def hgat_forward(x_ball, g: WeightedGraph, p: HGATParams, *,
     combine tangent-space features with the geodesic distance between the
     endpoints.  Returns (tangent-space output, its ball image).
     """
-    x = d_project(ad.as_diff(x_ball), p.curvature)
-    n = g.num_nodes
     c = p.curvature
+    x = pc.d_project(x_ball, c)
+    n = g.num_nodes
     src, dst = attention_edges(g, add_self_loops)
 
-    wx = d_mobius_matvec(p.W, x, c)
+    wx = pc.d_mobius_matvec(p.W, x, c)
     out_dim = wx.shape[1]
-    bias_ball = d_exp_origin(ad.reshape(p.b, (1, out_dim)), c)
-    m = d_mobius_add(wx, bias_ball, c)
+    bias_ball = pc.d_exp_origin(ad.reshape(p.b, (1, out_dim)), c)
+    m = pc.d_mobius_add(wx, bias_ball, c)
 
-    hhat = d_log_origin(wx, c)
+    hhat = pc.d_log_origin(wx, c)
     h_dst = ad.gather_rows(hhat, dst)
     h_src = ad.gather_rows(hhat, src)
     logits = ad.matmul(ad.concat([h_dst, h_src], axis=1),
                        ad.reshape(p.a, (2 * out_dim, 1)))
-    dist = d_hyp_distance(ad.gather_rows(x, dst), ad.gather_rows(x, src), c)
+    dist = pc.d_hyp_distance(ad.gather_rows(x, dst), ad.gather_rows(x, src), c)
     e = ad.leaky_relu(ad.mul(ad.reshape(logits, (logits.shape[0],)), dist),
                       p.leaky_slope)
     alpha = ad.segment_softmax(e, dst, n)
     alpha = _attention_dropout(alpha, dropout, rng, training)
 
-    log_m = d_log_origin(m, c)
+    log_m = pc.d_log_origin(m, c)
     msg = ad.mul(ad.reshape(alpha, (alpha.shape[0], 1)), ad.gather_rows(log_m, src))
     tangent = ad.elu(ad.segment_sum(msg, dst, n))
-    ball_out = d_project(d_exp_origin(tangent, c), c)
+    ball_out = pc.d_exp_origin(tangent, c)
     return tangent, ball_out
 
 
@@ -292,7 +229,7 @@ def fusion_forward(z_r, z_d_ball, p: FusionParams, c) -> LayerOutput:
     z_r = ad.as_diff(z_r)
     n, _ = z_r.shape
     q_dim = p.q.shape[0]
-    zd_log = d_log_origin(d_project(ad.as_diff(z_d_ball), c), c)
+    zd_log = pc.d_log_origin(z_d_ball, c)
 
     def score(z):
         t = ad.tanh(ad.add(ad.matmul(z, ad.transpose(p.M)), p.b))
@@ -327,7 +264,7 @@ def joint_space_forward(features, g: WeightedGraph, layers: list[LayerParams], *
                 raise ValueError("dropout requires an rng when training")
             mask = (rng.random(z.shape) >= dropout) / (1.0 - dropout)
             z = ad.mul(z, mask)
-        z_ball = d_project(d_exp_origin(z, lp.hgat.curvature), lp.hgat.curvature)
+        z_ball = pc.d_exp_origin(z, lp.hgat.curvature)
         z_r = gat_forward(z, g, lp.gat, dropout=dropout, rng=rng, training=training)
         _, ball_out = hgat_forward(z_ball, g, lp.hgat, dropout=dropout, rng=rng,
                                    training=training)

@@ -1,10 +1,15 @@
 """Numerically hardened Poincare ball kernel at constant negative curvature c.
 
-Points live in the open ball {x in R^n : c * ||x||^2 < 1} carrying the
-conformal factor lambda_x = 2 / (1 - c * ||x||^2).  All array functions accept
-a trailing feature axis and broadcast over leading axes.  Every ball-valued
-result is projected back to norm at most (1 - margin) / sqrt(c); atanh inputs
-are clamped below 1 so boundary blow-up cannot occur.
+Points live in the open ball {x in R^n : c * ||x||^2 < 1}.  Each formula is
+written once over rows (trailing feature axis): projection and exp/log at the
+origin are radial maps x * s(sqrt(c) ||x||) that supply only s and ds/du;
+Mobius addition has one closed form; matrix action and distance are composed
+of these.  The ``BallPoint`` functions and the ``d_*`` tape operations share
+this kernel.  Each tape operation is one autodiff node per radial map or
+Mobius addition, with closed-form gradients in the inputs and in the
+curvature (a ``DiffValue`` when it is trained).  Ball-valued results are
+projected back to norm at most (1 - margin) / sqrt(c); atanh inputs are
+clipped below 1 so boundary blow-up cannot occur.
 """
 
 from __future__ import annotations
@@ -14,18 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import DiffValue
+
 __all__ = [
-    "PROJECTION_MARGIN",
-    "Curvature",
-    "BallPoint",
-    "mobius_add",
-    "mobius_matvec",
-    "exp_origin",
-    "log_origin",
-    "exp_at",
-    "log_at",
-    "hyp_distance",
+    "PROJECTION_MARGIN", "Curvature", "BallPoint",
+    "mobius_add", "mobius_matvec", "exp_origin", "log_origin", "hyp_distance",
     "project_to_ball",
+    "d_project", "d_exp_origin", "d_log_origin", "d_mobius_add",
+    "d_mobius_matvec", "d_hyp_distance",
 ]
 
 PROJECTION_MARGIN = 1e-5
@@ -81,78 +83,113 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_sq_norm(x))
 
 
-def _project_array(x: np.ndarray, c: float) -> np.ndarray:
-    max_norm = (1.0 - PROJECTION_MARGIN) / math.sqrt(c)
+# ---------------------------------------------------------------------------
+# Radial maps x * s(u), u = sqrt(c) ||x||: each scale returns (s(u), ds/du)
+# ---------------------------------------------------------------------------
+
+def _project_scale(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min(1, r/u) with r = 1 - margin: rows beyond the margin move onto it."""
+    r = 1.0 - PROJECTION_MARGIN
+    over = u > r
+    safe = np.maximum(u, _MIN_NORM)
+    return np.where(over, r / safe, 1.0), np.where(over, -r / (safe * safe), 0.0)
+
+
+def _exp_scale(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh(u)/u, followed by the projection of the image (scaled norm tanh u)."""
+    safe = np.maximum(u, _MIN_NORM)
+    th = np.tanh(safe)
+    a = th / safe
+    da = (safe * (1.0 - th * th) - th) / (safe * safe)
+    p, dp = _project_scale(th)
+    return a * p, da * p + a * dp * (1.0 - th * th)
+
+
+def _log_scale(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """atanh(min(u, 1 - 1e-15))/u."""
+    safe = np.maximum(u, _MIN_NORM)
+    w = np.minimum(safe, _ATANH_MAX)
+    at = np.arctanh(w)
+    ds = np.where(safe < _ATANH_MAX, w / (1.0 - w * w) - at, -at) / (safe * safe)
+    return at / safe, ds
+
+
+def _radial(x: np.ndarray, c: float, scale) -> tuple[np.ndarray, tuple]:
+    """Apply the radial map row-wise; also return what its gradient needs."""
+    sqrt_c = math.sqrt(c)
     norm = _norm(x)
-    scale = np.where(norm > max_norm, max_norm / np.maximum(norm, _MIN_NORM), 1.0)
-    return x * scale
+    s, ds = scale(sqrt_c * norm)
+    return x * s, (x, norm, s, ds, sqrt_c)
 
 
-def _atanh(x: np.ndarray) -> np.ndarray:
-    return np.arctanh(np.clip(x, 0.0, _ATANH_MAX))
+def _radial_grad(g: np.ndarray, x, norm, s, ds, sqrt_c) -> tuple[np.ndarray, float]:
+    """VJP of x * s(u) in x and in c, using du/dx = sqrt(c) x/||x||, du/dc = u/(2c)."""
+    k = ds * np.sum(g * x, axis=-1, keepdims=True)
+    gx = s * g + (k * sqrt_c / np.maximum(norm, _MIN_NORM)) * x
+    return gx, float(np.sum(k * norm)) / (2.0 * sqrt_c)
 
 
-def _mobius_add_array(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    x2 = _sq_norm(x)
-    y2 = _sq_norm(y)
-    xy = np.sum(x * y, axis=-1, keepdims=True)
-    num = (1.0 + 2.0 * c * xy + c * y2) * x + (1.0 - c * x2) * y
-    denom = 1.0 + 2.0 * c * xy + c * c * x2 * y2
-    return _project_array(num / np.maximum(denom, _MIN_NORM), c)
+def _project_array(x: np.ndarray, c: float) -> np.ndarray:
+    return _radial(x, c, _project_scale)[0]
 
 
 def _exp_origin_array(v: np.ndarray, c: float) -> np.ndarray:
-    sqrt_c = math.sqrt(c)
-    norm = _norm(v)
-    safe = np.maximum(norm, _MIN_NORM)
-    out = np.tanh(sqrt_c * norm) * v / (sqrt_c * safe)
-    out = np.where(norm > 0.0, out, 0.0)
-    return _project_array(out, c)
+    return _radial(v, c, _exp_scale)[0]
 
 
 def _log_origin_array(y: np.ndarray, c: float) -> np.ndarray:
-    sqrt_c = math.sqrt(c)
-    norm = _norm(y)
-    safe = np.maximum(norm, _MIN_NORM)
-    out = _atanh(sqrt_c * norm) * y / (sqrt_c * safe)
-    return np.where(norm > 0.0, out, 0.0)
-
-
-def _lambda(x: np.ndarray, c: float) -> np.ndarray:
-    return 2.0 / np.maximum(1.0 - c * _sq_norm(x), _MIN_NORM)
-
-
-def _exp_at_array(x: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
-    sqrt_c = math.sqrt(c)
-    norm = _norm(v)
-    safe = np.maximum(norm, _MIN_NORM)
-    lam = _lambda(x, c)
-    step = np.tanh(sqrt_c * lam * norm / 2.0) * v / (sqrt_c * safe)
-    step = np.where(norm > 0.0, step, 0.0)
-    return _mobius_add_array(x, step, c)
-
-
-def _log_at_array(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    sqrt_c = math.sqrt(c)
-    u = _mobius_add_array(-x, y, c)
-    norm = _norm(u)
-    safe = np.maximum(norm, _MIN_NORM)
-    lam = _lambda(x, c)
-    out = (2.0 / (sqrt_c * lam)) * _atanh(sqrt_c * norm) * u / safe
-    return np.where(norm > 0.0, out, 0.0)
-
-
-def _distance_array(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    sqrt_c = math.sqrt(c)
-    diff_norm = _norm(_mobius_add_array(-x, y, c))
-    # Identical points must give exactly zero, not Mobius round-off dust.
-    same = np.all(x == y, axis=-1, keepdims=True)
-    diff_norm = np.where(same, 0.0, diff_norm)
-    return (2.0 / sqrt_c) * _atanh(sqrt_c * diff_norm)
+    return _radial(y, c, _log_scale)[0]
 
 
 # ---------------------------------------------------------------------------
-# Public operations
+# Mobius addition and the composed operations
+# ---------------------------------------------------------------------------
+
+def _mobius_add_parts(x: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, tuple]:
+    """x (+)_c y = (a x + b y) / den, projected; also return the intermediates."""
+    x2 = _sq_norm(x)
+    y2 = _sq_norm(y)
+    xy = np.sum(x * y, axis=-1, keepdims=True)
+    a = 1.0 + 2.0 * c * xy + c * y2
+    b = 1.0 - c * x2
+    den = 1.0 + 2.0 * c * xy + c * c * x2 * y2
+    safe = np.maximum(den, _MIN_NORM)
+    r = (a * x + b * y) / safe
+    out, proj = _radial(r, c, _project_scale)
+    return out, (x, y, c, x2, y2, xy, a, b, den, safe, r, proj)
+
+
+def _mobius_add_grad(g: np.ndarray, x, y, c, x2, y2, xy, a, b, den, safe, r,
+                     proj) -> tuple[np.ndarray, np.ndarray, float]:
+    """VJP of Mobius addition in x, y and c, at the broadcast row shape."""
+    g_r, g_c = _radial_grad(g, *proj)
+    g_num = g_r / safe
+    g_den = np.where(den > _MIN_NORM,
+                     -np.sum(g_r * r, axis=-1, keepdims=True) / safe, 0.0)
+    g_a = np.sum(g_num * x, axis=-1, keepdims=True)
+    g_b = np.sum(g_num * y, axis=-1, keepdims=True)
+    g_xy = 2.0 * c * (g_a + g_den)
+    g_x = a * g_num + g_xy * y + 2.0 * c * (c * y2 * g_den - g_b) * x
+    g_y = b * g_num + g_xy * x + 2.0 * c * (g_a + c * x2 * g_den) * y
+    g_c += float(np.sum(g_a * (2.0 * xy + y2) - g_b * x2
+                        + 2.0 * g_den * (xy + c * x2 * y2)))
+    return g_x, g_y, g_c
+
+
+def _mobius_add_array(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
+    return _mobius_add_parts(x, y, c)[0]
+
+
+def _distance_array(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
+    """2 ||log_0(-x (+)_c y)||, i.e. (2/sqrt(c)) atanh(sqrt(c) ||-x (+)_c y||)."""
+    u = _log_origin_array(_mobius_add_array(-x, y, c), c)
+    # Identical points must give exactly zero, not Mobius round-off dust.
+    same = np.all(x == y, axis=-1, keepdims=True)
+    return np.where(same, 0.0, 2.0 * _norm(u))
+
+
+# ---------------------------------------------------------------------------
+# Public operations on validated points
 # ---------------------------------------------------------------------------
 
 def project_to_ball(v: np.ndarray, c: float | Curvature = 1.0) -> BallPoint:
@@ -191,20 +228,71 @@ def log_origin(y: BallPoint) -> np.ndarray:
     return _log_origin_array(y.coords, y.c)
 
 
-def exp_at(x: BallPoint, v: np.ndarray) -> BallPoint:
-    """Exponential map at base x, using the conformal factor lambda_x."""
-    return BallPoint(_exp_at_array(x.coords, np.asarray(v, dtype=np.float64), x.c),
-                     x.curvature)
-
-
-def log_at(x: BallPoint, y: BallPoint) -> np.ndarray:
-    """Logarithmic map at base x; log_x(x) is exactly zero."""
-    x._check_compatible(y)
-    return _log_at_array(x.coords, y.coords, x.c)
-
-
 def hyp_distance(x: BallPoint, y: BallPoint) -> float | np.ndarray:
     """Geodesic distance (2/sqrt(c)) * atanh(sqrt(c) || -x (+)_c y ||)."""
     x._check_compatible(y)
     out = np.squeeze(_distance_array(x.coords, y.coords, x.c), axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# Tape operations on row arrays (curvature may itself be a DiffValue)
+# ---------------------------------------------------------------------------
+
+def _c_value(c) -> float:
+    return float(c.value) if isinstance(c, DiffValue) else float(c)
+
+
+def _ball_node(value: np.ndarray, inputs: tuple, c, vjp) -> DiffValue:
+    """Tape node over ``inputs`` plus the curvature when it is a DiffValue.
+
+    ``vjp`` returns one gradient per input followed by the curvature's.
+    """
+    if isinstance(c, DiffValue):
+        return DiffValue(value, inputs + (c,), vjp)
+    return DiffValue(value, inputs, lambda g: vjp(g)[:-1])
+
+
+def _radial_node(x, c, scale) -> DiffValue:
+    x = ad.as_diff(x)
+    out, parts = _radial(x.value, _c_value(c), scale)
+    return _ball_node(out, (x,), c, lambda g: _radial_grad(g, *parts))
+
+
+def d_project(x, c) -> DiffValue:
+    """Radial rescale of rows exceeding the ball margin; identity inside."""
+    return _radial_node(x, c, _project_scale)
+
+
+def d_exp_origin(v, c) -> DiffValue:
+    """Row-wise exponential map at the origin, projected to the margin."""
+    return _radial_node(v, c, _exp_scale)
+
+
+def d_log_origin(y, c) -> DiffValue:
+    """Row-wise logarithmic map at the origin."""
+    return _radial_node(y, c, _log_scale)
+
+
+def d_mobius_add(x, y, c) -> DiffValue:
+    """Row-wise Mobius addition; ``y`` may be one row broadcast over ``x``."""
+    x, y = ad.as_diff(x), ad.as_diff(y)
+    out, parts = _mobius_add_parts(x.value, y.value, _c_value(c))
+
+    def vjp(g):
+        g_x, g_y, g_c = _mobius_add_grad(g, *parts)
+        return ad._unbroadcast(g_x, x.shape), ad._unbroadcast(g_y, y.shape), g_c
+    return _ball_node(out, (x, y), c, vjp)
+
+
+def d_mobius_matvec(w: DiffValue, x, c) -> DiffValue:
+    """Mobius matrix action exp_0(log_0(x) W^T) on rows."""
+    return d_exp_origin(ad.matmul(d_log_origin(x, c), ad.transpose(w)), c)
+
+
+def d_hyp_distance(x, y, c) -> DiffValue:
+    """Row-wise geodesic distance as a flat vector; identical rows give 0."""
+    x, y = ad.as_diff(x), ad.as_diff(y)
+    u = d_log_origin(d_mobius_add(ad.neg(x), y, c), c)
+    scale = np.where(np.all(x.value == y.value, axis=-1), 0.0, 2.0)
+    return ad.mul(ad.vector_norm(u, keepdims=False), scale)

@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -35,6 +34,7 @@ __all__ = [
     "Adam",
     "identity_features",
     "mu_profile",
+    "message_graph",
     "train",
     "evaluate_nc",
     "evaluate_lp",
@@ -82,18 +82,26 @@ class TrainConfig:
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.task not in ("nc", "lp"):
-            raise ValueError("task must be 'nc' or 'lp'")
+        for name, choices in (("task", ("nc", "lp")),
+                              ("comparison_mode", ("distribution", "pairwise", "mean")),
+                              ("metric", ("accuracy", "f1")),
+                              ("f1_average", ("micro", "macro")),
+                              ("delta_mode", ("inf", "one"))):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {', '.join(choices)}; "
+                                 f"got {getattr(self, name)!r}")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must be in [0, 1)")
-        if self.comparison_mode not in ("distribution", "pairwise", "mean"):
-            raise ValueError("invalid comparison_mode")
         for name in ("layers", "hidden", "lr", "k", "q_dim", "curvature",
                      "patience", "max_epochs", "fermi_r", "fermi_t"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.omega_nu < 0 or self.omega_was < 0:
             raise ValueError("loss weights must be nonnegative")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be nonnegative")
+        if not self.p >= 1:
+            raise ValueError(f"p must be >= 1, got {self.p}")
 
     @property
     def fractions(self) -> tuple[float, float, float]:
@@ -267,6 +275,13 @@ def _lp_message_graph(g: WeightedGraph, split: EdgeSplitSpec) -> WeightedGraph:
     train_edges = tuple(g.edges[i] for i in split.train)
     return WeightedGraph(num_nodes=g.num_nodes, edges=train_edges,
                          features=g.features, labels=g.labels)
+
+
+def message_graph(g: WeightedGraph, cfg: TrainConfig) -> WeightedGraph:
+    """The graph a run with the default split passes messages over and profiles."""
+    if cfg.task == "nc":
+        return g
+    return _lp_message_graph(g, split_edges(g, cfg.fractions, cfg.seed))
 
 
 def _edge_pairs(g: WeightedGraph, idx) -> np.ndarray:
@@ -459,43 +474,26 @@ def analyze_hyperbolicities(report: RunReport, mu) -> tuple[float, float]:
     return _beta_diagnostics(report.beta_samples, np.asarray(mu, dtype=np.float64))
 
 
-def run_grid(g: WeightedGraph, base_cfg: TrainConfig, grid: dict[str, list],
-             workers: int = 1) -> tuple[RunReport, list[dict]]:
+def run_grid(g: WeightedGraph, base_cfg: TrainConfig,
+             grid: dict[str, list]) -> tuple[RunReport, list[dict]]:
     """Train every point of a parameter lattice; select by validation metric."""
     if not grid:
         raise ValueError("grid must not be empty")
     names = sorted(grid)
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(grid[n] for n in names))]
-
-    def run_one(overrides: dict) -> RunReport:
-        return train(g, replace(base_cfg, **overrides))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, points))
-    else:
-        reports = [run_one(p) for p in points]
+    reports = [train(g, replace(base_cfg, **pt)) for pt in points]
     table = [{**pt, "val_metric": r.best_val_metric, "test_metric": r.test_metric}
              for pt, r in zip(points, reports)]
     best_idx = max(range(len(reports)), key=lambda i: reports[i].best_val_metric)
     return reports[best_idx], table
 
 
-def run_seeds(g: WeightedGraph, cfg: TrainConfig,
-              seeds: list[int], workers: int = 1) -> dict:
+def run_seeds(g: WeightedGraph, cfg: TrainConfig, seeds: list[int]) -> dict:
     """Repeat a configuration across seeds; report mean and std of the metrics."""
     if not seeds:
         raise ValueError("need at least one seed")
-
-    def run_one(s: int) -> RunReport:
-        return train(g, replace(cfg, seed=s))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, seeds))
-    else:
-        reports = [run_one(s) for s in seeds]
+    reports = [train(g, replace(cfg, seed=s)) for s in seeds]
     tests = np.array([r.test_metric for r in reports])
     vals = np.array([r.best_val_metric for r in reports])
     return {

@@ -109,6 +109,15 @@ class TestTraining:
                      "--labels", str(labels), "--config", str(cfg_path)]) == 2
         assert "unknown config keys: bogus" in capsys.readouterr().err
 
+    def test_train_nc_bad_config_value_exit_2(self, tmp_path, combined_files,
+                                              capsys):
+        edges, feats, labels = combined_files
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"weight_decay": -1}')
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--config", str(cfg_path)]) == 2
+        assert "weight_decay" in capsys.readouterr().err
+
     def test_train_nc_divergence_exit_3(self, tmp_path, combined_files):
         edges, feats, labels = combined_files
         with np.errstate(invalid="ignore", over="ignore"):
@@ -188,7 +197,28 @@ class TestAblateCompareReport:
               "--patience", "5", "--out", str(run_path)])
         out = tmp_path / "diag.json"
         code = main(["report", "--graph", str(edges), "--run", str(run_path),
-                     "--k", "2", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 0
         diag = json.loads(out.read_text())
         assert set(diag) >= {"w2_nu_unif", "w2_nu_mu"}
+
+    @pytest.mark.parametrize("task,extra", [("nc", ["--k", "1"]), ("lp", [])],
+                             ids=["nc-k1", "lp"])
+    def test_report_uses_the_runs_profile(self, tmp_path, combined_files, task,
+                                          extra):
+        # k and delta mode come from the run's config; an lp run is profiled
+        # on its training-edge message graph, not on the full graph.
+        edges, feats, labels = combined_files
+        data = ["--features", str(feats)]
+        if task == "nc":
+            data += ["--labels", str(labels)]
+        run_path = tmp_path / "run.json"
+        assert main([f"train-{task}", "--graph", str(edges), *data, *extra,
+                     "--hidden", "8", "--max-epochs", "3", "--patience", "3",
+                     "--out", str(run_path)]) == 0
+        out = tmp_path / "diag.json"
+        assert main(["report", "--graph", str(edges), "--run", str(run_path),
+                     "--out", str(out)]) == 0
+        run = json.loads(run_path.read_text())
+        diag = json.loads(out.read_text())
+        assert diag["w2_nu_mu"] == pytest.approx(run["w2_nu_mu"], rel=1e-12, abs=0)

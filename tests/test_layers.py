@@ -6,12 +6,12 @@ import pytest
 from jointspace import autodiff as ad
 from jointspace import poincare as pc
 from jointspace.graphs import WeightedGraph, generate_tree
-from jointspace.layers import (JointSpaceGNN, attention_edges, d_exp_origin,
-                               d_hyp_distance, d_log_origin, d_mobius_add,
-                               d_mobius_matvec, d_project, fusion_forward,
+from jointspace.layers import (JointSpaceGNN, attention_edges, fusion_forward,
                                gat_forward, hgat_forward, init_layer_params,
                                load_params_json, save_params_json)
-from jointspace.poincare import PROJECTION_MARGIN
+from jointspace.poincare import (PROJECTION_MARGIN, d_exp_origin, d_hyp_distance,
+                                 d_log_origin, d_mobius_add, d_mobius_matvec,
+                                 d_project)
 
 from conftest import path_graph
 
@@ -45,6 +45,8 @@ class TestDifferentiableBallOps:
         z = np.zeros((2, 3))
         assert np.all(d_exp_origin(z, 1.0).value == 0.0)
         assert np.all(d_log_origin(z, 1.0).value == 0.0)
+        x = ball_rows(np.random.default_rng(0), 2, 3)
+        assert np.all(d_hyp_distance(x, x, 1.0).value == 0.0)
 
     def test_matvec_composition(self):
         rng = np.random.default_rng(1)
@@ -67,6 +69,42 @@ class TestDifferentiableBallOps:
             return ad.add(ad.sum_(ad.mul(t, wts)), ad.sum_(d))
 
         assert ad.finite_diff_check(loss_fn, [x, y]) < 1e-5
+
+        # Each op alone, in every input and in a trainable curvature, on rows
+        # at the edges of its formula.  Rows are given by u = sqrt(c) ||row||.
+        for c in (0.5, 1.0, 2.0):
+            def rows(*us):
+                v = rng.normal(size=(len(us), 3))
+                return v / np.linalg.norm(v, axis=1, keepdims=True) \
+                    * np.array(us)[:, None] / math.sqrt(c)
+
+            near = rows(0.999)
+            cases = {
+                # zero row, interior, beyond the margin (rescaled)
+                "project": (d_project, [rows(0.0, 0.5, 1.5, 3.0)]),
+                # zero row, interior, tanh(u) beyond the margin
+                "exp": (d_exp_origin, [rows(0.0, 0.5, 3.0, 8.0)]),
+                # zero row, interior, near the boundary, at the atanh clip
+                "log": (d_log_origin, [rows(0.0, 0.5, 0.99, 1.5)]),
+                # zero rows on either side; two aligned near-boundary rows
+                # whose sum lands beyond the margin and is projected
+                "mobius_add": (d_mobius_add, [np.vstack([rows(0.0, 0.5, 0.9), near]),
+                                              np.vstack([rows(0.5, 0.0, 0.6), near])]),
+                "bias_row": (d_mobius_add, [rows(0.0, 0.5, 0.9), rows(0.4)]),
+                "matvec": (lambda x_, w_, c_: d_mobius_matvec(w_, x_, c_),
+                           [rows(0.0, 0.5, 0.9), rng.normal(size=(2, 3))]),
+                "distance": (d_hyp_distance, [rows(0.0, 0.5, 0.9), rows(0.4, 0.0, 0.7)]),
+            }
+            for name, (op, arrays) in cases.items():
+                leaves = [ad.DiffValue(a) for a in arrays]
+                curv = ad.DiffValue(c)
+                w_out = rng.normal(size=op(*leaves, curv).shape)
+
+                def op_loss():
+                    return ad.sum_(ad.mul(op(*leaves, curv), w_out))
+
+                err = ad.finite_diff_check(op_loss, leaves + [curv])
+                assert err < 1e-5, (name, c, err)
 
     def test_projection_keeps_rows_valid(self):
         rng = np.random.default_rng(3)
