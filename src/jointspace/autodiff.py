@@ -13,6 +13,7 @@ fused nodes in ``poincare``.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -157,24 +158,33 @@ def reshape(a, shape: tuple[int, ...]) -> DiffValue:
 # Indexing and segment reductions
 # ---------------------------------------------------------------------------
 
+def _scatter_rows(rows: Array, idx: Array, n: int) -> Array:
+    """Sum ``rows[i]`` into row ``idx[i]`` of an ``(n,) + rows.shape[1:]`` zero array.
+
+    One ``np.bincount`` over the flat (row, column) index.  ``bincount`` adds
+    in input order, as ``np.add.at`` does, so the sums are bitwise the same.
+    """
+    tail = rows.shape[1:]
+    width = math.prod(tail)
+    flat = (idx[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=rows.ravel(), minlength=n * width)
+    return out.reshape((n,) + tail)
+
+
 def gather_rows(a, idx) -> DiffValue:
     """Select ``a[idx]`` along the first axis; backward scatter-adds."""
     a = as_diff(a)
     idx = np.asarray(idx, dtype=np.int64)
     out = a.value[idx]
-    def vjp(g):
-        acc = np.zeros_like(a.value)
-        np.add.at(acc, idx, g)
-        return (acc,)
-    return DiffValue(out, (a,), vjp)
+    return DiffValue(out, (a,),
+                     lambda g: (_scatter_rows(g, idx, a.value.shape[0]),))
 
 
 def segment_sum(a, segment_ids, num_segments: int) -> DiffValue:
     """Sum rows of ``a`` into ``num_segments`` buckets given per-row ids."""
     a = as_diff(a)
     seg = np.asarray(segment_ids, dtype=np.int64)
-    out = np.zeros((num_segments,) + a.value.shape[1:])
-    np.add.at(out, seg, a.value)
+    out = _scatter_rows(a.value, seg, num_segments)
     return DiffValue(out, (a,), lambda g: (g[seg],))
 
 
@@ -327,19 +337,30 @@ def _toposort(root: DiffValue) -> list[DiffValue]:
 
 
 def backward(loss: DiffValue) -> None:
-    """Populate ``grad`` on every node reachable from a scalar loss."""
+    """Populate ``grad`` on every node reachable from a scalar loss.
+
+    Gradient buffers are made lazily: a node's first contribution is kept as
+    is and later ones are added out of place, because some VJPs return views
+    of their input (``reshape``, ``transpose``, ``concat``).  So every VJP
+    returns, per parent, ``None`` or an array of exactly that parent's shape,
+    and gradients may share memory: read them, never write into them.  A node
+    nothing flows into runs no VJP and ends with zeros.
+    """
     if loss.value.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.value.shape}")
     order = _toposort(loss)
     for node in order:
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     loss.grad = np.ones_like(loss.value)
     for node in reversed(order):
-        if node._vjp is None:
+        if node._vjp is None or node.grad is None:
             continue
         for parent, g in zip(node._parents, node._vjp(node.grad)):
             if g is not None:
-                parent.grad += g
+                parent.grad = g if parent.grad is None else parent.grad + g
+    for node in order:
+        if node.grad is None:
+            node.grad = np.zeros_like(node.value)
 
 
 def finite_diff_check(loss_fn: Callable[[], DiffValue],

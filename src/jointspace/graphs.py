@@ -111,6 +111,19 @@ class WeightedGraph:
             adj[v].append((u, w))
         return tuple(tuple(a) for a in adj)
 
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """Read-only ``(num_edges, 2)`` int64 array of the ``(u, v)`` endpoints."""
+        index = np.array([(u, v) for u, v, _ in self.edges],
+                         dtype=np.int64).reshape(-1, 2)
+        index.setflags(write=False)
+        return index
+
+    @cached_property
+    def edge_keys(self) -> frozenset[tuple[int, int]]:
+        """The ``(u, v)`` endpoint pairs of ``edges``, as a set for membership tests."""
+        return frozenset((u, v) for u, v, _ in self.edges)
+
     def with_features(self, features: np.ndarray) -> "WeightedGraph":
         return replace(self, features=features)
 
@@ -260,10 +273,13 @@ def save_edge_list(g: WeightedGraph, path: str | Path) -> None:
 
 
 def load_features_csv(path: str | Path) -> np.ndarray:
-    """Load node features from a CSV with header ``node_id,f0,...,fk``."""
+    """Load node features from a CSV with header ``node_id,f0,...,fk``.
+
+    Every id from 0 to the largest one must have a row.
+    """
     rows = _read_csv_rows(path)
     by_id = {int(r[0]): [float(x) for x in r[1:]] for r in rows}
-    n = max(by_id) + 1
+    n = _dense_id_count(path, by_id)
     dim = len(next(iter(by_id.values())))
     out = np.zeros((n, dim))
     for i, vals in by_id.items():
@@ -274,13 +290,27 @@ def load_features_csv(path: str | Path) -> np.ndarray:
 
 
 def load_labels_csv(path: str | Path) -> np.ndarray:
-    """Load node labels from a CSV with header ``node_id,label``."""
+    """Load node labels from a CSV with header ``node_id,label``.
+
+    Every id from 0 to the largest one must have a row.
+    """
     rows = _read_csv_rows(path)
     by_id = {int(r[0]): int(r[1]) for r in rows}
-    out = np.zeros(max(by_id) + 1, dtype=np.int64)
+    out = np.zeros(_dense_id_count(path, by_id), dtype=np.int64)
     for i, lab in by_id.items():
         out[i] = lab
     return out
+
+
+def _dense_id_count(path: str | Path, by_id: dict[int, object]) -> int:
+    """``max id + 1``, after checking that the ids are exactly ``0..max``."""
+    name, lowest, n = Path(path).name, min(by_id), max(by_id) + 1
+    if lowest < 0:
+        raise EdgeListParseError(f"{name}: negative node id {lowest}")
+    if len(by_id) != n:
+        first = next(i for i in range(n) if i not in by_id)
+        raise EdgeListParseError(f"{name}: no row for node {first}")
+    return n
 
 
 def _read_csv_rows(path: str | Path) -> list[list[str]]:
@@ -486,7 +516,7 @@ def sample_non_edges(g: WeightedGraph, count: int,
                      rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
     """Uniform rejection sample of ``count`` distinct non-edges (u < v)."""
     n = g.num_nodes
-    present = {(u, v) for u, v, _ in g.edges}
+    present = g.edge_keys
     max_non = n * (n - 1) // 2 - len(present)
     if count > max_non:
         raise SplitError(f"requested {count} non-edges but only {max_non} exist")

@@ -126,22 +126,21 @@ def attention_edges(g: WeightedGraph,
                     add_self_loops: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Directed (source, destination) arrays for attention aggregation.
 
-    Each undirected edge contributes both directions; every node gets a self
-    loop so no neighborhood is empty.
+    Each undirected edge contributes both directions, read from the graph's
+    cached ``edge_index``; every node gets a self loop so no neighborhood is
+    empty.
     """
-    src = [u for u, v, _ in g.edges] + [v for u, v, _ in g.edges]
-    dst = [v for u, v, _ in g.edges] + [u for u, v, _ in g.edges]
-    if add_self_loops:
-        src.extend(range(g.num_nodes))
-        dst.extend(range(g.num_nodes))
-    else:
-        covered = set(dst)
-        missing = [v for v in range(g.num_nodes) if v not in covered]
-        if missing:
+    u, v = g.edge_index.T
+    loops = np.arange(g.num_nodes if add_self_loops else 0, dtype=np.int64)
+    src = np.concatenate([u, v, loops])
+    dst = np.concatenate([v, u, loops])
+    if not add_self_loops:
+        missing = np.flatnonzero(np.bincount(dst, minlength=g.num_nodes) == 0)
+        if missing.size:
             raise ValueError(
-                f"nodes {missing[:5]} have no incoming messages; "
+                f"nodes {missing[:5].tolist()} have no incoming messages; "
                 "enable self loops or connect them")
-    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    return src, dst
 
 
 def _attention_dropout(alpha: DiffValue, dropout: float,
@@ -328,14 +327,24 @@ class JointSpaceGNN:
                 for k, v in self.named_parameters().items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Set every parameter from ``state``, which must name each one exactly.
+
+        Nothing is changed unless the whole checkpoint is valid.
+        """
         params = self.named_parameters()
+        arrays = {}
         for name, value in state.items():
             if name not in params:
                 raise KeyError(f"unknown parameter {name!r}")
-            arr = np.asarray(value, dtype=np.float64)
+            arr = np.array(value, dtype=np.float64)
             if arr.shape != params[name].value.shape:
                 raise ValueError(f"shape mismatch for {name!r}")
-            params[name].value = arr.copy()
+            arrays[name] = arr
+        missing = [name for name in params if name not in arrays]
+        if missing:
+            raise KeyError(f"checkpoint lacks parameters {missing}")
+        for name, arr in arrays.items():
+            params[name].value = arr
 
 
 def save_params_json(params: dict[str, np.ndarray] | dict[str, DiffValue]) -> str:

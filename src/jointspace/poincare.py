@@ -246,10 +246,14 @@ def _c_value(c) -> float:
 def _ball_node(value: np.ndarray, inputs: tuple, c, vjp) -> DiffValue:
     """Tape node over ``inputs`` plus the curvature when it is a DiffValue.
 
-    ``vjp`` returns one gradient per input followed by the curvature's.
+    ``vjp`` returns one gradient per input followed by the curvature's, a
+    float that the tape receives as an array of the curvature's shape.
     """
     if isinstance(c, DiffValue):
-        return DiffValue(value, inputs + (c,), vjp)
+        def with_c(g):
+            *grads, g_c = vjp(g)
+            return (*grads, np.full(c.shape, g_c))
+        return DiffValue(value, inputs + (c,), with_c)
     return DiffValue(value, inputs, lambda g: vjp(g)[:-1])
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import tempfile
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -192,7 +194,11 @@ def identity_features(n: int) -> np.ndarray:
 
 def mu_profile(g: WeightedGraph, k: int, mode: str = "inf",
                cache_dir: str | None = None) -> HyperbolicityProfile:
-    """Local profile of the graph, cached on disk keyed by (hash, k, mode)."""
+    """Local profile of the graph, cached on disk keyed by (hash, k, mode).
+
+    The cache file is written to a temporary file in the same directory and
+    renamed into place, so a reader never sees a half-written profile.
+    """
     cache_path = None
     if cache_dir is not None:
         cache_path = Path(cache_dir) / f"{graph_hash(g)}_k{k}_{mode}.json"
@@ -200,8 +206,16 @@ def mu_profile(g: WeightedGraph, k: int, mode: str = "inf",
             return profile_from_json(cache_path.read_text())
     profile = local_profile(g, k, mode)
     if cache_path is not None:
+        text = profile_to_json(profile)
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(profile_to_json(profile))
+        fd, tmp = tempfile.mkstemp(dir=cache_path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, cache_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return profile
 
 
@@ -284,10 +298,6 @@ def message_graph(g: WeightedGraph, cfg: TrainConfig) -> WeightedGraph:
     return _lp_message_graph(g, split_edges(g, cfg.fractions, cfg.seed))
 
 
-def _edge_pairs(g: WeightedGraph, idx) -> np.ndarray:
-    return np.asarray([[g.edges[i][0], g.edges[i][1]] for i in idx], dtype=np.int64)
-
-
 def _nc_eval(model: JointSpaceGNN, g: WeightedGraph, features, labels,
              mask, cfg: TrainConfig) -> tuple[float, float]:
     """(metric, cross-entropy) on a node mask; the loss breaks metric ties."""
@@ -368,9 +378,9 @@ def train(g: WeightedGraph, cfg: TrainConfig, split: SplitSpec | None = None,
     opt = Adam(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     if cfg.task == "lp":
-        train_pos = _edge_pairs(g, split.train)
-        val_pos = _edge_pairs(g, split.val)
-        test_pos = _edge_pairs(g, split.test)
+        train_pos, val_pos, test_pos = (
+            g.edge_index[np.asarray(part, dtype=np.int64)]
+            for part in (split.train, split.val, split.test))
         val_neg = np.asarray(split.val_neg, dtype=np.int64)
         test_neg = np.asarray(split.test_neg, dtype=np.int64)
 

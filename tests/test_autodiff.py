@@ -163,3 +163,87 @@ class TestEdgeCases:
         x = DiffValue(np.zeros((2, 3)))
         ad.backward(ad.sum_(ad.vector_norm(x)))
         assert np.all(x.grad == 0.0)
+
+
+def _add_at_reference(rows, idx, n):
+    out = np.zeros((n,) + rows.shape[1:])
+    np.add.at(out, idx, rows)
+    return out
+
+
+class TestScatterRows:
+    # Magnitudes spread over 16 decades, so a different summation order
+    # would show in the low bits.
+    @pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
+    def test_bitwise_equal_to_add_at(self, tail):
+        rng = np.random.default_rng(11)
+        idx = rng.integers(0, 6, size=40)
+        idx[:3] = [6, 6, 6]          # repeated index
+        idx[idx == 2] = 4            # row 2 untouched
+        shape = (40,) + tail
+        rows = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+        rows[5] = -0.0
+        out = ad._scatter_rows(rows, idx, 9)   # rows 7, 8 untouched
+        ref = _add_at_reference(rows, idx, 9)
+        assert out.shape == ref.shape and out.dtype == np.float64
+        assert out.tobytes() == ref.tobytes()
+        assert not out[[2, 7, 8]].any()
+
+    def test_empty_index(self):
+        rows, idx = np.zeros((0, 4)), np.zeros(0, dtype=np.int64)
+        out = ad._scatter_rows(rows, idx, 3)
+        assert out.shape == (3, 4)
+        assert out.tobytes() == _add_at_reference(rows, idx, 3).tobytes()
+
+    def test_gather_and_segment_sum_use_it(self):
+        rng = np.random.default_rng(12)
+        a = DiffValue(rng.normal(size=(5, 2)))
+        idx = np.array([4, 0, 4, 4, 1])
+        w = rng.normal(size=(5, 2)) * 1e6
+        ad.backward(ad.sum_(ad.mul(ad.gather_rows(a, idx), w)))
+        assert a.grad.tobytes() == _add_at_reference(w, idx, 5).tobytes()
+        s = ad.segment_sum(w, idx, 6)
+        assert s.value.tobytes() == _add_at_reference(w, idx, 6).tobytes()
+
+
+class TestLazyGradients:
+    def test_reachable_node_without_contribution_gets_zeros(self):
+        w = DiffValue(np.array([1.0, -2.0]))
+        x = ad.tanh(w)
+        stop = DiffValue(x.value, (x,), lambda g: (None,))
+        y = DiffValue(np.array([0.5, 3.0]))
+        ad.backward(ad.sum_(ad.mul(stop, y)))
+        for node in (x, w):
+            assert node.grad.shape == (2,) and node.grad.dtype == np.float64
+            assert node.grad.tobytes() == np.zeros(2).tobytes()
+        assert np.array_equal(y.grad, x.value)
+
+    def test_views_do_not_alias_other_gradients(self):
+        rng = np.random.default_rng(13)
+        x = DiffValue(rng.normal(size=(3, 4)))
+        A = rng.normal(size=(4, 3))
+        B = rng.normal(size=(4, 3))
+        r = ad.reshape(x, (4, 3))
+        t = ad.transpose(x)
+        ad.backward(ad.add(ad.sum_(ad.mul(r, A)), ad.sum_(ad.mul(t, B))))
+        assert np.array_equal(x.grad, A.reshape(3, 4) + B.T)
+        assert np.array_equal(r.grad, A) and np.array_equal(t.grad, B)
+
+    def test_concat_of_one_node_twice(self):
+        x = DiffValue(np.array([[1.0, 2.0]]))
+        c = ad.concat([x, x], axis=0)
+        w = np.array([[1.0, 10.0], [100.0, 1000.0]])
+        ad.backward(ad.sum_(ad.mul(c, w)))
+        assert x.grad.tolist() == [[101.0, 1010.0]]
+        assert np.array_equal(c.grad, w)
+
+    def test_gather_rows_twice_from_one_source(self):
+        rng = np.random.default_rng(14)
+        a = DiffValue(rng.normal(size=(5, 2)))
+        i1, i2 = np.array([0, 3, 3]), np.array([3, 4])
+        w1, w2 = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
+        g1, g2 = ad.gather_rows(a, i1), ad.gather_rows(a, i2)
+        ad.backward(ad.add(ad.sum_(ad.mul(g1, w1)), ad.sum_(ad.mul(g2, w2))))
+        expected = _add_at_reference(w1, i1, 5) + _add_at_reference(w2, i2, 5)
+        assert np.array_equal(a.grad, expected)
+        assert np.array_equal(g1.grad, w1) and np.array_equal(g2.grad, w2)

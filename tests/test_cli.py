@@ -91,6 +91,17 @@ class TestTraining:
         assert main(["train-nc", "--graph", str(edges),
                      "--features", str(feats), "--max-epochs", "5"]) == 2
 
+    @pytest.mark.parametrize("which", ["features", "labels"])
+    def test_train_nc_missing_csv_row_exit_2(self, combined_files, capsys, which):
+        edges, feats, labels = combined_files
+        path = feats if which == "features" else labels
+        rows = path.read_text().splitlines()
+        del rows[4]                      # the row of node 3
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--max-epochs", "2"]) == 2
+        assert "no row for node 3" in capsys.readouterr().err
+
     def test_train_nc_negative_label_exit_2(self, tmp_path, combined_files, capsys):
         edges, feats, labels = combined_files
         rows = labels.read_text().splitlines()

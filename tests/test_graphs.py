@@ -109,6 +109,22 @@ class TestEdgeList:
         labs = load_labels_csv(lf)
         assert labs.tolist() == [1, 0]
 
+    def test_csv_missing_id_rejected(self, tmp_path):
+        ff = tmp_path / "f.csv"
+        ff.write_text("node_id,f0\n0,1.0\n3,2.0\n1,0.5\n")
+        with pytest.raises(EdgeListParseError, match="f.csv: no row for node 2"):
+            load_features_csv(ff)
+        lf = tmp_path / "l.csv"
+        lf.write_text("node_id,label\n2,1\n")
+        with pytest.raises(EdgeListParseError, match="l.csv: no row for node 0"):
+            load_labels_csv(lf)
+
+    def test_csv_negative_id_rejected(self, tmp_path):
+        lf = tmp_path / "l.csv"
+        lf.write_text("node_id,label\n0,1\n-1,0\n")
+        with pytest.raises(EdgeListParseError, match="negative node id -1"):
+            load_labels_csv(lf)
+
 
 class TestShortestPaths:
     def test_unit_path(self):
@@ -305,6 +321,21 @@ class TestSplits:
         assert EdgeSplitSpec.from_json(e.to_json()) == e
         obj = json.loads(s.to_json())
         assert set(obj) == {"train", "val", "test", "seed"}
+
+    def test_non_edge_sampler_matches_rebuilt_edge_set(self):
+        g = random_connected_graph(np.random.default_rng(4), 30, 0.15)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(3):           # later calls reuse the cached key set
+            present = {(u, v) for u, v, _ in g.edges}
+            ref: list[tuple[int, int]] = []
+            while len(ref) < 25:
+                u, v = int(ref_rng.integers(30)), int(ref_rng.integers(30))
+                key = (min(u, v), max(u, v))
+                if u != v and key not in present and key not in ref:
+                    ref.append(key)
+            assert sample_non_edges(g, 25, rng) == tuple(ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert g.edge_keys == frozenset((u, v) for u, v, _ in g.edges)
 
     def test_non_edge_sampler_exhaustion(self):
         g = cycle_graph(4)  # 2 non-edges only

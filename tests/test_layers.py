@@ -127,6 +127,29 @@ class TestAttentionEdges:
         with pytest.raises(ValueError, match="no incoming"):
             attention_edges(g, add_self_loops=False)
 
+    @pytest.mark.parametrize("loops", [True, False])
+    def test_matches_list_construction(self, loops):
+        g = generate_tree(3, 3)
+        src = [u for u, v, _ in g.edges] + [v for u, v, _ in g.edges]
+        dst = [v for u, v, _ in g.edges] + [u for u, v, _ in g.edges]
+        if loops:
+            src += range(g.num_nodes)
+            dst += range(g.num_nodes)
+        got_src, got_dst = attention_edges(g, add_self_loops=loops)
+        for got, ref in ((got_src, src), (got_dst, dst)):
+            assert got.dtype == np.int64 and got.tolist() == list(ref)
+
+    def test_edge_index_is_cached_and_read_only(self):
+        g = generate_tree(2, 2)
+        assert g.edge_index is g.edge_index
+        assert g.edge_index.shape == (g.num_edges, 2)
+        assert not g.edge_index.flags.writeable
+        with pytest.raises(ValueError):
+            g.edge_index[0, 0] = 5
+        src, _ = attention_edges(g)
+        src[0] = 5                       # outputs are fresh arrays
+        assert g.edge_index[0, 0] == 0
+
 
 class TestGATLayer:
     def test_single_node_self_loop(self):
@@ -404,6 +427,18 @@ class TestCheckpointFormat:
         state["layer0.gat.W"] = np.zeros((1, 1))
         with pytest.raises(ValueError):
             model.load_state_dict(state)
+
+    def test_load_rejects_partial_checkpoint(self):
+        model = JointSpaceGNN(3, 4, 2, num_layers=1, q_dim=3, seed=1)
+        before = model.state_dict()
+        with pytest.raises(KeyError, match="layer0.gat.W"):
+            model.load_state_dict({})
+        state = JointSpaceGNN(3, 4, 2, num_layers=1, q_dim=3, seed=2).state_dict()
+        del state["layer0.fusion.q"]
+        with pytest.raises(KeyError, match=r"\['layer0.fusion.q'\]"):
+            model.load_state_dict(state)
+        after = model.state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
 
     def test_trainable_curvature_in_state(self):
         m = JointSpaceGNN(3, 4, 2, num_layers=1, q_dim=3, seed=1,

@@ -1,5 +1,7 @@
 import math
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +230,27 @@ class TestProfileCache:
         assert len(files) == 1
         p2 = mu_profile(g, 2, "inf", cache_dir=str(tmp_path))
         assert p1 == p2
+
+    def test_cache_written_by_rename(self, tmp_path, monkeypatch):
+        renames = []
+        real_replace = os.replace
+        def spy(src, dst):
+            renames.append((Path(src).parent, Path(dst)))
+            real_replace(src, dst)
+        monkeypatch.setattr(os, "replace", spy)
+        g = synthetic_nc_graph(seed=0)
+        mu_profile(g, 2, "inf", cache_dir=str(tmp_path / "cache"))
+        files = list((tmp_path / "cache").iterdir())
+        assert renames == [(tmp_path / "cache", files[0])]
+        assert len(files) == 1 and files[0].suffix == ".json"
+
+    def test_failed_cache_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            mu_profile(synthetic_nc_graph(seed=0), 2, "inf", cache_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_keyed_by_k(self, tmp_path):
         g = synthetic_nc_graph(seed=0)
