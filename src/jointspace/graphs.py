@@ -275,16 +275,13 @@ def save_edge_list(g: WeightedGraph, path: str | Path) -> None:
 def load_features_csv(path: str | Path) -> np.ndarray:
     """Load node features from a CSV with header ``node_id,f0,...,fk``.
 
-    Every id from 0 to the largest one must have a row.
+    Every id from 0 to the largest one must have exactly one row, with as
+    many fields as the header.
     """
-    rows = _read_csv_rows(path)
-    by_id = {int(r[0]): [float(x) for x in r[1:]] for r in rows}
+    by_id = _read_csv_by_id(path, float)
     n = _dense_id_count(path, by_id)
-    dim = len(next(iter(by_id.values())))
-    out = np.zeros((n, dim))
+    out = np.zeros((n, len(by_id[0])))
     for i, vals in by_id.items():
-        if len(vals) != dim:
-            raise EdgeListParseError(f"feature row for node {i} has wrong width")
         out[i] = vals
     return out
 
@@ -292,12 +289,11 @@ def load_features_csv(path: str | Path) -> np.ndarray:
 def load_labels_csv(path: str | Path) -> np.ndarray:
     """Load node labels from a CSV with header ``node_id,label``.
 
-    Every id from 0 to the largest one must have a row.
+    Every id from 0 to the largest one must have exactly one row.
     """
-    rows = _read_csv_rows(path)
-    by_id = {int(r[0]): int(r[1]) for r in rows}
+    by_id = _read_csv_by_id(path, int, width=2)
     out = np.zeros(_dense_id_count(path, by_id), dtype=np.int64)
-    for i, lab in by_id.items():
+    for i, (lab,) in by_id.items():
         out[i] = lab
     return out
 
@@ -313,12 +309,35 @@ def _dense_id_count(path: str | Path, by_id: dict[int, object]) -> int:
     return n
 
 
-def _read_csv_rows(path: str | Path) -> list[list[str]]:
-    with Path(path).open() as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+def _read_csv_by_id(path: str | Path, convert,
+                    width: int | None = None) -> dict[int, list]:
+    """Map each data row's integer id to its converted values.
+
+    Rows must have ``width`` fields (default: the header's, at least 2).  A
+    short or long row, a value ``convert`` rejects and a repeated id raise
+    ``EdgeListParseError`` naming the file and line.
+    """
+    path = Path(path)
+    with path.open() as fh:
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
     if len(lines) < 2:
-        raise EdgeListParseError(f"{Path(path).name}: expected header plus data rows")
-    return [ln.split(",") for ln in lines[1:]]
+        raise EdgeListParseError(f"{path.name}: expected header plus data rows")
+    header = lines[0][1].split(",")
+    width = width or max(len(header), 2)
+    by_id: dict[int, list] = {}
+    for lineno, line in lines[1:]:
+        where, fields = f"{path.name}:{lineno}", line.split(",")
+        if len(fields) != width:
+            raise EdgeListParseError(
+                f"{where}: expected {width} fields, got {len(fields)} in {line!r}")
+        try:
+            i, vals = int(fields[0]), [convert(x) for x in fields[1:]]
+        except ValueError as exc:
+            raise EdgeListParseError(f"{where}: {exc}") from exc
+        if i in by_id:
+            raise EdgeListParseError(f"{where}: repeated node id {i}")
+        by_id[i] = vals
+    return by_id
 
 
 # ---------------------------------------------------------------------------

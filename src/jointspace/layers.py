@@ -143,6 +143,19 @@ def attention_edges(g: WeightedGraph,
     return src, dst
 
 
+def _attention_logits(h, a, src: np.ndarray, dst: np.ndarray) -> DiffValue:
+    """Per-edge a^T [h_dst || h_src] as a flat vector, from per-node scores.
+
+    The logit splits as a_1^T h_dst + a_2^T h_src, so each node is scored once,
+    ``h @ reshape(a, (2, d))^T`` of shape (n, 2), and each edge gathers one
+    scalar per endpoint from the flattened scores: 2 * dst and 2 * src + 1.
+    """
+    n, d = h.shape
+    scores = ad.matmul(h, ad.transpose(ad.reshape(a, (2, d))))
+    flat = ad.reshape(scores, (2 * n,))
+    return ad.add(ad.gather_rows(flat, 2 * dst), ad.gather_rows(flat, 2 * src + 1))
+
+
 def _attention_dropout(alpha: DiffValue, dropout: float,
                        rng: np.random.Generator | None,
                        training: bool) -> DiffValue:
@@ -168,15 +181,10 @@ def gat_forward(features, g: WeightedGraph, p: GATParams, *,
     n = g.num_nodes
     src, dst = attention_edges(g, add_self_loops)
     h = ad.matmul(features, ad.transpose(p.W))
-    out_dim = h.shape[1]
-    h_dst = ad.gather_rows(h, dst)
-    h_src = ad.gather_rows(h, src)
-    logits = ad.matmul(ad.concat([h_dst, h_src], axis=1),
-                       ad.reshape(p.a, (2 * out_dim, 1)))
-    e = ad.leaky_relu(ad.reshape(logits, (logits.shape[0],)), p.leaky_slope)
+    e = ad.leaky_relu(_attention_logits(h, p.a, src, dst), p.leaky_slope)
     alpha = ad.segment_softmax(e, dst, n)
     alpha = _attention_dropout(alpha, dropout, rng, training)
-    msg = ad.mul(ad.reshape(alpha, (alpha.shape[0], 1)), h_src)
+    msg = ad.mul(ad.reshape(alpha, (alpha.shape[0], 1)), ad.gather_rows(h, src))
     return ad.elu(ad.segment_sum(msg, dst, n))
 
 
@@ -186,9 +194,11 @@ def hgat_forward(x_ball, g: WeightedGraph, p: HGATParams, *,
                  add_self_loops: bool = True) -> tuple[DiffValue, DiffValue]:
     """One hyperbolic graph-attention layer.
 
-    Messages are the Mobius matrix action plus a ball bias; attention logits
-    combine tangent-space features with the geodesic distance between the
-    endpoints.  Returns (tangent-space output, its ball image).
+    Messages are the Mobius matrix action plus a ball bias.  Each attention
+    logit is the GAT logit of the tangent-space features, read from per-node
+    scores, times the closed-form geodesic distance between the endpoints;
+    per edge, only scalars and the two endpoint rows of the distance are
+    gathered.  Returns (tangent-space output, its ball image).
     """
     c = p.curvature
     x = pc.d_project(x_ball, c)
@@ -200,14 +210,9 @@ def hgat_forward(x_ball, g: WeightedGraph, p: HGATParams, *,
     bias_ball = pc.d_exp_origin(ad.reshape(p.b, (1, out_dim)), c)
     m = pc.d_mobius_add(wx, bias_ball, c)
 
-    hhat = pc.d_log_origin(wx, c)
-    h_dst = ad.gather_rows(hhat, dst)
-    h_src = ad.gather_rows(hhat, src)
-    logits = ad.matmul(ad.concat([h_dst, h_src], axis=1),
-                       ad.reshape(p.a, (2 * out_dim, 1)))
+    logits = _attention_logits(pc.d_log_origin(wx, c), p.a, src, dst)
     dist = pc.d_hyp_distance(ad.gather_rows(x, dst), ad.gather_rows(x, src), c)
-    e = ad.leaky_relu(ad.mul(ad.reshape(logits, (logits.shape[0],)), dist),
-                      p.leaky_slope)
+    e = ad.leaky_relu(ad.mul(logits, dist), p.leaky_slope)
     alpha = ad.segment_softmax(e, dst, n)
     alpha = _attention_dropout(alpha, dropout, rng, training)
 

@@ -3,11 +3,12 @@
 Points live in the open ball {x in R^n : c * ||x||^2 < 1}.  Each formula is
 written once over rows (trailing feature axis): projection and exp/log at the
 origin are radial maps x * s(sqrt(c) ||x||) that supply only s and ds/du;
-Mobius addition has one closed form; matrix action and distance are composed
-of these.  The ``BallPoint`` functions and the ``d_*`` tape operations share
-this kernel.  Each tape operation is one autodiff node per radial map or
-Mobius addition, with closed-form gradients in the inputs and in the
-curvature (a ``DiffValue`` when it is trained).  Ball-valued results are
+Mobius addition has one closed form and matrix action is composed of these;
+the geodesic distance is its own closed form over row dot products, with no
+Mobius sum.  The ``BallPoint`` functions and the ``d_*`` tape operations
+share this kernel.  Each tape operation is one autodiff node per radial map,
+Mobius addition or distance, with closed-form gradients in the inputs and in
+the curvature (a ``DiffValue`` when it is trained).  Ball-valued results are
 projected back to norm at most (1 - margin) / sqrt(c); atanh inputs are
 clipped below 1 so boundary blow-up cannot occur.
 """
@@ -180,12 +181,51 @@ def _mobius_add_array(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
     return _mobius_add_parts(x, y, c)[0]
 
 
+def _distance_parts(x: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, tuple]:
+    """(2/sqrt(c)) atanh(sqrt(c) ||-x (+)_c y||) per row, with the last axis kept.
+
+    No Mobius sum is formed: ||-x (+)_c y||^2 = ||x - y||^2 / den with
+    den = 1 - 2c<x,y> + c^2 ||x||^2 ||y||^2, read here in its equal form
+    (1 - c||x||^2)(1 - c||y||^2) + c||x - y||^2, a sum of two terms that are
+    positive in the ball, which keeps close pairs near the boundary accurate.
+    Clipping sqrt(c) ||-x (+)_c y|| at 1 - margin is the projection of the
+    sum; identical rows give exactly 0.
+    """
+    diff = x - y
+    s2 = _sq_norm(diff)
+    x2 = _sq_norm(x)
+    y2 = _sq_norm(y)
+    a = 1.0 - c * x2
+    b = 1.0 - c * y2
+    den = np.maximum(a * b + c * s2, _MIN_NORM)
+    sqrt_c = math.sqrt(c)
+    n = np.sqrt(s2 / den)
+    u = sqrt_c * n
+    out = (2.0 / sqrt_c) * np.arctanh(np.minimum(u, 1.0 - PROJECTION_MARGIN))
+    return out, (x, y, c, diff, x2, y2, a, b, den, n, u, out)
+
+
+def _distance_grad(g: np.ndarray, x, y, c, diff, x2, y2, a, b, den, n, u,
+                   out) -> tuple[np.ndarray, np.ndarray, float]:
+    """VJP of the distance in x, y and c.
+
+    Rows clipped at the margin or at distance 0 pass nothing to x and y, and
+    u < 1 makes a * b > 0 on the others.
+    """
+    active = (n > 0.0) & (u <= 1.0 - PROJECTION_MARGIN)
+    g_on = np.where(active, g, 0.0)
+    t = g_on / np.where(active, n * den, 1.0)
+    gn = g_on * n
+    a = np.where(active, a, 1.0)
+    b = np.where(active, b, 1.0)
+    g_x = 2.0 * t * diff + (2.0 * c / a) * gn * x
+    g_y = (2.0 * c / b) * gn * y - 2.0 * t * diff
+    g_c = float(np.sum(gn * (1.0 / c + x2 / a + y2 / b) - g * out / (2.0 * c)))
+    return g_x, g_y, g_c
+
+
 def _distance_array(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    """2 ||log_0(-x (+)_c y)||, i.e. (2/sqrt(c)) atanh(sqrt(c) ||-x (+)_c y||)."""
-    u = _log_origin_array(_mobius_add_array(-x, y, c), c)
-    # Identical points must give exactly zero, not Mobius round-off dust.
-    same = np.all(x == y, axis=-1, keepdims=True)
-    return np.where(same, 0.0, 2.0 * _norm(u))
+    return _distance_parts(x, y, c)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +337,9 @@ def d_mobius_matvec(w: DiffValue, x, c) -> DiffValue:
 def d_hyp_distance(x, y, c) -> DiffValue:
     """Row-wise geodesic distance as a flat vector; identical rows give 0."""
     x, y = ad.as_diff(x), ad.as_diff(y)
-    u = d_log_origin(d_mobius_add(ad.neg(x), y, c), c)
-    scale = np.where(np.all(x.value == y.value, axis=-1), 0.0, 2.0)
-    return ad.mul(ad.vector_norm(u, keepdims=False), scale)
+    out, parts = _distance_parts(x.value, y.value, _c_value(c))
+
+    def vjp(g):
+        g_x, g_y, g_c = _distance_grad(g[..., None], *parts)
+        return ad._unbroadcast(g_x, x.shape), ad._unbroadcast(g_y, y.shape), g_c
+    return _ball_node(out[..., 0], (x, y), c, vjp)

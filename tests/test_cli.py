@@ -102,6 +102,24 @@ class TestTraining:
                      "--labels", str(labels), "--max-epochs", "2"]) == 2
         assert "no row for node 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which, edit, fault", [
+        ("labels", lambda f: ["0", f[1]], "l.csv:5: repeated node id 0"),
+        ("labels", lambda f: f[:1], "l.csv:5: expected 2 fields, got 1 in '3'"),
+        ("features", lambda f: f[:2], "f.csv:5: expected 9 fields, got 2"),
+        ("features", lambda f: [f[0], "abc"] + f[2:],
+         "f.csv:5: could not convert string to float: 'abc'"),
+    ], ids=["repeated-label", "short-label", "short-feature", "non-float-feature"])
+    def test_train_nc_bad_csv_row_exit_2(self, combined_files, capsys, which, edit,
+                                         fault):
+        edges, feats, labels = combined_files
+        path = feats if which == "features" else labels
+        rows = path.read_text().splitlines()
+        rows[4] = ",".join(edit(rows[4].split(",")))      # the row of node 3
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--max-epochs", "2"]) == 2
+        assert fault in capsys.readouterr().err
+
     def test_train_nc_negative_label_exit_2(self, tmp_path, combined_files, capsys):
         edges, feats, labels = combined_files
         rows = labels.read_text().splitlines()

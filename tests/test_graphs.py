@@ -125,6 +125,36 @@ class TestEdgeList:
         with pytest.raises(EdgeListParseError, match="negative node id -1"):
             load_labels_csv(lf)
 
+    def test_csv_repeated_id_rejected(self, tmp_path):
+        lf = tmp_path / "l.csv"
+        lf.write_text("node_id,label\n0,1\n1,0\n0,0\n2,1\n")
+        with pytest.raises(EdgeListParseError, match="l.csv:4: repeated node id 0"):
+            load_labels_csv(lf)
+        ff = tmp_path / "f.csv"
+        ff.write_text("node_id,f0\n0,1.0\n1,2.0\n\n1,3.0\n")
+        with pytest.raises(EdgeListParseError, match="f.csv:5: repeated node id 1"):
+            load_features_csv(ff)
+
+    @pytest.mark.parametrize("loader, text, fault", [
+        (load_labels_csv, "node_id,label\n0,1\n1\n",
+         r"data.csv:3: expected 2 fields, got 1 in '1'"),
+        (load_labels_csv, "node_id,label\n0,1\n1,x\n",
+         r"data.csv:3: invalid literal for int\(\) with base 10: 'x'"),
+        (load_features_csv, "node_id,f0,f1\n0,1.0,2.0\n1,abc,0.5\n",
+         r"data.csv:3: could not convert string to float: 'abc'"),
+        (load_features_csv, "node_id,f0,f1\n0,1.0,2.0\n1,0.5\n",
+         r"data.csv:3: expected 3 fields, got 2 in '1,0.5'"),
+        (load_features_csv, "node_id,f0,f1\nzero,1.0,2.0\n",
+         r"data.csv:2: invalid literal for int\(\) with base 10: 'zero'"),
+    ], ids=["short-label", "non-int-label", "non-float-feature", "short-feature",
+            "non-int-id"])
+    def test_csv_bad_row_names_file_line_and_fault(self, tmp_path, loader, text,
+                                                   fault):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(EdgeListParseError, match=fault):
+            loader(path)
+
 
 class TestShortestPaths:
     def test_unit_path(self):

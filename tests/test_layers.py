@@ -6,9 +6,10 @@ import pytest
 from jointspace import autodiff as ad
 from jointspace import poincare as pc
 from jointspace.graphs import WeightedGraph, generate_tree
-from jointspace.layers import (JointSpaceGNN, attention_edges, fusion_forward,
-                               gat_forward, hgat_forward, init_layer_params,
-                               load_params_json, save_params_json)
+from jointspace.layers import (JointSpaceGNN, _attention_logits, attention_edges,
+                               fusion_forward, gat_forward, hgat_forward,
+                               init_layer_params, load_params_json,
+                               save_params_json)
 from jointspace.poincare import (PROJECTION_MARGIN, d_exp_origin, d_hyp_distance,
                                  d_log_origin, d_mobius_add, d_mobius_matvec,
                                  d_project)
@@ -45,8 +46,13 @@ class TestDifferentiableBallOps:
         z = np.zeros((2, 3))
         assert np.all(d_exp_origin(z, 1.0).value == 0.0)
         assert np.all(d_log_origin(z, 1.0).value == 0.0)
-        x = ball_rows(np.random.default_rng(0), 2, 3)
-        assert np.all(d_hyp_distance(x, x, 1.0).value == 0.0)
+        x = ad.DiffValue(ball_rows(np.random.default_rng(0), 2, 3))
+        y = ad.DiffValue(x.value.copy())
+        curv = ad.DiffValue(1.5)
+        dist = d_hyp_distance(x, y, curv)
+        assert np.all(dist.value == 0.0)
+        ad.backward(ad.sum_(dist))
+        assert np.all(x.grad == 0.0) and np.all(y.grad == 0.0) and curv.grad == 0.0
 
     def test_matvec_composition(self):
         rng = np.random.default_rng(1)
@@ -79,6 +85,18 @@ class TestDifferentiableBallOps:
                     * np.array(us)[:, None] / math.sqrt(c)
 
             near = rows(0.999)
+            # Distance pairs: zero rows on either side, interior rows, an
+            # identical pair, a pair 1e-3 apart, and an antipodal
+            # near-boundary pair whose sqrt(c) ||-x (+) y|| is clipped at the
+            # margin, so its gradient is 0.  The identical pair sits at the
+            # origin: elsewhere the distance has a kink there that central
+            # differences read as the conformal factor's slope, not as the
+            # zero subgradient (test_zero_vector_exactness checks that one).
+            close = rows(0.6)
+            step = rng.normal(size=3)
+            dist_x = np.vstack([rows(0.0, 0.5, 0.9, 0.0), close, near])
+            dist_y = np.vstack([rows(0.4, 0.0, 0.7, 0.0),
+                                close + step / np.linalg.norm(step) * 1e-3, -near])
             cases = {
                 # zero row, interior, beyond the margin (rescaled)
                 "project": (d_project, [rows(0.0, 0.5, 1.5, 3.0)]),
@@ -93,8 +111,11 @@ class TestDifferentiableBallOps:
                 "bias_row": (d_mobius_add, [rows(0.0, 0.5, 0.9), rows(0.4)]),
                 "matvec": (lambda x_, w_, c_: d_mobius_matvec(w_, x_, c_),
                            [rows(0.0, 0.5, 0.9), rng.normal(size=(2, 3))]),
-                "distance": (d_hyp_distance, [rows(0.0, 0.5, 0.9), rows(0.4, 0.0, 0.7)]),
+                "distance": (d_hyp_distance, [dist_x, dist_y]),
             }
+            clip = 2.0 * math.atanh(1.0 - PROJECTION_MARGIN) / math.sqrt(c)
+            clipped = d_hyp_distance(near, -near, c).value[0]
+            assert clipped == pytest.approx(clip, rel=1e-15)
             for name, (op, arrays) in cases.items():
                 leaves = [ad.DiffValue(a) for a in arrays]
                 curv = ad.DiffValue(c)
@@ -103,7 +124,10 @@ class TestDifferentiableBallOps:
                 def op_loss():
                     return ad.sum_(ad.mul(op(*leaves, curv), w_out))
 
-                err = ad.finite_diff_check(op_loss, leaves + [curv])
+                # h = 1e-5 leaves an O((h / 1e-3)^2) truncation error of about
+                # 5e-5 on the close pair; h = 1e-6 brings it to about 5e-7.
+                h = 1e-6 if name == "distance" else 1e-5
+                err = ad.finite_diff_check(op_loss, leaves + [curv], h=h)
                 assert err < 1e-5, (name, c, err)
 
     def test_projection_keeps_rows_valid(self):
@@ -149,6 +173,24 @@ class TestAttentionEdges:
         src, _ = attention_edges(g)
         src[0] = 5                       # outputs are fresh arrays
         assert g.edge_index[0, 0] == 0
+
+
+class TestAttentionLogits:
+    @pytest.mark.parametrize("loops", [True, False])
+    def test_per_node_scores_match_concat_form(self, loops):
+        rng = np.random.default_rng(21)
+        n, d = 30, 5
+        pairs = {tuple(sorted(p)) for p in rng.integers(0, n, size=(80, 2))
+                 if p[0] != p[1]}
+        pairs |= {(i, i + 1) for i in range(n - 1)}        # no isolated node
+        g = WeightedGraph(n, tuple((u, v, 1.0) for u, v in sorted(pairs)))
+        src, dst = attention_edges(g, add_self_loops=loops)
+        h = ad.DiffValue(rng.normal(size=(n, d)))
+        a = ad.DiffValue(rng.normal(size=2 * d))
+        got = _attention_logits(h, a, src, dst).value
+        old = np.concatenate([h.value[dst], h.value[src]], axis=1) @ a.value
+        assert got.shape == (len(src),)
+        assert np.max(np.abs(got - old)) <= 1e-12
 
 
 class TestGATLayer:
@@ -226,8 +268,9 @@ class TestHGATLayer:
         m = d_mobius_add(wx, bias, p.curvature)
         hhat = d_log_origin(wx, p.curvature)
         src, dst = attention_edges(g)
-        cat = ad.concat([ad.gather_rows(hhat, dst), ad.gather_rows(hhat, src)], axis=1)
-        raw = ad.reshape(ad.matmul(cat, ad.reshape(p.a, (6, 1))), (len(src),))
+        scores = ad.reshape(ad.matmul(hhat, ad.transpose(ad.reshape(p.a, (2, 3)))),
+                            (4,))
+        raw = ad.add(ad.gather_rows(scores, 2 * dst), ad.gather_rows(scores, 2 * src + 1))
         dist = d_hyp_distance(ad.gather_rows(xb, dst), ad.gather_rows(xb, src),
                               p.curvature)
         e = ad.leaky_relu(ad.mul(raw, dist), p.leaky_slope)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointspace.poincare import (PROJECTION_MARGIN, BallPoint, Curvature,
-                                 exp_origin, hyp_distance, log_origin,
-                                 mobius_add, mobius_matvec, project_to_ball)
+                                 d_hyp_distance, exp_origin, hyp_distance,
+                                 log_origin, mobius_add, mobius_matvec,
+                                 project_to_ball)
 
 
 def rand_point(rng, dim, c=1.0, max_scaled_norm=0.95) -> BallPoint:
@@ -177,3 +178,64 @@ class TestMatvecDistanceProjection:
                       mobius_matvec(rng.normal(size=(dim, dim)) * 10.0, x)):
                 assert math.sqrt(p.c) * np.linalg.norm(p.coords) \
                     <= 1.0 - PROJECTION_MARGIN + 1e-12
+
+
+def _mp_distance(mp, x, y, c):
+    """Geodesic distance through the Mobius sum -x (+)_c y, at 50 digits."""
+    with mp.workdps(50):
+        c = mp.mpf(c)
+        x = [-mp.mpf(float(v)) for v in x]
+        y = [mp.mpf(float(v)) for v in y]
+        xy = mp.fsum(a * b for a, b in zip(x, y))
+        x2 = mp.fsum(a * a for a in x)
+        y2 = mp.fsum(b * b for b in y)
+        den = 1 + 2 * c * xy + c * c * x2 * y2
+        s = [((1 + 2 * c * xy + c * y2) * a + (1 - c * x2) * b) / den
+             for a, b in zip(x, y)]
+        u = mp.sqrt(c) * mp.sqrt(mp.fsum(v * v for v in s))
+        return u, 2 / mp.sqrt(c) * mp.atanh(u)
+
+
+class TestDistanceOracle:
+    """hyp_distance and d_hyp_distance against a 50-digit Mobius-sum oracle."""
+
+    @staticmethod
+    def pairs(kind, c, rng, n=24):
+        def at(u, dirs):
+            return dirs / np.linalg.norm(dirs, axis=1, keepdims=True) \
+                * np.asarray(u).reshape(-1, 1) / math.sqrt(c)
+        if kind == "interior":
+            return (at(rng.uniform(0.0, 0.95, n), rng.normal(size=(n, 4))),
+                    at(rng.uniform(0.0, 0.95, n), rng.normal(size=(n, 4))))
+        if kind == "apart_1e-9":
+            x = at(rng.uniform(0.0, 0.95, n), rng.normal(size=(n, 4)))
+            return x, x + at(np.full(n, 1e-9 * math.sqrt(c)), rng.normal(size=(n, 4)))
+        # Near the margin: half the pairs are close points at 2e-5 from the
+        # boundary; the other half are far pairs whose sqrt(c) ||-x (+) y||
+        # lies just below the clip.
+        m = n // 2
+        d = rng.normal(size=(m, 4))
+        close = (at(np.full(m, 1.0 - 2e-5), d),
+                 at(np.full(m, 1.0 - 2e-5), d + rng.normal(size=(m, 4)) * 1e-3))
+        far = (at(np.full(m, 0.999), d),
+               at(rng.uniform(0.85, 0.9, m), -d + rng.normal(size=(m, 4)) * 1e-2))
+        return np.vstack([close[0], far[0]]), np.vstack([close[1], far[1]])
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("kind, bound", [("interior", 1e-13),
+                                             ("apart_1e-9", 1e-13),
+                                             ("near_margin", 1e-11)])
+    def test_matches_mpmath(self, kind, bound, c):
+        mp = pytest.importorskip("mpmath")
+        x, y = self.pairs(kind, c, np.random.default_rng(13))
+        oracle = [_mp_distance(mp, a, b, c) for a, b in zip(x, y)]
+        assert all(u < 1.0 - PROJECTION_MARGIN for u, _ in oracle)   # none clipped
+        if kind == "near_margin":
+            assert all(u > 0.999 for u, _ in oracle[len(x) // 2:])
+        ref = np.array([float(d) for _, d in oracle])
+        curv = Curvature(c)
+        points = np.array([hyp_distance(BallPoint(a, curv), BallPoint(b, curv))
+                           for a, b in zip(x, y)])
+        rows = d_hyp_distance(x, y, c).value
+        for got in (points, rows):
+            assert np.max(np.abs(got - ref) / ref) <= bound
