@@ -31,6 +31,11 @@ def _emit(obj: dict | str, out: str | None) -> None:
 
 
 def _load_graph(args, default_identity_features: bool = False) -> "WeightedGraph":
+    csvs = [f"--{name}" for name in ("features", "labels") if getattr(args, name, None)]
+    if args.remap_ids and csvs:
+        # The CSVs are keyed by the original ids, which the remap does not reach.
+        raise ValueError(f"--remap-ids cannot be combined with {' or '.join(csvs)}: "
+                         "only the edge list is remapped")
     g = load_edge_list(args.graph, weighted=not args.unweighted,
                        remap_ids=args.remap_ids)
     if getattr(args, "features", None):
@@ -177,7 +182,8 @@ def _add_graph_args(p: argparse.ArgumentParser, with_data: bool = False) -> None
     p.add_argument("--unweighted", action="store_true",
                    help="reject weight columns; all weights 1")
     p.add_argument("--remap-ids", dest="remap_ids", action="store_true",
-                   help="remap sparse node ids to 0..n-1")
+                   help="remap sparse edge-list node ids to 0..n-1 "
+                        "(not with --features or --labels)")
     if with_data:
         p.add_argument("--features", help="node feature CSV (node_id,f0,...)")
         p.add_argument("--labels", help="node label CSV (node_id,label)")

@@ -298,25 +298,19 @@ def message_graph(g: WeightedGraph, cfg: TrainConfig) -> WeightedGraph:
     return _lp_message_graph(g, split_edges(g, cfg.fractions, cfg.seed))
 
 
-def _nc_eval(model: JointSpaceGNN, g: WeightedGraph, features, labels,
-             mask, cfg: TrainConfig) -> tuple[float, float]:
-    """(metric, cross-entropy) on a node mask; the loss breaks metric ties."""
-    out, _ = model.forward(g, features, training=False)
-    logits = out.z.value
-    metric = evaluate_nc(logits, labels, mask, cfg.metric, cfg.f1_average)
+def _nc_eval(z: np.ndarray, labels, mask, cfg: TrainConfig) -> tuple[float, float]:
+    """(metric, cross-entropy) of logits on a node mask; the loss breaks metric ties."""
+    metric = evaluate_nc(z, labels, mask, cfg.metric, cfg.f1_average)
     mask = np.asarray(mask, dtype=np.int64)
-    shifted = logits[mask] - logits[mask].max(axis=1, keepdims=True)
+    shifted = z[mask] - z[mask].max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     ce = -float(np.mean(log_probs[np.arange(mask.size), np.asarray(labels)[mask]]))
     return metric, ce
 
 
-def _lp_eval(model: JointSpaceGNN, g: WeightedGraph, features,
-             pos_pairs: np.ndarray, neg_pairs: np.ndarray,
+def _lp_eval(z: np.ndarray, pos_pairs: np.ndarray, neg_pairs: np.ndarray,
              cfg: TrainConfig) -> tuple[float, float]:
-    """(ROC-AUC, binary cross-entropy) on fixed positive/negative pairs."""
-    out, _ = model.forward(g, features, training=False)
-    z = out.z.value
+    """(ROC-AUC, binary cross-entropy) of output embeddings on fixed pairs."""
     fd = FermiDiracParams(cfg.fermi_r, cfg.fermi_t)
     def score(pairs):
         d = np.linalg.norm(z[pairs[:, 0]] - z[pairs[:, 1]], axis=1)
@@ -330,6 +324,25 @@ def _lp_eval(model: JointSpaceGNN, g: WeightedGraph, features,
     return evaluate_lp(scores, truth), bce
 
 
+@dataclass
+class _Best:
+    """Best validation point so far and the parameters it was scored at."""
+
+    metric: float = -math.inf
+    loss: float = math.inf
+    epoch: int = 0
+    state: dict[str, np.ndarray] | None = None
+
+    def update(self, scored: tuple[float, float], epoch: int,
+               model: JointSpaceGNN) -> None:
+        # A strictly better metric improves; an equal metric with strictly
+        # lower validation loss also counts (small validation sets saturate).
+        metric, loss = scored
+        if metric > self.metric or (metric == self.metric and loss < self.loss):
+            self.metric, self.loss, self.epoch = metric, loss, epoch
+            self.state = model.state_dict()
+
+
 def train(g: WeightedGraph, cfg: TrainConfig, split: SplitSpec | None = None,
           return_model: bool = False):
     """Train one model; returns a RunReport (plus the model when requested).
@@ -338,6 +351,13 @@ def train(g: WeightedGraph, cfg: TrainConfig, split: SplitSpec | None = None,
     every epoch; training stops ``patience`` epochs after the last strict
     improvement or at ``max_epochs``, whichever is first, and the test metric
     is evaluated only at the restored best checkpoint.
+
+    Each epoch's validation scores the parameters its optimizer step wrote.
+    At ``dropout == 0`` the next epoch's training forward runs at exactly
+    those parameters with no mask and no rng draw, so validation is read from
+    that forward's output and only the last epoch runs an eval forward of its
+    own.  With dropout, every epoch runs one.  After the restore, one eval
+    forward gives both the test metric and the recorded selection weights.
     """
     t_start = time.monotonic()
     if g.features is None:
@@ -377,23 +397,34 @@ def train(g: WeightedGraph, cfg: TrainConfig, split: SplitSpec | None = None,
         trainable_curvature=cfg.trainable_curvature, seed=cfg.seed)
     opt = Adam(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
 
-    if cfg.task == "lp":
+    if cfg.task == "nc":
+        def validate(z):
+            return _nc_eval(z, labels, split.val, cfg)
+        def test(z):
+            return _nc_eval(z, labels, split.test, cfg)
+    else:
         train_pos, val_pos, test_pos = (
             g.edge_index[np.asarray(part, dtype=np.int64)]
             for part in (split.train, split.val, split.test))
         val_neg = np.asarray(split.val_neg, dtype=np.int64)
         test_neg = np.asarray(split.test_neg, dtype=np.int64)
+        def validate(z):
+            return _lp_eval(z, val_pos, val_neg, cfg)
+        def test(z):
+            return _lp_eval(z, test_pos, test_neg, cfg)
 
+    forward_is_eval = cfg.dropout == 0.0
     loss_trace: list[float] = []
-    best_val = -math.inf
-    best_val_loss = math.inf
-    best_epoch = 0
-    best_state: dict[str, np.ndarray] | None = None
-    epoch = 0
+    best = _Best()
     for epoch in range(1, cfg.max_epochs + 1):
         rng_epoch = np.random.default_rng([cfg.seed, epoch])
         out, record = model.forward(msg_graph, features, training=True,
                                     dropout=cfg.dropout, rng=rng_epoch)
+        if forward_is_eval and epoch > 1:
+            # The previous epoch's validation, before this epoch's step.
+            best.update(validate(out.z.value), epoch - 1, model)
+            if epoch - 1 - best.epoch >= cfg.patience:
+                break
         if cfg.task == "nc":
             task_loss = cross_entropy_nc(out.z, labels, split.train)
         else:
@@ -414,41 +445,26 @@ def train(g: WeightedGraph, cfg: TrainConfig, split: SplitSpec | None = None,
                     lp.hgat.curvature.value, _MIN_CURVATURE)
         loss_trace.append(loss_value)
 
-        if cfg.task == "nc":
-            val_metric, val_loss = _nc_eval(model, msg_graph, features, labels,
-                                            split.val, cfg)
-        else:
-            val_metric, val_loss = _lp_eval(model, msg_graph, features, val_pos,
-                                            val_neg, cfg)
-        # A strictly better metric improves; an equal metric with strictly
-        # lower validation loss also counts (small validation sets saturate).
-        if val_metric > best_val or (val_metric == best_val
-                                     and val_loss < best_val_loss):
-            best_val = val_metric
-            best_val_loss = val_loss
-            best_epoch = epoch
-            best_state = model.state_dict()
-        if epoch - best_epoch >= cfg.patience:
-            break
+        if not forward_is_eval or epoch == cfg.max_epochs:
+            # Keep only the output array, so the eval tape is freed at once.
+            z = model.forward(msg_graph, features, training=False)[0].z.value
+            best.update(validate(z), epoch, model)
+            if epoch - best.epoch >= cfg.patience:
+                break
+    del out, record, task_loss, loss   # free the last training tape
 
-    if best_state is not None:
-        model.load_state_dict(best_state)
-    if cfg.task == "nc":
-        test_metric, _ = _nc_eval(model, msg_graph, features, labels,
-                                  split.test, cfg)
-    else:
-        test_metric, _ = _lp_eval(model, msg_graph, features, test_pos,
-                                  test_neg, cfg)
-
-    _, record = model.forward(msg_graph, features, training=False)
+    if best.state is not None:
+        model.load_state_dict(best.state)
+    out, record = model.forward(msg_graph, features, training=False)
+    test_metric, _ = test(out.z.value)
     beta_samples = tuple(tuple(float(b) for b in r.beta_r.value) for r in record)
     w2_unif, w2_mu = _beta_diagnostics(beta_samples, mu)
 
     report = RunReport(
-        best_val_metric=float(best_val),
+        best_val_metric=float(best.metric),
         test_metric=float(test_metric),
-        epoch_of_best=best_epoch,
-        epochs_run=epoch,
+        epoch_of_best=best.epoch,
+        epochs_run=len(loss_trace),
         loss_trace=tuple(loss_trace),
         beta_samples=beta_samples,
         w2_nu_unif=w2_unif,

@@ -120,6 +120,19 @@ class TestTraining:
                      "--labels", str(labels), "--max-epochs", "2"]) == 2
         assert fault in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given", [("features",), ("labels",),
+                                       ("features", "labels")],
+                             ids=["features", "labels", "both"])
+    def test_remap_ids_with_csv_exit_2(self, combined_files, capsys, given):
+        edges, feats, labels = combined_files
+        paths = {"features": feats, "labels": labels}
+        argv = ["train-nc", "--graph", str(edges), "--remap-ids", "--max-epochs", "2"]
+        for name in given:
+            argv += [f"--{name}", str(paths[name])]
+        assert main(argv) == 2
+        named = " or ".join(f"--{name}" for name in given)
+        assert f"--remap-ids cannot be combined with {named}" in capsys.readouterr().err
+
     def test_train_nc_negative_label_exit_2(self, tmp_path, combined_files, capsys):
         edges, feats, labels = combined_files
         rows = labels.read_text().splitlines()

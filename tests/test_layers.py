@@ -13,6 +13,7 @@ from jointspace.layers import (JointSpaceGNN, _attention_logits, attention_edges
 from jointspace.poincare import (PROJECTION_MARGIN, d_exp_origin, d_hyp_distance,
                                  d_log_origin, d_mobius_add, d_mobius_matvec,
                                  d_project)
+from jointspace.training import synthetic_lp_tree, synthetic_nc_graph
 
 from conftest import path_graph
 
@@ -405,6 +406,26 @@ class TestStack:
                                  rng=np.random.default_rng(1))
         plain, _ = model.forward(g, feats, training=False)
         assert not np.array_equal(drop1.z.value, plain.z.value)
+
+    @pytest.mark.parametrize("task", ["nc", "lp"])
+    def test_training_forward_at_dropout_zero_is_the_eval_forward(self, task):
+        # train() reads validation from the training forward when dropout is 0.
+        if task == "nc":
+            g, out_dim = synthetic_nc_graph(seed=3), 2
+        else:
+            g, out_dim = synthetic_lp_tree(depth=4, seed=3), 8
+        model = JointSpaceGNN(g.features.shape[1], 8, out_dim, num_layers=3,
+                              q_dim=4, trainable_curvature=True, seed=5)
+        rng = np.random.default_rng([5, 1])
+        state = rng.bit_generator.state
+        out_t, rec_t = model.forward(g, g.features, training=True, dropout=0.0,
+                                     rng=rng)
+        out_e, rec_e = model.forward(g, g.features, training=False)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(out_t.z.value, out_e.z.value)
+        assert len(rec_t) == len(rec_e) == 3
+        for r_t, r_e in zip(rec_t, rec_e):
+            assert np.array_equal(r_t.beta_r.value, r_e.beta_r.value)
 
     def test_end_to_end_gradcheck(self):
         rng = np.random.default_rng(13)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from jointspace import autodiff as ad
+from jointspace import training
 from jointspace.graphs import generate_tree
 from jointspace.layers import JointSpaceGNN, load_params_json, save_params_json
-from jointspace.objectives import normalize_delta
+from jointspace.objectives import normalize_delta, overall_loss
 from jointspace.training import (Adam, RunReport, TrainConfig,
                                  analyze_hyperbolicities, evaluate_lp,
                                  evaluate_nc, identity_features, mu_profile,
@@ -163,13 +164,57 @@ class TestTrainLoop:
         rep = train(g, quick_cfg(max_epochs=40, patience=40))
         assert rep.loss_trace[rep.epoch_of_best - 1] < rep.loss_trace[0]
 
-    def test_early_stopping_plateau_exact(self):
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("max_epochs, patience, stop", [
+        (200, 25, 26), (200, 1, 2), (1, 1, 1), (1, 100, 1), (5, 5, 5), (6, 5, 6)])
+    def test_early_stopping_plateau_exact(self, max_epochs, patience, stop,
+                                          dropout):
+        # Frozen optimization: validation plateaus from the first epoch, so
+        # the run stops `patience` epochs after it or at the cap.
         g = synthetic_nc_graph(seed=0)
-        cfg = quick_cfg(lr=1e-30, max_epochs=200, patience=25)
+        cfg = quick_cfg(lr=1e-30, max_epochs=max_epochs, patience=patience,
+                        dropout=dropout)
         rep = train(g, cfg)
         assert rep.epoch_of_best == 1
-        assert rep.epochs_run == 26
-        assert len(rep.loss_trace) == 26
+        assert rep.epochs_run == stop
+        assert len(rep.loss_trace) == stop
+
+    @pytest.mark.parametrize("task", ["nc", "lp"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("stops_early", [False, True])
+    def test_forward_count(self, monkeypatch, task, dropout, stops_early):
+        # At dropout 0 the next training forward doubles as the eval forward:
+        # one training forward per epoch (plus the one that finds patience
+        # spent) or one last eval forward, then one forward after the restore.
+        # With dropout every epoch also runs an eval forward.  No loss is
+        # computed past the epoch where patience runs out.
+        calls, losses = [], []
+        real_forward = JointSpaceGNN.forward
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs.get("training", False))
+            return real_forward(self, *args, **kwargs)
+        def counted_loss(*args):
+            losses.append(None)
+            return overall_loss(*args)
+        monkeypatch.setattr(JointSpaceGNN, "forward", counted)
+        monkeypatch.setattr(training, "overall_loss", counted_loss)
+        if task == "nc":
+            g = synthetic_nc_graph(seed=0)
+        else:
+            g = synthetic_lp_tree(depth=3, seed=0)
+        epochs = 12
+        cfg = quick_cfg(task=task, dropout=dropout, max_epochs=epochs,
+                        patience=3 if stops_early else epochs + 1,
+                        lr=1e-30 if stops_early else 0.01)
+        rep = train(g, cfg)
+        assert rep.epochs_run == (4 if stops_early else epochs)
+        assert len(losses) == len(rep.loss_trace) == rep.epochs_run
+        if dropout == 0.0:
+            assert len(calls) == rep.epochs_run + 2
+            assert calls.count(False) == (1 if stops_early else 2)
+        else:
+            assert len(calls) == 2 * rep.epochs_run + 1
+            assert calls.count(True) == rep.epochs_run
 
     def test_never_exceeds_max_epochs(self):
         g = synthetic_nc_graph(seed=0)
@@ -190,6 +235,23 @@ class TestTrainLoop:
         out, _ = fresh.forward(g, g.features, training=False)
         metric = evaluate_nc(out.z.value, g.labels, split.test)
         assert metric == rep.test_metric
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_restored_checkpoint_is_the_best_epochs_parameters(self, dropout):
+        g = synthetic_lp_tree(depth=4, seed=5)
+        cfg = quick_cfg(task="lp", seed=4, max_epochs=100, patience=2,
+                        dropout=dropout)
+        rep, model, _ = train(g, cfg, return_model=True)
+        assert 1 < rep.epoch_of_best < rep.epochs_run < cfg.max_epochs
+        # A run capped at the best epoch ends there, scored by its own eval
+        # forward, and must restore the same parameters.
+        capped, capped_model, _ = train(
+            g, replace(cfg, max_epochs=rep.epoch_of_best), return_model=True)
+        assert capped.epochs_run == capped.epoch_of_best == rep.epoch_of_best
+        state, capped_state = model.state_dict(), capped_model.state_dict()
+        assert all(np.array_equal(state[k], capped_state[k]) for k in state)
+        assert ((capped.best_val_metric, capped.test_metric, capped.beta_samples)
+                == (rep.best_val_metric, rep.test_metric, rep.beta_samples))
 
     def test_report_round_trip(self):
         g = synthetic_nc_graph(seed=2)
