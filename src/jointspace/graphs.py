@@ -347,22 +347,36 @@ def _read_csv_by_id(path: str | Path, convert,
 def shortest_paths(g: WeightedGraph) -> DistanceMatrix:
     """Exact all-pairs shortest-path distances under the weighted path metric.
 
-    One vectorized Floyd-Warshall pass over the dense n x n matrix: O(n^3)
-    time and O(n^2) memory, meant for small graphs; the library calls it on
-    k-hop balls.  Sums are exact on integer and half-integer weights, and
-    the matrix stays exactly symmetric because float addition commutes.
-    Unreachable pairs get a +inf sentinel and a cleared ``reachable`` flag.
+    One dense Floyd-Warshall pass (``_path_metric_stack`` on a stack of one):
+    O(n^3) time and O(n^2) memory, meant for small graphs.  Unreachable pairs
+    get a +inf sentinel and a cleared ``reachable`` flag.
     """
-    n = g.num_nodes
-    dist = np.full((n, n), math.inf)
-    if g.edges:
-        u, v, w = (np.array(col) for col in zip(*g.edges))
-        dist[u, v] = w
-        dist[v, u] = w
-    np.fill_diagonal(dist, 0.0)
+    d = _path_metric_stack(g.num_nodes, [g.edges])[0]
+    return DistanceMatrix(d=d, reachable=np.isfinite(d))
+
+
+def _path_metric_stack(n: int, edge_lists) -> np.ndarray:
+    """Path metrics of a stack of n-node graphs, given as lists of ``(u, v, w)``.
+
+    Returns a ``(len(edge_lists), n, n)`` array built by one vectorized
+    Floyd-Warshall sweep over the whole stack: n ``np.minimum`` calls in all.
+    Each matrix gets exactly the floats a separate pass would give it.  Sums
+    are exact on integer and half-integer weights, and every matrix stays
+    exactly symmetric because float addition commutes.
+    """
+    dist = np.full((len(edge_lists), n, n), math.inf)
+    counts = [len(edges) for edges in edge_lists]
+    if sum(counts):
+        uvw = np.array([e for edges in edge_lists for e in edges])
+        b = np.repeat(np.arange(len(edge_lists)), counts)
+        u, v = uvw[:, 0].astype(np.intp), uvw[:, 1].astype(np.intp)
+        dist[b, u, v] = uvw[:, 2]
+        dist[b, v, u] = uvw[:, 2]
+    diag = np.arange(n)
+    dist[:, diag, diag] = 0.0
     for m in range(n):
-        np.minimum(dist, dist[:, m, None] + dist[None, m, :], out=dist)
-    return DistanceMatrix(d=dist, reachable=np.isfinite(dist))
+        np.minimum(dist, dist[:, :, m, None] + dist[:, None, m, :], out=dist)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +388,30 @@ def k_hop_subgraph(g: WeightedGraph, v: int, k: int) -> tuple[WeightedGraph, tup
 
     Hops are counted by edge count even on weighted graphs; weights only shape
     the metric.  Returns the subgraph plus the old-id table indexed by new id.
-    The search stops at depth ``k`` and the induced edges come from the
-    ball's own adjacency lists, so the cost depends on the ball, not on the
-    whole graph.
+    The cost depends on the ball, not on the whole graph.
     """
     if not (0 <= v < g.num_nodes):
         raise GraphValidationError(f"node {v} out of range")
     if k < 0:
         raise GraphValidationError("hop count must be >= 0")
-    adj = g.adjacency
-    start = int(v)
-    seen = {start}
-    frontier = [start]
+    keep, sub_edges = _k_hop_ball(g.adjacency, int(v), k)
+    feats = g.features[keep] if g.features is not None else None
+    labs = g.labels[np.asarray(keep)] if g.labels is not None else None
+    sub = WeightedGraph(num_nodes=len(keep), edges=tuple(sub_edges),
+                        features=feats, labels=labs)
+    return sub, tuple(keep)
+
+
+def _k_hop_ball(adj, v: int, k: int) -> tuple[list[int], list[tuple[int, int, float]]]:
+    """Sorted ids of the nodes within ``k`` hops of ``v``, and the induced edges.
+
+    ``adj`` is a graph's ``adjacency``.  Edges are ``(u, w, weight)`` in the
+    ball's own ids (the positions in the sorted list), with ``u < w``.  The
+    search stops at depth ``k`` and the edges come from the ball's own
+    adjacency lists, so the cost depends on the ball, not on the whole graph.
+    """
+    seen = {v}
+    frontier = [v]
     for _ in range(k):
         reached = []
         for u in frontier:
@@ -396,15 +422,9 @@ def k_hop_subgraph(g: WeightedGraph, v: int, k: int) -> tuple[WeightedGraph, tup
         frontier = reached
     keep = sorted(seen)
     new_id = {old: new for new, old in enumerate(keep)}
-    sub_edges = tuple(
-        (new_id[u], new_id[w], wt) for u in keep for w, wt in adj[u]
-        if u < w and w in new_id
-    )
-    feats = g.features[keep] if g.features is not None else None
-    labs = g.labels[np.asarray(keep)] if g.labels is not None else None
-    sub = WeightedGraph(num_nodes=len(keep), edges=sub_edges,
-                        features=feats, labels=labs)
-    return sub, tuple(keep)
+    edges = [(new_id[u], new_id[w], wt) for u in keep for w, wt in adj[u]
+             if u < w and w in new_id]
+    return keep, edges
 
 
 # ---------------------------------------------------------------------------

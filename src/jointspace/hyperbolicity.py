@@ -20,12 +20,16 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import DistanceMatrix, WeightedGraph, k_hop_subgraph, shortest_paths
+from .graphs import DistanceMatrix, WeightedGraph, _k_hop_ball, _path_metric_stack
+# Not called here: perfbench's tracer looks these two up on this module.
+from .graphs import k_hop_subgraph, shortest_paths  # noqa: F401
 
 __all__ = [
     "CrossComponentError",
@@ -48,6 +52,12 @@ __all__ = [
 DEFAULT_EXACT_LIMIT = 60
 DEFAULT_NUM_SAMPLES = 100_000
 _SAMPLE_CHUNK = 8192
+# Elements in one stacked array: a chunk of equal-size balls holds at most this
+# many distances (or one ball, if larger), and one block of the pruned pair walk
+# at most this many candidates.  Large enough that numpy's per-call overhead is
+# shared by dozens of small balls; small enough that the temporaries (64 KB
+# each) add little to the peak memory of a caller that keeps many profiles.
+_STACK_ELEMENTS = 1 << 13
 
 
 class CrossComponentError(ValueError):
@@ -58,23 +68,78 @@ class ExactLimitExceeded(ValueError):
     """Raised when the exact average-variant enumeration would be too large."""
 
 
+class _NodeValues(Mapping):
+    """Read-only ``node -> value`` mapping over one float64 array for nodes 0..n-1."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+    def __getitem__(self, node) -> float:
+        try:
+            i = operator.index(node)
+        except TypeError:
+            raise KeyError(node) from None
+        if not 0 <= i < self.array.shape[0]:
+            raise KeyError(node)
+        return float(self.array[i])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self.array.shape[0]))
+
+    def __len__(self) -> int:
+        return self.array.shape[0]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _NodeValues):
+            return bool(np.array_equal(self.array, other.array))
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(range(len(self)), self.array.tolist())))
+
+
+def _node_array(per_node: Mapping) -> np.ndarray:
+    """Read-only float64 array of ``per_node``, whose keys must be exactly 0..n-1."""
+    if isinstance(per_node, _NodeValues):
+        return per_node.array
+    n = len(per_node)
+    expected = range(n)
+    if any(node not in expected for node in per_node):
+        missing = next(i for i in expected if i not in per_node)
+        unexpected = next(node for node in per_node if node not in expected)
+        raise ValueError(f"profile nodes must be exactly 0..{n - 1}: "
+                         f"no value for node {missing}, unexpected node {unexpected!r}")
+    values = np.array([per_node[i] for i in expected], dtype=np.float64)
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class HyperbolicityProfile:
-    """Per-node local hyperbolicity values over k-hop subgraphs."""
+    """Per-node local hyperbolicity values over k-hop subgraphs.
 
-    per_node: dict[int, float]
+    ``per_node`` may be given as any mapping whose keys are exactly the node
+    ids 0..n-1; it is stored as a read-only mapping over one float64 array,
+    which ``values_by_node`` returns without copying.
+    """
+
+    per_node: Mapping[int, float]
     k: int
     mode: str  # "inf" or "one"
 
     def __post_init__(self) -> None:
         if self.mode not in ("inf", "one"):
             raise ValueError(f"mode must be 'inf' or 'one', got {self.mode!r}")
-        if any(v < 0 for v in self.per_node.values()):
-            raise ValueError("hyperbolicity values must be nonnegative")
+        values = _node_array(self.per_node)
+        if not (np.isfinite(values) & (values >= 0)).all():
+            raise ValueError("hyperbolicity values must be finite and nonnegative")
+        object.__setattr__(self, "per_node", _NodeValues(values))
 
     def values_by_node(self) -> np.ndarray:
-        """Values ordered by node id."""
-        return np.array([self.per_node[v] for v in sorted(self.per_node)])
+        """Read-only values ordered by node id (the profile's own array)."""
+        return self.per_node.array
 
 
 @dataclass(frozen=True)
@@ -148,19 +213,35 @@ def is_tree_metric(dm: DistanceMatrix) -> bool:
     condition gp[x,y] >= min(gp[x,z], gp[z,y]) for all x, y, z holds with zero
     slack iff the metric embeds in a real tree, in which case every four-point
     defect is zero.  Cost is O(n^3) vectorized, far below quadruple
-    enumeration, so this is used as a fast path by the delta computations.
+    enumeration.  This is ``_tree_mask`` on a stack of one; ``delta_inf`` and
+    ``local_profile`` run that same kernel on whole stacks before enumerating.
     """
     _require_connected(dm)
-    n = dm.num_nodes
-    if n < 3:
+    if dm.num_nodes < 3:
         return True
-    d = dm.d
-    gp = (d[0, :][:, None] + d[0, :][None, :] - d) / 2.0
-    for z in range(n):
-        lower = np.minimum.outer(gp[:, z], gp[z, :])
-        if (lower - gp).max() > 0.0:
-            return False
-    return True
+    return bool(_tree_mask(dm.d[None])[0])
+
+
+def _tree_mask(d: np.ndarray) -> np.ndarray:
+    """``is_tree_metric`` of each metric in a ``(B, n, n)`` stack, as a bool array.
+
+    Metrics leave the stack at the first ``z`` that violates the condition,
+    so non-tree metrics cost little more than a certified tree.
+    """
+    tree = np.ones(d.shape[0], dtype=bool)
+    open_ = np.arange(d.shape[0])
+    gp = (d[:, 0, :, None] + d[:, 0, None, :] - d) / 2.0
+    lower = np.empty_like(gp)
+    for z in range(d.shape[1]):
+        np.minimum(gp[:, :, z, None], gp[:, None, z, :], out=lower)
+        bad = (lower > gp).any(axis=(1, 2))
+        if bad.any():
+            tree[open_[bad]] = False
+            open_, gp = open_[~bad], gp[~bad]
+            if not open_.size:
+                break
+            lower = np.empty_like(gp)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -173,43 +254,109 @@ def delta_inf(dm: DistanceMatrix) -> float:
     Computed as max(0, (S1 - S2) / 2) over unordered quadruples, where
     S1 >= S2 >= S3 are the three pairwise-sum pairings; this equals the
     supremum of tau over ordered tuples (tuples with repeats never exceed it).
-    The enumeration walks pair-pairs with the farthest pair outermost, prunes
-    with tau <= min(d(p1), d(p2)) / 2 and stops early once the diameter / 2
-    upper bound is attained.
+    Tree metrics are certified first; the others run the far-pair walk of
+    ``_delta_inf_stack``, here on a stack of one.
     """
     _require_connected(dm)
-    n = dm.num_nodes
-    if n < 4:
+    if dm.num_nodes < 4:
         return 0.0
-    if is_tree_metric(dm):
-        return 0.0
-    d = dm.d
+    return float(_delta_inf_stack(dm.d[None])[0])
 
+
+def _delta_inf_stack(d: np.ndarray) -> np.ndarray:
+    """``delta_inf`` of each connected metric in a ``(B, n, n)`` stack, n >= 4.
+
+    Pairs are sorted by distance, farthest first, and row a pairs the a-th
+    farthest pair with each later pair ranked below ``cut``, the number of
+    pairs farther apart than 2 * best: since tau <= min(d(p1), d(p2)) / 2, no
+    other pair-pair can beat the best defect found so far (Cohen, Coudert and
+    Lancin, ACM JEA 2015).  A metric leaves the walk once ``cut <= a + 1`` or
+    once best reaches half its diameter, which bounds every defect.
+
+    All metrics walk at once, in blocks of rows: a block evaluates rows
+    a..a+R-1 of every live metric against that metric's current cut.  Rows
+    before the first one that raises best change nothing, exactly as in a
+    walk of one row at a time; the metric resumes after that row with its new
+    cut and the rest of the block is discarded.  Each metric therefore gets
+    the value the sequential walk gives it, bit for bit.  R starts at 1 and
+    doubles after each block in which no metric raised its best, within
+    ``_STACK_ELEMENTS`` candidates, so rows are rarely discarded.
+    """
+    out = np.zeros(d.shape[0])
+    walking = np.flatnonzero(~_tree_mask(d))
+    if not walking.size:
+        return out
+    if walking.size < d.shape[0]:
+        d = d[walking]
+    n = d.shape[1]
+    flat = d.reshape(-1)
     iu, ju = _pair_indices(n)
-    pd = d[iu, ju]
-    order = np.argsort(-pd, kind="stable")
-    iu, ju, pd = iu[order], ju[order], pd[order]
-    num_pairs = pd.shape[0]
+    pd = d[:, iu, ju]
+    num_pairs = pd.shape[1]
+    order = np.argsort(-pd, axis=1, kind="stable")
+    pd = pd.ravel()[order + np.arange(0, pd.size, num_pairs)[:, None]].reshape(pd.shape)
+    xs, ys = iu[order], ju[order]  # endpoints of each metric's sorted pairs
 
-    diam_cap = pd[0] / 2.0
-    best = 0.0
-    for a in range(num_pairs - 1):
-        if pd[a] / 2.0 <= best:
-            break
-        # Inner pairs are sorted descending; ones with pd <= 2*best cannot win.
-        cut = int(np.searchsorted(-pd, -2.0 * best, side="left"))
-        if cut <= a + 1:
-            break
-        x, y = int(iu[a]), int(ju[a])
-        bi, bj = iu[a + 1:cut], ju[a + 1:cut]
-        cand = pd[a] + pd[a + 1:cut] - np.maximum(
-            d[x, bi] + d[y, bj], d[x, bj] + d[y, bi])
-        m = cand.max() / 2.0
-        if m > best:
-            best = float(m)
-            if best >= diam_cap:
-                break
-    return max(0.0, best)
+    # One entry or row per metric still walking; rows leave these arrays
+    # together once their metric is done.
+    base = np.arange(0, flat.size, n * n)  # offset of the metric in flat
+    a = np.zeros(walking.size, dtype=np.intp)  # next row of the walk
+    cut = (pd > 0.0).sum(axis=1)
+    best = np.zeros(walking.size)
+    cap = pd[:, 0] / 2.0
+    rows = 1
+    while True:
+        keep = (cut > a + 1) & (best < cap)
+        if not keep.all():
+            out[walking[~keep]] = best[~keep]
+            if not keep.any():
+                return out
+            walking, base, xs, ys, pd, a, cut, best, cap = (
+                v[keep] for v in (walking, base, xs, ys, pd, a, cut, best, cap))
+        # Columns lo..hi-1 cover every metric's a+1 .. cut-1.
+        lo, hi = int(a.min()) + 1, int(cut.max())
+        width = hi - lo
+        rows = max(1, min(rows, width, _STACK_ELEMENTS // (a.size * width)))
+        ri = np.minimum(a[:, None] + np.arange(rows), num_pairs - 1)
+        ri += np.arange(0, pd.size, num_pairs)[:, None]
+        # Offsets in flat of the rows d[x, :] and d[y, :] of each row pair.
+        x = (xs.ravel()[ri] * n + base[:, None])[:, :, None]
+        y = (ys.ravel()[ri] * n + base[:, None])[:, :, None]
+        bi, bj = xs[:, None, lo:hi], ys[:, None, lo:hi]
+        idx = x + bi
+        s1 = flat[idx]
+        np.add(y, bj, out=idx)
+        s1 += flat[idx]
+        np.add(x, bj, out=idx)
+        s2 = flat[idx]
+        np.add(y, bi, out=idx)
+        s2 += flat[idx]
+        del idx
+        np.maximum(s1, s2, out=s1)
+        np.add(pd.ravel()[ri][:, :, None], pd[:, None, lo:hi], out=s2)
+        cand = np.subtract(s2, s1, out=s1)
+        del s2
+        # Column c of row a+r counts only after the row and before the cut;
+        # with one row and equal windows every column does.
+        if rows > 1 or a.max() >= lo or cut.min() < hi:
+            c = np.arange(lo, hi)
+            np.copyto(cand, -np.inf, where=(c <= a[:, None, None] + np.arange(rows)[:, None])
+                      | (c >= cut[:, None, None]))
+        m = cand.max(axis=2) / 2.0
+        del cand
+        rise = m > best[:, None]
+        hit = rise.any(axis=1)
+        if not hit.any():
+            a += rows
+            rows *= 2
+            continue
+        first = rise.argmax(axis=1)
+        a += np.where(hit, first + 1, rows)
+        best = np.where(hit, m[np.arange(a.size), first], best)
+        h = np.flatnonzero(hit & (best < cap))
+        if h.size:
+            cut[h] = (pd[h] > 2.0 * best[h, None]).sum(axis=1)
+        rows = 1
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +371,9 @@ def delta_one_exact(dm: DistanceMatrix,
     unordered quadruple accounts for 24 ordered tuples, 8 per pairing, of
     which only the largest-sum pairing contributes.  The mean therefore
     reduces to 8/n^4 times the sum of max(0, (S_p - max others) / 2) over
-    unordered disjoint pair-pairs, which is what is enumerated here.
+    unordered disjoint pair-pairs, which is what is enumerated here.  There is
+    no tree certificate: a tree metric enumerates to zero, and
+    ``local_profile`` certifies its balls before calling this.
     """
     _require_connected(dm)
     n = dm.num_nodes
@@ -233,8 +382,6 @@ def delta_one_exact(dm: DistanceMatrix,
             f"n={n} exceeds exact enumeration limit {exact_limit}; "
             "use delta_one_sampled instead")
     if n < 4:
-        return 0.0
-    if is_tree_metric(dm):
         return 0.0
     d = dm.d
     iu, ju = _pair_indices(n)
@@ -274,7 +421,7 @@ def delta_one_sampled(dm: DistanceMatrix,
     if num_samples < 100:
         raise ValueError("num_samples must be at least 100")
     n = dm.num_nodes
-    d = dm.d
+    d = dm.d.ravel()
     total = 0.0
     total_sq = 0.0
     drawn = 0
@@ -285,9 +432,10 @@ def delta_one_sampled(dm: DistanceMatrix,
         rng = np.random.Generator(np.random.Philox(key=key))
         idx = rng.integers(0, n, size=(4, m))
         x, y, z, t = idx
-        s1 = d[x, y] + d[z, t]
-        s2 = d[x, z] + d[y, t]
-        s3 = d[z, y] + d[x, t]
+        xn, yn, zn = x * n, y * n, z * n
+        s1 = d[xn + y] + d[zn + t]
+        s2 = d[xn + z] + d[yn + t]
+        s3 = d[zn + y] + d[xn + t]
         tau = np.maximum(0.0, (s1 - np.maximum(s2, s3)) / 2.0)
         total += float(tau.sum())
         total_sq += float((tau * tau).sum())
@@ -302,12 +450,6 @@ def delta_one_sampled(dm: DistanceMatrix,
 # Local profiles and distributions
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _node_ids(n: int) -> tuple[int, ...]:
-    """``tuple(range(n))``, shared by every profile of an n-node graph."""
-    return tuple(range(n))
-
-
 def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
                   exact_limit: int = DEFAULT_EXACT_LIMIT,
                   num_samples: int = DEFAULT_NUM_SAMPLES,
@@ -316,44 +458,66 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
 
     Distances are computed within the subgraph, not the ambient graph.  Nodes
     whose subgraph has fewer than 4 vertices get value 0 (all quadruples
-    degenerate).  In "one" mode, subgraphs above ``exact_limit`` fall back to
-    the sampled estimator with a seed derived from (seed, node).
+    degenerate).  Balls are processed in stacks of equal size: one
+    Floyd-Warshall, one tree certificate and, in "inf" mode, one pruned
+    far-pair walk per stack, each giving every ball exactly the value a call
+    on that ball alone gives.  In "one" mode, each ball that is not a tree
+    metric goes to ``delta_one_exact``, or above ``exact_limit`` to the
+    sampled estimator with a seed derived from (seed, node).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if mode not in ("inf", "one"):
         raise ValueError(f"mode must be 'inf' or 'one', got {mode!r}")
-    per_node: dict[int, float] = {}
-    # Keys come from one shared tuple per graph size, and each distinct value
-    # is stored as one float object (profiles repeat few values, multiples of
-    # 1/2 on integer weights), so a profile a caller keeps costs little more
-    # than its dict.
-    shared: dict[float, float] = {}
-    for v in _node_ids(g.num_nodes):
-        sub, _ = k_hop_subgraph(g, v, k)
-        if sub.num_nodes < 4:
-            value = 0.0
-        else:
-            dm = shortest_paths(sub)
-            if mode == "inf":
-                value = delta_inf(dm)
-            elif sub.num_nodes <= exact_limit:
-                # delta_one_exact certifies tree metrics itself.
-                value = delta_one_exact(dm, exact_limit)
-            elif is_tree_metric(dm):
-                value = 0.0
+    values = np.zeros(g.num_nodes)
+    for centers, d in _ball_stacks(g, k):
+        if mode == "inf":
+            values[centers] = _delta_inf_stack(d)
+            continue
+        n = d.shape[1]
+        for i in np.flatnonzero(~_tree_mask(d)):
+            dm = DistanceMatrix(d=d[i], reachable=np.ones((n, n), dtype=bool))
+            v = centers[i]
+            if n <= exact_limit:
+                values[v] = delta_one_exact(dm, exact_limit)
             else:
-                value, _ = delta_one_sampled(dm, num_samples,
-                                             seed=seed * 1_000_003 + v)
-        per_node[v] = shared.setdefault(value, value)
-    return HyperbolicityProfile(per_node=per_node, k=k, mode=mode)
+                values[v], _ = delta_one_sampled(dm, num_samples,
+                                                 seed=seed * 1_000_003 + v)
+    values.setflags(write=False)
+    return HyperbolicityProfile(per_node=_NodeValues(values), k=k, mode=mode)
+
+
+def _ball_stacks(g: WeightedGraph, k: int) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Yield ``(centers, d)``: the path metrics of the k-hop balls of ``centers``.
+
+    Balls of fewer than 4 nodes are skipped.  The rest are grouped by node
+    count n, and each group is cut into ``(B, n, n)`` stacks of at most
+    ``_STACK_ELEMENTS`` distances, so a stack is yielded as soon as it fills.
+    """
+    adj = g.adjacency
+    pending: dict[int, list[tuple[int, list]]] = {}
+    for v in range(g.num_nodes):
+        nodes, edges = _k_hop_ball(adj, v, k)
+        n = len(nodes)
+        if n < 4:
+            continue
+        group = pending.setdefault(n, [])
+        group.append((v, edges))
+        if (len(group) + 1) * n * n > _STACK_ELEMENTS:
+            yield _stack(n, pending.pop(n))
+    for n, group in pending.items():
+        yield _stack(n, group)
+
+
+def _stack(n: int, group: list[tuple[int, list]]) -> tuple[list[int], np.ndarray]:
+    return [v for v, _ in group], _path_metric_stack(n, [edges for _, edges in group])
 
 
 def to_distribution(profile: HyperbolicityProfile) -> EmpiricalDistribution:
     """Empirical distribution (sorted samples) of a profile's values."""
     if not profile.per_node:
         raise ValueError("profile is empty")
-    return EmpiricalDistribution(samples=tuple(profile.per_node.values()))
+    return EmpiricalDistribution(samples=tuple(profile.values_by_node().tolist()))
 
 
 def histogram(dist: EmpiricalDistribution, bin_width: float = 0.5) -> Histogram:
@@ -376,7 +540,7 @@ def profile_to_json(profile: HyperbolicityProfile) -> str:
     return json.dumps({
         "k": profile.k,
         "mode": profile.mode,
-        "delta": {str(v): profile.per_node[v] for v in sorted(profile.per_node)},
+        "delta": {str(v): x for v, x in enumerate(profile.values_by_node().tolist())},
     })
 
 

@@ -197,13 +197,22 @@ def mu_profile(g: WeightedGraph, k: int, mode: str = "inf",
     """Local profile of the graph, cached on disk keyed by (hash, k, mode).
 
     The cache file is written to a temporary file in the same directory and
-    renamed into place, so a reader never sees a half-written profile.
+    renamed into place, so a reader never sees a half-written profile.  A
+    cached profile that does not hold one value for each node 0..n-1 of
+    ``g`` raises ``ValueError`` naming the file.
     """
     cache_path = None
     if cache_dir is not None:
         cache_path = Path(cache_dir) / f"{graph_hash(g)}_k{k}_{mode}.json"
         if cache_path.exists():
-            return profile_from_json(cache_path.read_text())
+            try:
+                profile = profile_from_json(cache_path.read_text())
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"profile cache {cache_path}: {exc}") from exc
+            if len(profile.per_node) != g.num_nodes:
+                raise ValueError(f"profile cache {cache_path}: {len(profile.per_node)} "
+                                 f"values for a graph of {g.num_nodes} nodes")
+            return profile
     profile = local_profile(g, k, mode)
     if cache_path is not None:
         text = profile_to_json(profile)

@@ -160,6 +160,25 @@ class TestTraining:
                      "--labels", str(labels), "--config", str(cfg_path)]) == 2
         assert "weight_decay" in capsys.readouterr().err
 
+    def test_train_nc_bad_profile_cache_exit_2(self, tmp_path, combined_files,
+                                               capsys):
+        edges, feats, labels = combined_files
+        cache = tmp_path / "cache"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"cache_dir": str(cache)}))
+        argv = ["train-nc", "--graph", str(edges), "--features", str(feats),
+                "--labels", str(labels), "--config", str(cfg_path),
+                "--max-epochs", "1"]
+        assert main(argv) == 0
+        path, = cache.iterdir()
+        obj = json.loads(path.read_text())
+        obj["delta"]["999"] = obj["delta"].pop("3")
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert path.name in err and "no value for node 3, unexpected node 999" in err
+
     def test_train_nc_divergence_exit_3(self, tmp_path, combined_files):
         edges, feats, labels = combined_files
         with np.errstate(invalid="ignore", over="ignore"):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointspace.graphs import (WeightedGraph, generate_lattice, generate_tree,
-                               k_hop_subgraph, shortest_paths)
+from jointspace import hyperbolicity
+from jointspace.graphs import (WeightedGraph, generate_combined, generate_lattice,
+                               generate_tree, k_hop_subgraph, shortest_paths)
 from jointspace.hyperbolicity import (CrossComponentError, EmpiricalDistribution,
                                       ExactLimitExceeded, HyperbolicityProfile,
                                       delta_inf, delta_one_exact,
@@ -247,12 +248,53 @@ class TestLocalProfile:
                     sub, _ = k_hop_subgraph(g, v, k)
                     assert prof.per_node[v] == naive_delta_inf(shortest_paths(sub))
 
-    def test_profiles_share_key_and_value_objects(self):
-        g = generate_lattice(17, 17)  # ids above 256 are not cached by Python
-        a, b = local_profile(g, 2, "inf"), local_profile(g, 2, "inf")
-        values = list(a.per_node.values())
-        assert len({id(x) for x in values}) == len(set(values))
-        assert all(x is y for x, y in zip(a.per_node, b.per_node))
+    @pytest.mark.parametrize("mode", ["inf", "one"])
+    @pytest.mark.parametrize("weights", ["half", "float"])
+    def test_batched_equals_per_ball(self, weights, mode):
+        # A 30x30 lattice glued to tree(3, 5): tree and non-tree balls, and 671
+        # balls of 13 nodes, more than one stack holds.
+        rng = np.random.default_rng(41)
+        lattice = generate_lattice(30, 30)
+        drawn = (rng.choice([0.5, 1.0, 1.5, 2.0, 2.5], size=lattice.num_edges)
+                 if weights == "half" else rng.uniform(0.5, 2.0, lattice.num_edges))
+        lattice = WeightedGraph(lattice.num_nodes, tuple(
+            (u, v, float(w)) for (u, v, _), w in zip(lattice.edges, drawn)))
+        g = generate_combined(lattice, generate_tree(3, 5), (417, 0))
+        exact_limit, num_samples, seed = 8, 200, 3
+        prof = local_profile(g, 2, mode, exact_limit=exact_limit,
+                             num_samples=num_samples, seed=seed)
+        sizes = []
+        for v in range(g.num_nodes):
+            sub, _ = k_hop_subgraph(g, v, 2)
+            sizes.append(sub.num_nodes)
+            if sub.num_nodes < 4:
+                expected = 0.0
+            elif mode == "inf":
+                expected = delta_inf(shortest_paths(sub))
+            elif is_tree_metric(dm := shortest_paths(sub)):
+                expected = 0.0
+            elif sub.num_nodes <= exact_limit:
+                expected = delta_one_exact(dm, exact_limit)
+            else:
+                expected, _ = delta_one_sampled(dm, num_samples,
+                                                seed=seed * 1_000_003 + v)
+            assert prof.per_node[v] == expected, v
+        assert sizes.count(13) * 13 * 13 > 2 * hyperbolicity._STACK_ELEMENTS
+        assert any(prof.per_node[v] == 0.0 and sizes[v] >= 4 for v in range(900, 1264))
+
+    def test_values_by_node_is_read_only_and_not_copied(self):
+        for prof in (local_profile(generate_lattice(5, 5), 2, "inf"),
+                     HyperbolicityProfile({1: 2.0, 0: 1.0}, 2, "inf")):
+            vals = prof.values_by_node()
+            assert vals is prof.values_by_node()
+            assert vals.dtype == np.float64 and not vals.flags.writeable
+            with pytest.raises(ValueError):
+                vals[0] = 5.0
+            with pytest.raises(TypeError):
+                prof.per_node[0] = 5.0
+            assert prof.per_node[1] == vals[1] and len(prof.per_node) == len(vals)
+            with pytest.raises(KeyError):
+                prof.per_node[-1]
 
     def test_small_subgraph_zero(self):
         # k=1 balls on a 3-path have fewer than 4 vertices
@@ -264,6 +306,15 @@ class TestLocalProfile:
             HyperbolicityProfile({0: -1.0}, 2, "inf")
         with pytest.raises(ValueError):
             HyperbolicityProfile({0: 1.0}, 2, "weird")
+        with pytest.raises(ValueError, match="finite"):
+            HyperbolicityProfile({0: float("nan")}, 2, "inf")
+
+    def test_profile_keys_must_be_node_ids(self):
+        with pytest.raises(ValueError,
+                           match="no value for node 1, unexpected node 999"):
+            HyperbolicityProfile({0: 0.0, 999: 1.0, 2: 0.5}, 2, "inf")
+        with pytest.raises(ValueError, match="unexpected node '1'"):
+            HyperbolicityProfile({0: 0.0, "1": 1.0}, 2, "inf")
 
 
 class TestDistributions:

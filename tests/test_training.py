@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from dataclasses import replace
@@ -313,6 +314,28 @@ class TestProfileCache:
         with pytest.raises(OSError, match="disk full"):
             mu_profile(synthetic_nc_graph(seed=0), 2, "inf", cache_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
+
+    def test_cache_with_other_node_ids_rejected(self, tmp_path):
+        g = synthetic_nc_graph(seed=0)
+        mu_profile(g, 2, "inf", cache_dir=str(tmp_path))
+        path, = tmp_path.iterdir()
+        obj = json.loads(path.read_text())
+        obj["delta"]["999"] = obj["delta"].pop("3")
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=rf"{path.name}: .*"
+                           r"no value for node 3, unexpected node 999"):
+            mu_profile(g, 2, "inf", cache_dir=str(tmp_path))
+
+    def test_cache_for_fewer_nodes_rejected(self, tmp_path):
+        g = synthetic_nc_graph(seed=0)
+        mu_profile(g, 2, "inf", cache_dir=str(tmp_path))
+        path, = tmp_path.iterdir()
+        obj = json.loads(path.read_text())
+        del obj["delta"][str(g.num_nodes - 1)]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=rf"{path.name}: {g.num_nodes - 1} values "
+                           rf"for a graph of {g.num_nodes} nodes"):
+            mu_profile(g, 2, "inf", cache_dir=str(tmp_path))
 
     def test_cache_keyed_by_k(self, tmp_path):
         g = synthetic_nc_graph(seed=0)
