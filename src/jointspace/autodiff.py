@@ -7,8 +7,9 @@ primitive computes its forward value eagerly and registers an analytic VJP.
 populates ``grad`` on every reachable node exactly once.
 
 The engine is deliberately small: the set of primitives below is exactly what
-the attention layers and loss terms need.  The ball operations are their own
-fused nodes in ``poincare``.
+the attention layers and loss terms need.  Both attention branches end in one
+``attend`` node (softmax attention and its aggregation), and the ball
+operations are their own fused nodes in ``poincare``.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ __all__ = [
     "backward",
     "finite_diff_check",
     "add", "sub", "mul", "div", "neg", "matmul", "transpose",
-    "concat", "reshape", "gather_rows", "segment_sum", "segment_softmax",
-    "tanh", "exp", "log", "abs_", "pow_const",
-    "leaky_relu", "elu", "sigmoid", "softplus",
+    "concat", "reshape", "gather_rows", "attend",
+    "tanh", "exp", "log", "abs_", "pow_const", "sigmoid", "softplus",
     "sum_", "mean_", "vector_norm",
 ]
 
@@ -155,7 +155,7 @@ def reshape(a, shape: tuple[int, ...]) -> DiffValue:
 
 
 # ---------------------------------------------------------------------------
-# Indexing and segment reductions
+# Indexing and attention aggregation
 # ---------------------------------------------------------------------------
 
 def _scatter_rows(rows: Array, idx: Array, n: int) -> Array:
@@ -180,31 +180,36 @@ def gather_rows(a, idx) -> DiffValue:
                      lambda g: (_scatter_rows(g, idx, a.value.shape[0]),))
 
 
-def segment_sum(a, segment_ids, num_segments: int) -> DiffValue:
-    """Sum rows of ``a`` into ``num_segments`` buckets given per-row ids."""
-    a = as_diff(a)
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    out = _scatter_rows(a.value, seg, num_segments)
-    return DiffValue(out, (a,), lambda g: (g[seg],))
+def attend(e, values, src, dst, num_segments: int, slope: float,
+           mask: Array | None = None) -> DiffValue:
+    """Graph-attention aggregation of ``values`` along edges ``src -> dst``.
 
-
-def segment_softmax(logits, segment_ids, num_segments: int) -> DiffValue:
-    """Softmax of a flat logit vector within each segment (per-node neighbors)."""
-    a = as_diff(logits)
-    if a.value.ndim != 1:
-        raise ValueError("segment_softmax expects a flat logit vector")
-    seg = np.asarray(segment_ids, dtype=np.int64)
+    ``alpha = softmax(leaky_relu(e, slope))`` within each destination's edges,
+    times ``mask`` when given (dropout), weights the rows ``values[src]``;
+    their sums per destination pass through ELU.  One node, parents
+    ``(e, values)``, with a closed-form VJP.
+    """
+    e, values = as_diff(e), as_diff(values)
+    x, hs = e.value, values.value[src]
+    s = np.where(x > 0.0, x, slope * x)
     mx = np.full(num_segments, -np.inf)
-    np.maximum.at(mx, seg, a.value)
-    ex = np.exp(a.value - mx[seg])
-    denom = np.zeros(num_segments)
-    np.add.at(denom, seg, ex)
-    out = ex / denom[seg]
+    np.maximum.at(mx, dst, s)
+    ex = np.exp(s - mx[dst])
+    alpha = ex / _scatter_rows(ex, dst, num_segments)[dst]
+    w = alpha if mask is None else alpha * mask
+    agg = _scatter_rows(w[:, None] * hs, dst, num_segments)
+    ex_agg = np.exp(np.minimum(agg, 0.0))
+    out = np.where(agg > 0.0, agg, ex_agg - 1.0)
     def vjp(g):
-        dot = np.zeros(num_segments)
-        np.add.at(dot, seg, g * out)
-        return (out * (g - dot[seg]),)
-    return DiffValue(out, (a,), vjp)
+        gm = (g * np.where(agg > 0.0, 1.0, ex_agg))[dst]
+        g_values = _scatter_rows(gm * w[:, None], src, values.value.shape[0])
+        g_alpha = (gm * hs).sum(axis=1)
+        if mask is not None:
+            g_alpha = g_alpha * mask
+        dot = _scatter_rows(g_alpha * alpha, dst, num_segments)
+        g_e = alpha * (g_alpha - dot[dst]) * np.where(x > 0.0, 1.0, slope)
+        return g_e, g_values
+    return DiffValue(out, (e, values), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +248,6 @@ def pow_const(a, p: float) -> DiffValue:
         d = np.where(np.isfinite(d), d, 0.0)
         return (g * d,)
     return DiffValue(out, (a,), vjp)
-
-
-def leaky_relu(a, slope: float = 0.2) -> DiffValue:
-    a = as_diff(a)
-    out = np.where(a.value > 0.0, a.value, slope * a.value)
-    return DiffValue(out, (a,),
-                     lambda g: (g * np.where(a.value > 0.0, 1.0, slope),))
-
-
-def elu(a, alpha: float = 1.0) -> DiffValue:
-    a = as_diff(a)
-    ex = np.exp(np.minimum(a.value, 0.0))
-    out = np.where(a.value > 0.0, a.value, alpha * (ex - 1.0))
-    return DiffValue(out, (a,),
-                     lambda g: (g * np.where(a.value > 0.0, 1.0, alpha * ex),))
 
 
 def sigmoid(a) -> DiffValue:

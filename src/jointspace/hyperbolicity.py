@@ -545,9 +545,13 @@ def profile_to_json(profile: HyperbolicityProfile) -> str:
 
 
 def profile_from_json(text: str) -> HyperbolicityProfile:
+    """Read ``profile_to_json`` output; any other shape raises ``ValueError``."""
     obj = json.loads(text)
-    return HyperbolicityProfile(
-        per_node={int(k): float(v) for k, v in obj["delta"].items()},
-        k=int(obj["k"]),
-        mode=obj["mode"],
-    )
+    if not isinstance(obj, dict) or not isinstance(obj.get("delta"), dict):
+        raise ValueError("profile JSON must be an object whose 'delta' is an object")
+    try:
+        per_node = {int(v): float(x) for v, x in obj["delta"].items()}
+        k = int(obj.get("k"))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"profile JSON: {exc}") from exc
+    return HyperbolicityProfile(per_node=per_node, k=k, mode=obj.get("mode"))

@@ -41,6 +41,8 @@ __all__ = [
     "load_params_json",
 ]
 
+LEAKY_SLOPE = 0.2     # negative slope of the attention logits' leaky ReLU
+
 
 # ---------------------------------------------------------------------------
 # Parameter containers and initialization
@@ -50,7 +52,6 @@ __all__ = [
 class GATParams:
     W: DiffValue          # (out, in)
     a: DiffValue          # (2*out,)
-    leaky_slope: float = 0.2
 
 
 @dataclass
@@ -60,7 +61,6 @@ class HGATParams:
     a: DiffValue          # (2*out,)
     curvature: DiffValue  # positive scalar
     trainable_curvature: bool = False
-    leaky_slope: float = 0.2
 
 
 @dataclass
@@ -95,12 +95,10 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 def init_layer_params(rng: np.random.Generator, in_dim: int, out_dim: int,
                       q_dim: int, curvature: float = 1.0,
-                      trainable_curvature: bool = False,
-                      leaky_slope: float = 0.2) -> LayerParams:
+                      trainable_curvature: bool = False) -> LayerParams:
     gat = GATParams(
         W=DiffValue(_glorot(rng, (out_dim, in_dim))),
         a=DiffValue(_glorot(rng, (2 * out_dim,))),
-        leaky_slope=leaky_slope,
     )
     hgat = HGATParams(
         W=DiffValue(_glorot(rng, (out_dim, in_dim))),
@@ -108,7 +106,6 @@ def init_layer_params(rng: np.random.Generator, in_dim: int, out_dim: int,
         a=DiffValue(_glorot(rng, (2 * out_dim,))),
         curvature=DiffValue(float(curvature)),
         trainable_curvature=trainable_curvature,
-        leaky_slope=leaky_slope,
     )
     fusion = FusionParams(
         M=DiffValue(_glorot(rng, (q_dim, out_dim))),
@@ -122,8 +119,7 @@ def init_layer_params(rng: np.random.Generator, in_dim: int, out_dim: int,
 # Forward passes
 # ---------------------------------------------------------------------------
 
-def attention_edges(g: WeightedGraph,
-                    add_self_loops: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def attention_edges(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Directed (source, destination) arrays for attention aggregation.
 
     Each undirected edge contributes both directions, read from the graph's
@@ -131,16 +127,8 @@ def attention_edges(g: WeightedGraph,
     empty.
     """
     u, v = g.edge_index.T
-    loops = np.arange(g.num_nodes if add_self_loops else 0, dtype=np.int64)
-    src = np.concatenate([u, v, loops])
-    dst = np.concatenate([v, u, loops])
-    if not add_self_loops:
-        missing = np.flatnonzero(np.bincount(dst, minlength=g.num_nodes) == 0)
-        if missing.size:
-            raise ValueError(
-                f"nodes {missing[:5].tolist()} have no incoming messages; "
-                "enable self loops or connect them")
-    return src, dst
+    loops = np.arange(g.num_nodes, dtype=np.int64)
+    return np.concatenate([u, v, loops]), np.concatenate([v, u, loops])
 
 
 def _attention_logits(h, a, src: np.ndarray, dst: np.ndarray) -> DiffValue:
@@ -156,42 +144,36 @@ def _attention_logits(h, a, src: np.ndarray, dst: np.ndarray) -> DiffValue:
     return ad.add(ad.gather_rows(flat, 2 * dst), ad.gather_rows(flat, 2 * src + 1))
 
 
-def _attention_dropout(alpha: DiffValue, dropout: float,
-                       rng: np.random.Generator | None,
-                       training: bool) -> DiffValue:
+def _dropout_mask(shape: tuple[int, ...], dropout: float,
+                  rng: np.random.Generator | None,
+                  training: bool) -> np.ndarray | None:
+    """Inverted-dropout mask, or ``None`` when no dropout applies."""
     if not training or dropout <= 0.0:
-        return alpha
+        return None
     if rng is None:
         raise ValueError("dropout requires an rng when training")
-    mask = (rng.random(alpha.shape) >= dropout) / (1.0 - dropout)
-    return ad.mul(alpha, mask)
+    return (rng.random(shape) >= dropout) / (1.0 - dropout)
 
 
 def gat_forward(features, g: WeightedGraph, p: GATParams, *,
                 dropout: float = 0.0, rng: np.random.Generator | None = None,
-                training: bool = False,
-                add_self_loops: bool = True) -> DiffValue:
+                training: bool = False) -> DiffValue:
     """One Euclidean graph-attention layer.
 
     Attention logits are LeakyReLU(a^T [W h_v || W h_j]) softmax-normalized
     over each destination's neighborhood; the update is ELU of the
     attention-weighted sum of transformed neighbor features.
     """
-    features = ad.as_diff(features)
-    n = g.num_nodes
-    src, dst = attention_edges(g, add_self_loops)
-    h = ad.matmul(features, ad.transpose(p.W))
-    e = ad.leaky_relu(_attention_logits(h, p.a, src, dst), p.leaky_slope)
-    alpha = ad.segment_softmax(e, dst, n)
-    alpha = _attention_dropout(alpha, dropout, rng, training)
-    msg = ad.mul(ad.reshape(alpha, (alpha.shape[0], 1)), ad.gather_rows(h, src))
-    return ad.elu(ad.segment_sum(msg, dst, n))
+    src, dst = attention_edges(g)
+    h = ad.matmul(ad.as_diff(features), ad.transpose(p.W))
+    mask = _dropout_mask(src.shape, dropout, rng, training)
+    return ad.attend(_attention_logits(h, p.a, src, dst), h, src, dst,
+                     g.num_nodes, LEAKY_SLOPE, mask)
 
 
 def hgat_forward(x_ball, g: WeightedGraph, p: HGATParams, *,
                  dropout: float = 0.0, rng: np.random.Generator | None = None,
-                 training: bool = False,
-                 add_self_loops: bool = True) -> tuple[DiffValue, DiffValue]:
+                 training: bool = False) -> tuple[DiffValue, DiffValue]:
     """One hyperbolic graph-attention layer.
 
     Messages are the Mobius matrix action plus a ball bias.  Each attention
@@ -202,8 +184,7 @@ def hgat_forward(x_ball, g: WeightedGraph, p: HGATParams, *,
     """
     c = p.curvature
     x = pc.d_project(x_ball, c)
-    n = g.num_nodes
-    src, dst = attention_edges(g, add_self_loops)
+    src, dst = attention_edges(g)
 
     wx = pc.d_mobius_matvec(p.W, x, c)
     out_dim = wx.shape[1]
@@ -212,13 +193,9 @@ def hgat_forward(x_ball, g: WeightedGraph, p: HGATParams, *,
 
     logits = _attention_logits(pc.d_log_origin(wx, c), p.a, src, dst)
     dist = pc.d_hyp_distance(ad.gather_rows(x, dst), ad.gather_rows(x, src), c)
-    e = ad.leaky_relu(ad.mul(logits, dist), p.leaky_slope)
-    alpha = ad.segment_softmax(e, dst, n)
-    alpha = _attention_dropout(alpha, dropout, rng, training)
-
-    log_m = pc.d_log_origin(m, c)
-    msg = ad.mul(ad.reshape(alpha, (alpha.shape[0], 1)), ad.gather_rows(log_m, src))
-    tangent = ad.elu(ad.segment_sum(msg, dst, n))
+    mask = _dropout_mask(src.shape, dropout, rng, training)
+    tangent = ad.attend(ad.mul(logits, dist), pc.d_log_origin(m, c), src, dst,
+                        g.num_nodes, LEAKY_SLOPE, mask)
     ball_out = pc.d_exp_origin(tangent, c)
     return tangent, ball_out
 
@@ -263,10 +240,8 @@ def joint_space_forward(features, g: WeightedGraph, layers: list[LayerParams], *
     z = ad.as_diff(features)
     record: list[LayerOutput] = []
     for lp in layers:
-        if training and dropout > 0.0:
-            if rng is None:
-                raise ValueError("dropout requires an rng when training")
-            mask = (rng.random(z.shape) >= dropout) / (1.0 - dropout)
+        mask = _dropout_mask(z.shape, dropout, rng, training)
+        if mask is not None:
             z = ad.mul(z, mask)
         z_ball = pc.d_exp_origin(z, lp.hgat.curvature)
         z_r = gat_forward(z, g, lp.gat, dropout=dropout, rng=rng, training=training)
@@ -287,15 +262,14 @@ class JointSpaceGNN:
 
     def __init__(self, in_dim: int, hidden_dim: int, out_dim: int,
                  num_layers: int = 2, q_dim: int = 16, curvature: float = 1.0,
-                 trainable_curvature: bool = False, seed: int = 0,
-                 leaky_slope: float = 0.2):
+                 trainable_curvature: bool = False, seed: int = 0):
         if num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         rng = np.random.default_rng(seed)
         dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
         self.layers = [
             init_layer_params(rng, dims[i], dims[i + 1], q_dim, curvature,
-                              trainable_curvature, leaky_slope)
+                              trainable_curvature)
             for i in range(num_layers)
         ]
 

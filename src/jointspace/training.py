@@ -207,7 +207,7 @@ def mu_profile(g: WeightedGraph, k: int, mode: str = "inf",
         if cache_path.exists():
             try:
                 profile = profile_from_json(cache_path.read_text())
-            except (KeyError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"profile cache {cache_path}: {exc}") from exc
             if len(profile.per_node) != g.num_nodes:
                 raise ValueError(f"profile cache {cache_path}: {len(profile.per_node)} "

@@ -171,13 +171,18 @@ class TestTraining:
                 "--max-epochs", "1"]
         assert main(argv) == 0
         path, = cache.iterdir()
-        obj = json.loads(path.read_text())
-        obj["delta"]["999"] = obj["delta"].pop("3")
-        path.write_text(json.dumps(obj))
-        capsys.readouterr()
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert path.name in err and "no value for node 3, unexpected node 999" in err
+        good, renamed = json.loads(path.read_text()), json.loads(path.read_text())
+        renamed["delta"]["999"] = renamed["delta"].pop("3")
+        bad = [(json.dumps(renamed), "no value for node 3, unexpected node 999"),
+               ("[1, 2]", "profile JSON"), ("3", "profile JSON"),
+               (json.dumps({**good, "k": None}), "profile JSON"),
+               (json.dumps({**good, "delta": [1, 2]}), "profile JSON")]
+        for text, message in bad:
+            path.write_text(text)
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert path.name in err and message in err
 
     def test_train_nc_divergence_exit_3(self, tmp_path, combined_files):
         edges, feats, labels = combined_files

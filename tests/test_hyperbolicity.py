@@ -353,6 +353,17 @@ class TestDistributions:
         prof = HyperbolicityProfile({0: 0.0, 1: 1.5}, 2, "inf")
         assert profile_from_json(profile_to_json(prof)) == prof
 
+    @pytest.mark.parametrize("text", [
+        '[1, 2]', '3', '{"k": null, "mode": "inf", "delta": {"0": 0.5}}',
+        '{"k": 2, "mode": "inf", "delta": [1, 2]}',
+        '{"k": 2, "mode": "inf", "delta": {"0": [0.5]}}',
+        '{"k": 2, "delta": {"0": 0.5}}', '{"k": 1e400, "mode": "inf", "delta": {}}'],
+        ids=["list", "number", "null-k", "list-delta", "list-value", "no-mode",
+             "infinite-k"])
+    def test_profile_json_of_other_shapes_rejected(self, text):
+        with pytest.raises(ValueError, match="profile JSON|mode"):
+            profile_from_json(text)
+
     def test_empty_distribution_rejected(self):
         with pytest.raises(ValueError):
             EmpiricalDistribution(samples=())

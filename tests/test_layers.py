@@ -147,20 +147,13 @@ class TestAttentionEdges:
         pairs = set(zip(src.tolist(), dst.tolist()))
         assert (0, 1) in pairs and (1, 0) in pairs and (2, 2) in pairs
 
-    def test_isolated_node_without_self_loops(self):
-        g = WeightedGraph(3, ((0, 1, 1.0),))
-        with pytest.raises(ValueError, match="no incoming"):
-            attention_edges(g, add_self_loops=False)
-
-    @pytest.mark.parametrize("loops", [True, False])
-    def test_matches_list_construction(self, loops):
+    def test_matches_list_construction(self):
         g = generate_tree(3, 3)
         src = [u for u, v, _ in g.edges] + [v for u, v, _ in g.edges]
         dst = [v for u, v, _ in g.edges] + [u for u, v, _ in g.edges]
-        if loops:
-            src += range(g.num_nodes)
-            dst += range(g.num_nodes)
-        got_src, got_dst = attention_edges(g, add_self_loops=loops)
+        src += range(g.num_nodes)
+        dst += range(g.num_nodes)
+        got_src, got_dst = attention_edges(g)
         for got, ref in ((got_src, src), (got_dst, dst)):
             assert got.dtype == np.int64 and got.tolist() == list(ref)
 
@@ -177,15 +170,14 @@ class TestAttentionEdges:
 
 
 class TestAttentionLogits:
-    @pytest.mark.parametrize("loops", [True, False])
-    def test_per_node_scores_match_concat_form(self, loops):
+    def test_per_node_scores_match_concat_form(self):
         rng = np.random.default_rng(21)
         n, d = 30, 5
         pairs = {tuple(sorted(p)) for p in rng.integers(0, n, size=(80, 2))
                  if p[0] != p[1]}
         pairs |= {(i, i + 1) for i in range(n - 1)}        # no isolated node
         g = WeightedGraph(n, tuple((u, v, 1.0) for u, v in sorted(pairs)))
-        src, dst = attention_edges(g, add_self_loops=loops)
+        src, dst = attention_edges(g)
         h = ad.DiffValue(rng.normal(size=(n, d)))
         a = ad.DiffValue(rng.normal(size=2 * d))
         got = _attention_logits(h, a, src, dst).value
@@ -212,7 +204,7 @@ class TestGATLayer:
         a = np.array([1.0, 0.0, 0.0, 1.0])
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         from jointspace.layers import GATParams
-        p = GATParams(W=ad.DiffValue(W), a=ad.DiffValue(a), leaky_slope=0.2)
+        p = GATParams(W=ad.DiffValue(W), a=ad.DiffValue(a))
         out = gat_forward(feats, g, p).value
 
         # independent step-by-step evaluation with plain numpy
@@ -274,12 +266,19 @@ class TestHGATLayer:
         raw = ad.add(ad.gather_rows(scores, 2 * dst), ad.gather_rows(scores, 2 * src + 1))
         dist = d_hyp_distance(ad.gather_rows(xb, dst), ad.gather_rows(xb, src),
                               p.curvature)
-        e = ad.leaky_relu(ad.mul(raw, dist), p.leaky_slope)
-        alpha = ad.segment_softmax(e, dst, 2)
-        msg = ad.mul(ad.reshape(alpha, (len(src), 1)),
-                     ad.gather_rows(d_log_origin(m, p.curvature), src))
-        expected = ad.elu(ad.segment_sum(msg, dst, 2))
-        assert np.array_equal(tangent.value, expected.value)
+        # The aggregation tail in plain numpy, in the order the tape computes it.
+        x = ad.mul(raw, dist).value
+        e = np.where(x > 0.0, x, 0.2 * x)
+        mx = np.full(2, -np.inf)
+        np.maximum.at(mx, dst, e)
+        ex = np.exp(e - mx[dst])
+        denom = np.zeros(2)
+        np.add.at(denom, dst, ex)
+        alpha = ex / denom[dst]
+        agg = np.zeros((2, 3))
+        np.add.at(agg, dst, alpha[:, None] * d_log_origin(m, p.curvature).value[src])
+        expected = np.where(agg > 0.0, agg, np.exp(np.minimum(agg, 0.0)) - 1.0)
+        assert np.array_equal(tangent.value, expected)
 
     def test_gradcheck(self):
         g = path_graph(3)
@@ -293,6 +292,32 @@ class TestHGATLayer:
             return ad.add(ad.sum_(ad.mul(t, wts)), ad.sum_(ad.mul(b, wts)))
 
         assert ad.finite_diff_check(loss_fn, [p.W, p.b, p.a]) < 1e-4
+
+
+def _tape_nodes(outputs, inp) -> int:
+    """Tape nodes reachable from ``outputs`` through ``_parents``, short of ``inp``."""
+    seen, stack, count = {id(inp)}, list(outputs), 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += 1
+            stack.extend(node._parents)
+    return count
+
+
+class TestTapeSize:
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_branch_tape_nodes(self, dropout):
+        # One attention-aggregation node ends each branch.
+        g = generate_tree(2, 2)
+        rng = np.random.default_rng(15)
+        lp = init_layer_params(rng, 3, 4, 2)
+        feats = ad.DiffValue(rng.normal(size=(7, 3)))
+        z_ball = d_exp_origin(feats, lp.hgat.curvature)
+        kw = dict(dropout=dropout, rng=rng, training=True)
+        assert _tape_nodes([gat_forward(feats, g, lp.gat, **kw)], feats) <= 14
+        assert _tape_nodes(hgat_forward(z_ball, g, lp.hgat, **kw), z_ball) <= 30
 
 
 class TestFusion:
