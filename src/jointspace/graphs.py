@@ -103,21 +103,41 @@ class WeightedGraph:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per-node list of ``(neighbor, weight)`` pairs."""
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.num_nodes)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return tuple(tuple(a) for a in adj)
-
-    @cached_property
     def edge_index(self) -> np.ndarray:
         """Read-only ``(num_edges, 2)`` int64 array of the ``(u, v)`` endpoints."""
         index = np.array([(u, v) for u, v, _ in self.edges],
                          dtype=np.int64).reshape(-1, 2)
         index.setflags(write=False)
         return index
+
+    @cached_property
+    def edge_weight(self) -> np.ndarray:
+        """Read-only ``(num_edges,)`` float64 array of the weights of ``edges``."""
+        weight = np.array([w for _, _, w in self.edges], dtype=np.float64)
+        weight.setflags(write=False)
+        return weight
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only adjacency in compressed rows: ``(indptr, upper, neighbor, weight)``.
+
+        Row u, ``neighbor[indptr[u]:indptr[u + 1]]``, lists the neighbors
+        below u and then, from ``upper[u]`` on, those above u, each part in
+        the order of ``edges``.  ``weight`` holds the matching edge weights.
+        """
+        ends = self.edge_index
+        src, dst = ends.ravel(), ends[:, ::-1].ravel()  # each edge from both ends
+        above = dst > src
+        order = np.argsort(2 * src + above, kind="stable")  # keeps edge order in a part
+        n = self.num_nodes
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        upper = indptr[:-1] + np.bincount(src[~above], minlength=n)
+        neighbor = dst[order]
+        weight = np.repeat(self.edge_weight, 2)[order]
+        for a in (indptr, upper, neighbor, weight):
+            a.setflags(write=False)
+        return indptr, upper, neighbor, weight
 
     @cached_property
     def edge_keys(self) -> frozenset[tuple[int, int]]:
@@ -347,31 +367,30 @@ def _read_csv_by_id(path: str | Path, convert,
 def shortest_paths(g: WeightedGraph) -> DistanceMatrix:
     """Exact all-pairs shortest-path distances under the weighted path metric.
 
-    One dense Floyd-Warshall pass (``_path_metric_stack`` on a stack of one):
-    O(n^3) time and O(n^2) memory, meant for small graphs.  Unreachable pairs
-    get a +inf sentinel and a cleared ``reachable`` flag.
+    One dense Floyd-Warshall pass (``_path_metric_stack`` on a stack of one,
+    filled from ``edge_index`` and ``edge_weight``): O(n^3) time and O(n^2)
+    memory, meant for small graphs.  Unreachable pairs get a +inf sentinel and
+    a cleared ``reachable`` flag.
     """
-    d = _path_metric_stack(g.num_nodes, [g.edges])[0]
+    u, v = g.edge_index.T
+    d = _path_metric_stack(1, g.num_nodes, 0, u, v, g.edge_weight)[0]
     return DistanceMatrix(d=d, reachable=np.isfinite(d))
 
 
-def _path_metric_stack(n: int, edge_lists) -> np.ndarray:
-    """Path metrics of a stack of n-node graphs, given as lists of ``(u, v, w)``.
+def _path_metric_stack(count: int, n: int, b, u, v, w) -> np.ndarray:
+    """Path metrics of a stack of ``count`` n-node graphs given as edge arrays.
 
-    Returns a ``(len(edge_lists), n, n)`` array built by one vectorized
-    Floyd-Warshall sweep over the whole stack: n ``np.minimum`` calls in all.
-    Each matrix gets exactly the floats a separate pass would give it.  Sums
-    are exact on integer and half-integer weights, and every matrix stays
-    exactly symmetric because float addition commutes.
+    Edge i joins nodes ``u[i]`` and ``v[i]`` of graph ``b[i]`` with weight
+    ``w[i]``; ``b`` may be one int for a stack of one.  Returns a
+    ``(count, n, n)`` array built by one vectorized Floyd-Warshall sweep over
+    the whole stack: n ``np.minimum`` calls in all.  Each matrix gets exactly
+    the floats a separate pass would give it.  Sums are exact on integer and
+    half-integer weights, and every matrix stays exactly symmetric because
+    float addition commutes.
     """
-    dist = np.full((len(edge_lists), n, n), math.inf)
-    counts = [len(edges) for edges in edge_lists]
-    if sum(counts):
-        uvw = np.array([e for edges in edge_lists for e in edges])
-        b = np.repeat(np.arange(len(edge_lists)), counts)
-        u, v = uvw[:, 0].astype(np.intp), uvw[:, 1].astype(np.intp)
-        dist[b, u, v] = uvw[:, 2]
-        dist[b, v, u] = uvw[:, 2]
+    dist = np.full((count, n, n), math.inf)
+    dist[b, u, v] = w
+    dist[b, v, u] = w
     diag = np.arange(n)
     dist[:, diag, diag] = 0.0
     for m in range(n):
@@ -387,44 +406,90 @@ def k_hop_subgraph(g: WeightedGraph, v: int, k: int) -> tuple[WeightedGraph, tup
     """Induced subgraph on nodes within ``k`` edge hops of ``v``.
 
     Hops are counted by edge count even on weighted graphs; weights only shape
-    the metric.  Returns the subgraph plus the old-id table indexed by new id.
-    The cost depends on the ball, not on the whole graph.
+    the metric.  Returns the subgraph plus the old-id table indexed by new id
+    (ascending old ids).  This is ``_k_hop_balls`` on one center: after the
+    graph's cached ``csr``, the cost depends on the ball, not on the whole
+    graph.
     """
     if not (0 <= v < g.num_nodes):
         raise GraphValidationError(f"node {v} out of range")
     if k < 0:
         raise GraphValidationError("hop count must be >= 0")
-    keep, sub_edges = _k_hop_ball(g.adjacency, int(v), k)
+    _, keep, (_, a, b, w) = _k_hop_balls(g, np.array([v]), k)
     feats = g.features[keep] if g.features is not None else None
-    labs = g.labels[np.asarray(keep)] if g.labels is not None else None
-    sub = WeightedGraph(num_nodes=len(keep), edges=tuple(sub_edges),
+    labs = g.labels[keep] if g.labels is not None else None
+    sub = WeightedGraph(num_nodes=keep.size,
+                        edges=tuple(zip(a.tolist(), b.tolist(), w.tolist())),
                         features=feats, labels=labs)
-    return sub, tuple(keep)
+    return sub, tuple(keep.tolist())
 
 
-def _k_hop_ball(adj, v: int, k: int) -> tuple[list[int], list[tuple[int, int, float]]]:
-    """Sorted ids of the nodes within ``k`` hops of ``v``, and the induced edges.
+def _k_hop_balls(g: WeightedGraph, centers: np.ndarray,
+                 k: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The k-hop balls of the nodes ``centers``, found together.
 
-    ``adj`` is a graph's ``adjacency``.  Edges are ``(u, w, weight)`` in the
-    ball's own ids (the positions in the sorted list), with ``u < w``.  The
-    search stops at depth ``k`` and the edges come from the ball's own
-    adjacency lists, so the cost depends on the ball, not on the whole graph.
+    Returns ``(offsets, nodes, (ball, u, v, w))``.  Ball i holds the sorted
+    node ids ``nodes[offsets[i]:offsets[i + 1]]``.  Its induced edges are the
+    entries with ``ball == i``: ``u < v`` are positions in that sorted list
+    (the ball's own ids) and ``w`` the weight.  Edges come grouped by ball,
+    then by ``u``, and each node's edges in the order of ``edges``.
+
+    One breadth-first search runs from every center at once over
+    ``(center, node)`` keys, ``i * num_nodes + node`` for ball i, which stay
+    sorted: each hop gathers the frontier's neighbors from ``csr`` and one
+    sort drops the keys already reached.  Every array is as long as the
+    balls' total size or their total degree, so the cost depends on the
+    balls, not on the whole graph.
     """
-    seen = {v}
-    frontier = [v]
+    indptr, upper, neighbor, weight = g.csr
+    n = g.num_nodes
+    keys = np.arange(centers.size) * n + centers
+    frontier = keys
     for _ in range(k):
-        reached = []
-        for u in frontier:
-            for w, _ in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    reached.append(w)
-        frontier = reached
-    keep = sorted(seen)
-    new_id = {old: new for new, old in enumerate(keep)}
-    edges = [(new_id[u], new_id[w], wt) for u in keep for w, wt in adj[u]
-             if u < w and w in new_id]
-    return keep, edges
+        node = frontier % n
+        pos, counts = _spans(indptr[node], indptr[node + 1])
+        reached = np.repeat(frontier - node, counts)
+        reached += neighbor[pos]
+        del node, pos
+        # Even tags mark keys already in the balls, odd ones new arrivals;
+        # after the sort the first tag of each key says which it is.
+        tags = np.concatenate((keys << 1, (reached << 1) | 1))
+        del reached
+        tags.sort()
+        first = np.ones(tags.size, dtype=bool)
+        np.not_equal(tags[1:] >> 1, tags[:-1] >> 1, out=first[1:])
+        tags = tags[first]
+        keys = tags >> 1
+        frontier = keys[(tags & 1).astype(bool)]
+        if not frontier.size:
+            break
+    slot, nodes = np.divmod(keys, n)
+    offsets = np.zeros(centers.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slot, minlength=centers.size), out=offsets[1:])
+    # Each member's edges to higher node ids, kept where that node is a member too.
+    pos, counts = _spans(upper[nodes], indptr[nodes + 1])
+    target = np.repeat(keys - nodes, counts)
+    target += neighbor[pos]
+    j = np.searchsorted(keys, target)
+    np.minimum(j, keys.size - 1, out=j)
+    inside = keys[j] == target
+    del target
+    member = np.repeat(np.arange(keys.size), counts)[inside]
+    j, pos = j[inside], pos[inside]
+    ball = slot[member]
+    start = offsets[ball]
+    member -= start
+    j -= start
+    return offsets, nodes, (ball, member, j, weight[pos])
+
+
+def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``starts[i]..stops[i] - 1`` of every span i, in order, and the lengths."""
+    counts = stops - starts
+    ends = np.cumsum(counts)
+    pos = np.repeat(starts - ends + counts, counts)
+    pos += np.arange(pos.size)
+    return pos, counts
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +596,7 @@ def split_edges(g: WeightedGraph, fractions: tuple[float, float, float],
     """Seed-deterministic disjoint edge split plus non-edge negatives.
 
     Negatives for the val/test sets are drawn uniformly from non-edges by
-    rejection sampling, one per held-out positive.
+    ``sample_non_edges``, one per held-out positive.
     """
     m = g.num_edges
     n_train, n_val, _ = _split_counts(m, fractions)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import DistanceMatrix, WeightedGraph, _k_hop_ball, _path_metric_stack
+from .graphs import DistanceMatrix, WeightedGraph, _k_hop_balls, _path_metric_stack
 # Not called here: perfbench's tracer looks these two up on this module.
 from .graphs import k_hop_subgraph, shortest_paths  # noqa: F401
 
@@ -58,6 +58,9 @@ _SAMPLE_CHUNK = 8192
 # shared by dozens of small balls; small enough that the temporaries (64 KB
 # each) add little to the peak memory of a caller that keeps many profiles.
 _STACK_ELEMENTS = 1 << 13
+# Centers whose k-hop balls ``local_profile`` extracts together: enough to share
+# numpy's per-call overhead, few enough that the block's arrays stay small.
+_CENTER_BLOCK = 128
 
 
 class CrossComponentError(ValueError):
@@ -458,11 +461,12 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
 
     Distances are computed within the subgraph, not the ambient graph.  Nodes
     whose subgraph has fewer than 4 vertices get value 0 (all quadruples
-    degenerate).  Balls are processed in stacks of equal size: one
-    Floyd-Warshall, one tree certificate and, in "inf" mode, one pruned
-    far-pair walk per stack, each giving every ball exactly the value a call
-    on that ball alone gives.  In "one" mode, each ball that is not a tree
-    metric goes to ``delta_one_exact``, or above ``exact_limit`` to the
+    degenerate).  The balls come from one array breadth-first search per
+    block of centers (``_ball_stacks``) and are processed in stacks of equal
+    size: one Floyd-Warshall, one tree certificate and, in "inf" mode, one
+    pruned far-pair walk per stack, each giving every ball exactly the value
+    a call on that ball alone gives.  In "one" mode, each ball that is not a
+    tree metric goes to ``delta_one_exact``, or above ``exact_limit`` to the
     sampled estimator with a seed derived from (seed, node).
     """
     if k < 1:
@@ -477,7 +481,7 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
         n = d.shape[1]
         for i in np.flatnonzero(~_tree_mask(d)):
             dm = DistanceMatrix(d=d[i], reachable=np.ones((n, n), dtype=bool))
-            v = centers[i]
+            v = int(centers[i])  # an np.int64 would make the seed overflow its uint64 mask
             if n <= exact_limit:
                 values[v] = delta_one_exact(dm, exact_limit)
             else:
@@ -487,30 +491,50 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
     return HyperbolicityProfile(per_node=_NodeValues(values), k=k, mode=mode)
 
 
-def _ball_stacks(g: WeightedGraph, k: int) -> Iterator[tuple[list[int], np.ndarray]]:
+def _ball_stacks(g: WeightedGraph, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(centers, d)``: the path metrics of the k-hop balls of ``centers``.
 
+    Balls come from ``_k_hop_balls``, ``_CENTER_BLOCK`` centers at a time.
     Balls of fewer than 4 nodes are skipped.  The rest are grouped by node
     count n, and each group is cut into ``(B, n, n)`` stacks of at most
-    ``_STACK_ELEMENTS`` distances, so a stack is yielded as soon as it fills.
+    ``_STACK_ELEMENTS`` distances, which ``_path_metric_stack`` fills straight
+    from the edge arrays; a stack is yielded as soon as it fills.  A group
+    waiting for more balls holds arrays of its own edges only, not views of a
+    whole block's.
     """
-    adj = g.adjacency
-    pending: dict[int, list[tuple[int, list]]] = {}
-    for v in range(g.num_nodes):
-        nodes, edges = _k_hop_ball(adj, v, k)
-        n = len(nodes)
-        if n < 4:
-            continue
-        group = pending.setdefault(n, [])
-        group.append((v, edges))
-        if (len(group) + 1) * n * n > _STACK_ELEMENTS:
-            yield _stack(n, pending.pop(n))
+    pending: dict[int, tuple] = {}  # n -> (centers, edges per ball, u, v, w)
+    for start in range(0, g.num_nodes, _CENTER_BLOCK):
+        centers = np.arange(start, min(start + _CENTER_BLOCK, g.num_nodes))
+        offsets, _, (ball, u, v, w) = _k_hop_balls(g, centers, k)
+        sizes = np.diff(offsets)
+        per_ball = np.bincount(ball, minlength=centers.size)
+        for n in (np.flatnonzero(np.bincount(sizes)[4:]) + 4).tolist():
+            sel = sizes == n
+            on = sel[ball]
+            group = (centers[sel], per_ball[sel], u[on], v[on], w[on])
+            if n in pending:
+                group = tuple(map(np.concatenate, zip(pending.pop(n), group)))
+            cap = max(1, _STACK_ELEMENTS // (n * n))
+            while group[0].size >= cap:
+                head, group = _split(group, cap)
+                yield _stack(n, *head)
+            if group[0].size:
+                pending[n] = group
     for n, group in pending.items():
-        yield _stack(n, group)
+        yield _stack(n, *group)
 
 
-def _stack(n: int, group: list[tuple[int, list]]) -> tuple[list[int], np.ndarray]:
-    return [v for v, _ in group], _path_metric_stack(n, [edges for _, edges in group])
+def _split(group: tuple, count: int) -> tuple[tuple, tuple]:
+    """The first ``count`` balls of a group and the rest."""
+    centers, per_ball, u, v, w = group
+    cut = int(per_ball[:count].sum())
+    return ((centers[:count], per_ball[:count], u[:cut], v[:cut], w[:cut]),
+            (centers[count:], per_ball[count:], u[cut:], v[cut:], w[cut:]))
+
+
+def _stack(n: int, centers, per_ball, u, v, w) -> tuple[np.ndarray, np.ndarray]:
+    ball = np.repeat(np.arange(centers.size), per_ball)
+    return centers, _path_metric_stack(centers.size, n, ball, u, v, w)
 
 
 def to_distribution(profile: HyperbolicityProfile) -> EmpiricalDistribution:

@@ -6,13 +6,14 @@ import pytest
 
 from jointspace.graphs import (EdgeListParseError, EdgeSplitSpec,
                                GraphValidationError, SplitError, SplitSpec,
-                               WeightedGraph, generate_combined,
+                               WeightedGraph, _k_hop_balls, generate_combined,
                                generate_lattice, generate_tree, graph_hash,
                                k_hop_subgraph, load_edge_list,
                                load_features_csv, load_labels_csv,
                                reference_combined_graph, sample_non_edges,
                                save_edge_list, shortest_paths, split_edges,
                                split_nodes)
+from jointspace.hyperbolicity import _CENTER_BLOCK, delta_inf, local_profile
 
 from conftest import cycle_graph, path_graph, random_connected_graph, star_graph
 
@@ -41,8 +42,9 @@ class TestWeightedGraph:
         assert g.edges == ((1, 2, 1.5),)
 
     def test_adjacency(self):
-        g = path_graph(3)
-        assert g.adjacency[1] == ((0, 1.0), (2, 1.0))
+        indptr, upper, neighbor, weight = path_graph(3).csr
+        assert indptr.tolist() == [0, 1, 3, 4] and upper.tolist() == [0, 2, 4]
+        assert neighbor[1:3].tolist() == [0, 2] and weight[1:3].tolist() == [1.0, 1.0]
 
     def test_scaled(self):
         g = path_graph(3).scaled(2.0)
@@ -266,6 +268,88 @@ class TestKHopSubgraph:
         assert np.array_equal(sub.features, g.features[list(ids)])
 
 
+# Graphs for the ball tests: a hub with far more neighbors than any other node
+# (diameter 2); two components, one with a weighted chord, plus isolated
+# nodes 5, 10 and 11 (diameter 3); a float-weighted graph with more nodes than
+# one block of centers.
+BALL_GRAPHS = {
+    "star": lambda: star_graph(40),
+    "two_components": lambda: WeightedGraph(12, (
+        (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 1.0),
+        (1, 3, 2.0), (6, 7, 0.5), (7, 8, 1.5), (8, 9, 2.5))),
+    "random_float": lambda: random_connected_graph(
+        np.random.default_rng(17), _CENTER_BLOCK + 44, p=0.005),
+}
+
+
+def hop_counts(g: WeightedGraph) -> list[dict[int, int]]:
+    """Per node, the hop count to every node it reaches, by plain breadth-first search."""
+    nbrs: list[list[int]] = [[] for _ in range(g.num_nodes)]
+    for a, b, _ in g.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    out = []
+    for v in range(g.num_nodes):
+        hops, queue = {v: 0}, [v]
+        for u in queue:
+            for w in nbrs[u]:
+                if w not in hops:
+                    hops[w] = hops[u] + 1
+                    queue.append(w)
+        out.append(hops)
+    return out
+
+
+class TestKHopBalls:
+    @pytest.mark.parametrize("name", sorted(BALL_GRAPHS))
+    def test_balls_match_bruteforce_filter(self, name):
+        g = BALL_GRAPHS[name]()
+        hops = hop_counts(g)
+        if name != "random_float":
+            assert max(max(h.values()) for h in hops) <= 3  # k = 3, 4 reach past it
+        # Every node in order, and an unordered subset with a repeat.
+        some = np.random.default_rng(5).permutation(g.num_nodes)[:9]
+        for centers in (np.arange(g.num_nodes), np.append(some, some[0])):
+            for k in range(5):
+                offsets, nodes, (ball, u, v, w) = _k_hop_balls(g, centers, k)
+                assert offsets.size == centers.size + 1 and offsets[-1] == nodes.size
+                for i, c in enumerate(centers.tolist()):
+                    ids = nodes[offsets[i]:offsets[i + 1]].tolist()
+                    assert ids == sorted(x for x, h in hops[c].items() if h <= k)
+                    mine = ball == i
+                    assert (u[mine] < v[mine]).all()
+                    got = [(ids[a], ids[b], x) for a, b, x in
+                           zip(u[mine].tolist(), v[mine].tolist(), w[mine].tolist())]
+                    keep = set(ids)
+                    assert len(got) == len(set(got))
+                    assert set(got) == {e for e in g.edges if e[0] in keep and e[1] in keep}
+
+    @pytest.mark.parametrize("name,ks", [("two_components", (1, 2, 3, 4)),
+                                         ("random_float", (1, 2))],
+                             ids=["two_components", "random_float"])
+    def test_local_profile_matches_per_ball(self, name, ks):
+        g = BALL_GRAPHS[name]()
+        for k in ks:
+            prof = local_profile(g, k, "inf")
+            for v in range(g.num_nodes):
+                sub, _ = k_hop_subgraph(g, v, k)
+                assert prof.per_node[v] == delta_inf(shortest_paths(sub)), (k, v)
+
+    def test_csr_is_cached_read_only_adjacency(self):
+        g = BALL_GRAPHS["two_components"]()
+        indptr, upper, neighbor, weight = g.csr
+        assert g.csr is g.csr
+        for a in (indptr, upper, neighbor, weight):
+            assert not a.flags.writeable
+        for u in range(g.num_nodes):
+            lower = list(zip(neighbor[indptr[u]:upper[u]].tolist(),
+                             weight[indptr[u]:upper[u]].tolist()))
+            higher = list(zip(neighbor[upper[u]:indptr[u + 1]].tolist(),
+                              weight[upper[u]:indptr[u + 1]].tolist()))
+            assert lower == [(a, x) for a, b, x in g.edges if b == u]
+            assert higher == [(b, x) for a, b, x in g.edges if a == u]
+
+
 class TestGenerators:
     @pytest.mark.parametrize("rows,cols,nodes,edges", [
         (2, 2, 4, 4), (3, 3, 9, 12), (5, 5, 25, 40)])
@@ -366,6 +450,23 @@ class TestSplits:
             assert sample_non_edges(g, 25, rng) == tuple(ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert g.edge_keys == frozenset((u, v) for u, v, _ in g.edges)
+
+    def test_non_edge_sampler_output_pinned_on_sparse_graph(self):
+        g = random_connected_graph(np.random.default_rng(4), 12, 0.2)  # 19 of 66 pairs
+        assert sample_non_edges(g, 8, np.random.default_rng(21)) == (
+            (3, 9), (1, 4), (3, 7), (2, 5), (8, 11), (2, 10), (8, 9), (6, 11))
+
+    def test_non_edge_sampler_on_near_complete_graph(self):
+        n = 40
+        missing = {(i, i + 1) for i in range(0, 30, 2)} | {(0, 39), (5, 17)}
+        g = WeightedGraph(n, tuple((u, v, 1.0) for u in range(n) for v in range(u + 1, n)
+                                   if (u, v) not in missing))
+        for count in (0, 9, len(missing)):
+            out = sample_non_edges(g, count, np.random.default_rng(count))
+            assert len(out) == count and len(set(out)) == count
+            assert set(out) <= missing
+        assert sample_non_edges(g, 9, np.random.default_rng(3)) == sample_non_edges(
+            g, 9, np.random.default_rng(3))
 
     def test_non_edge_sampler_exhaustion(self):
         g = cycle_graph(4)  # 2 non-edges only

@@ -282,6 +282,23 @@ class TestLocalProfile:
         assert sizes.count(13) * 13 * 13 > 2 * hyperbolicity._STACK_ELEMENTS
         assert any(prof.per_node[v] == 0.0 and sizes[v] >= 4 for v in range(900, 1264))
 
+    def test_sampled_seed_beyond_int64(self):
+        # With an np.int64 center the derived seed is an np.int64, which the
+        # sampler's 0xFFFFFFFFFFFFFFFF mask overflows at any seed; 2**40 keeps
+        # the derived seeds large as well.
+        g, seed, num_samples, exact_limit = generate_lattice(6, 6), 2**40, 200, 8
+        prof = local_profile(g, 2, "one", exact_limit=exact_limit,
+                             num_samples=num_samples, seed=seed)
+        sampled = 0
+        for v in range(g.num_nodes):
+            sub, _ = k_hop_subgraph(g, v, 2)
+            dm = shortest_paths(sub)
+            if sub.num_nodes > exact_limit and not is_tree_metric(dm):
+                expected, _ = delta_one_sampled(dm, num_samples, seed=seed * 1_000_003 + v)
+                assert prof.per_node[v] == expected, v
+                sampled += 1
+        assert sampled >= 16
+
     def test_values_by_node_is_read_only_and_not_copied(self):
         for prof in (local_profile(generate_lattice(5, 5), 2, "inf"),
                      HyperbolicityProfile({1: 2.0, 0: 1.0}, 2, "inf")):
