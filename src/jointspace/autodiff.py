@@ -25,7 +25,7 @@ __all__ = [
     "backward",
     "finite_diff_check",
     "add", "sub", "mul", "div", "neg", "matmul", "transpose",
-    "concat", "reshape", "gather_rows", "attend",
+    "concat", "reshape", "RowIndex", "as_row_index", "gather_rows", "attend",
     "tanh", "exp", "log", "abs_", "pow_const", "sigmoid", "softplus",
     "sum_", "mean_", "vector_norm",
 ]
@@ -158,24 +158,68 @@ def reshape(a, shape: tuple[int, ...]) -> DiffValue:
 # Indexing and attention aggregation
 # ---------------------------------------------------------------------------
 
-def _scatter_rows(rows: Array, idx: Array, n: int) -> Array:
+class RowIndex:
+    """Read-only int64 row indices ``idx`` that keep their flat offsets.
+
+    ``flat(width)`` is ``idx[:, None] * width + arange(width)``, raveled: where
+    a scatter of rows ``width`` wide sums into.  ``flat(width, column)`` is
+    ``idx * width + column``.  Each is built on first use and kept; width 1
+    is ``idx`` itself.  A graph's attention edges
+    (``WeightedGraph.attention_index``) so build their offsets once, while a
+    plain array given to ``gather_rows``, ``attend`` or ``_scatter_rows`` is
+    wrapped afresh on each call.
+    """
+
+    __slots__ = ("idx", "_flat")
+
+    def __init__(self, idx):
+        self.idx = np.asarray(idx, dtype=np.int64).view()
+        self.idx.setflags(write=False)
+        self._flat: dict[tuple[int, int | None], Array] = {}
+
+    def flat(self, width: int, column: int | None = None) -> Array:
+        if width == 1 and column is None:
+            return self.idx
+        key = (width, column)
+        offsets = self._flat.get(key)
+        if offsets is None:
+            if column is None:
+                offsets = (self.idx[:, None] * width + np.arange(width)).ravel()
+            else:
+                offsets = self.idx * width + column
+            offsets.setflags(write=False)
+            self._flat[key] = offsets
+        return offsets
+
+
+def as_row_index(idx) -> RowIndex:
+    return idx if isinstance(idx, RowIndex) else RowIndex(idx)
+
+
+def _scatter_rows(rows: Array, idx, n: int) -> Array:
     """Sum ``rows[i]`` into row ``idx[i]`` of an ``(n,) + rows.shape[1:]`` zero array.
 
-    One ``np.bincount`` over the flat (row, column) index.  ``bincount`` adds
-    in input order, as ``np.add.at`` does, so the sums are bitwise the same.
+    One ``np.bincount`` over the flat (row, column) offsets of ``idx``, a
+    ``RowIndex`` or an array, at the width of the rows.  ``bincount`` adds in
+    input order, as ``np.add.at`` does, so the sums are bitwise the same.
     """
     tail = rows.shape[1:]
     width = math.prod(tail)
-    flat = (idx[:, None] * width + np.arange(width)).ravel()
+    flat = as_row_index(idx).flat(width)
     out = np.bincount(flat, weights=rows.ravel(), minlength=n * width)
     return out.reshape((n,) + tail)
 
 
 def gather_rows(a, idx) -> DiffValue:
-    """Select ``a[idx]`` along the first axis; backward scatter-adds."""
+    """Select ``a[idx]`` along the first axis; backward scatter-adds.
+
+    ``idx`` is an index array or a ``RowIndex``, whose kept flat offsets the
+    backward scatter reuses.  Here and in ``attend``, ``np.take`` gathers the
+    rows: the same copy as ``a[idx]`` at about half its cost on (E, d) rows.
+    """
     a = as_diff(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = a.value[idx]
+    idx = as_row_index(idx)
+    out = np.take(a.value, idx.idx, axis=0)
     return DiffValue(out, (a,),
                      lambda g: (_scatter_rows(g, idx, a.value.shape[0]),))
 
@@ -187,27 +231,31 @@ def attend(e, values, src, dst, num_segments: int, slope: float,
     ``alpha = softmax(leaky_relu(e, slope))`` within each destination's edges,
     times ``mask`` when given (dropout), weights the rows ``values[src]``;
     their sums per destination pass through ELU.  One node, parents
-    ``(e, values)``, with a closed-form VJP.
+    ``(e, values)``, with a closed-form VJP.  ``src`` and ``dst`` are index
+    arrays or ``RowIndex``es; the three scatter-adds, one forward and two in
+    the VJP, read the flat offsets a ``RowIndex`` keeps.
     """
     e, values = as_diff(e), as_diff(values)
-    x, hs = e.value, values.value[src]
+    src, dst = as_row_index(src), as_row_index(dst)
+    at_dst = dst.idx
+    x, hs = e.value, np.take(values.value, src.idx, axis=0)
     s = np.where(x > 0.0, x, slope * x)
     mx = np.full(num_segments, -np.inf)
-    np.maximum.at(mx, dst, s)
-    ex = np.exp(s - mx[dst])
-    alpha = ex / _scatter_rows(ex, dst, num_segments)[dst]
+    np.maximum.at(mx, at_dst, s)
+    ex = np.exp(s - mx[at_dst])
+    alpha = ex / _scatter_rows(ex, dst, num_segments)[at_dst]
     w = alpha if mask is None else alpha * mask
     agg = _scatter_rows(w[:, None] * hs, dst, num_segments)
     ex_agg = np.exp(np.minimum(agg, 0.0))
     out = np.where(agg > 0.0, agg, ex_agg - 1.0)
     def vjp(g):
-        gm = (g * np.where(agg > 0.0, 1.0, ex_agg))[dst]
+        gm = np.take(g * np.where(agg > 0.0, 1.0, ex_agg), at_dst, axis=0)
         g_values = _scatter_rows(gm * w[:, None], src, values.value.shape[0])
         g_alpha = (gm * hs).sum(axis=1)
         if mask is not None:
             g_alpha = g_alpha * mask
         dot = _scatter_rows(g_alpha * alpha, dst, num_segments)
-        g_e = alpha * (g_alpha - dot[dst]) * np.where(x > 0.0, 1.0, slope)
+        g_e = alpha * (g_alpha - dot[at_dst]) * np.where(x > 0.0, 1.0, slope)
         return g_e, g_values
     return DiffValue(out, (e, values), vjp)
 

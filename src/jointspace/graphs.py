@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import RowIndex
+
 __all__ = [
     "GraphValidationError",
     "EdgeListParseError",
@@ -138,6 +140,22 @@ class WeightedGraph:
         for a in (indptr, upper, neighbor, weight):
             a.setflags(write=False)
         return indptr, upper, neighbor, weight
+
+    @cached_property
+    def attention_index(self) -> tuple[RowIndex, RowIndex]:
+        """``(src, dst)`` indices of the directed edges that attention runs over.
+
+        Each undirected edge contributes both directions, all ``u -> v`` in
+        the order of ``edges`` and then all ``v -> u``, and every node ends
+        with a self loop, so no neighborhood is empty.  The index arrays are
+        read-only int64.  Each ``RowIndex`` keeps the flat offsets of every
+        row width it is scattered at, so they are built once per graph and
+        freed with it.
+        """
+        u, v = self.edge_index.T
+        loops = np.arange(self.num_nodes, dtype=np.int64)
+        return (RowIndex(np.concatenate([u, v, loops])),
+                RowIndex(np.concatenate([v, u, loops])))
 
     @cached_property
     def edge_keys(self) -> frozenset[tuple[int, int]]:

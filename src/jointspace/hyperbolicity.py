@@ -419,6 +419,9 @@ def delta_one_sampled(dm: DistanceMatrix,
     Returns (estimate, standard error).  Samples are drawn in fixed-size
     chunks from counter-based Philox streams keyed by (seed, chunk index), so
     the result is independent of how chunks are scheduled across workers.
+    One generator serves every chunk: setting its state to the chunk's key
+    and a zero counter starts the stream ``Philox(key=...)`` would, without
+    the OS entropy each construction draws and the key then overrides.
     """
     _require_connected(dm)
     if num_samples < 100:
@@ -429,10 +432,15 @@ def delta_one_sampled(dm: DistanceMatrix,
     total_sq = 0.0
     drawn = 0
     chunk_index = 0
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
     while drawn < num_samples:
         m = min(_SAMPLE_CHUNK, num_samples - drawn)
         key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        bits.state = {"bit_generator": "Philox",
+                      "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                      "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
         idx = rng.integers(0, n, size=(4, m))
         x, y, z, t = idx
         xn, yn, zn = x * n, y * n, z * n

@@ -122,26 +122,28 @@ def init_layer_params(rng: np.random.Generator, in_dim: int, out_dim: int,
 def attention_edges(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Directed (source, destination) arrays for attention aggregation.
 
-    Each undirected edge contributes both directions, read from the graph's
-    cached ``edge_index``; every node gets a self loop so no neighborhood is
-    empty.
+    Fresh, writable copies of the graph's cached ``attention_index``: each
+    undirected edge contributes both directions, and every node gets a self
+    loop so no neighborhood is empty.
     """
-    u, v = g.edge_index.T
-    loops = np.arange(g.num_nodes, dtype=np.int64)
-    return np.concatenate([u, v, loops]), np.concatenate([v, u, loops])
+    src, dst = g.attention_index
+    return src.idx.copy(), dst.idx.copy()
 
 
-def _attention_logits(h, a, src: np.ndarray, dst: np.ndarray) -> DiffValue:
+def _attention_logits(h, a, src, dst) -> DiffValue:
     """Per-edge a^T [h_dst || h_src] as a flat vector, from per-node scores.
 
     The logit splits as a_1^T h_dst + a_2^T h_src, so each node is scored once,
     ``h @ reshape(a, (2, d))^T`` of shape (n, 2), and each edge gathers one
-    scalar per endpoint from the flattened scores: 2 * dst and 2 * src + 1.
+    scalar per endpoint from the flattened scores: 2 * dst and 2 * src + 1,
+    which a ``RowIndex`` keeps after their first use.
     """
     n, d = h.shape
+    src, dst = ad.as_row_index(src), ad.as_row_index(dst)
     scores = ad.matmul(h, ad.transpose(ad.reshape(a, (2, d))))
     flat = ad.reshape(scores, (2 * n,))
-    return ad.add(ad.gather_rows(flat, 2 * dst), ad.gather_rows(flat, 2 * src + 1))
+    return ad.add(ad.gather_rows(flat, dst.flat(2, 0)),
+                  ad.gather_rows(flat, src.flat(2, 1)))
 
 
 def _dropout_mask(shape: tuple[int, ...], dropout: float,
@@ -164,9 +166,9 @@ def gat_forward(features, g: WeightedGraph, p: GATParams, *,
     over each destination's neighborhood; the update is ELU of the
     attention-weighted sum of transformed neighbor features.
     """
-    src, dst = attention_edges(g)
+    src, dst = g.attention_index
     h = ad.matmul(ad.as_diff(features), ad.transpose(p.W))
-    mask = _dropout_mask(src.shape, dropout, rng, training)
+    mask = _dropout_mask(src.idx.shape, dropout, rng, training)
     return ad.attend(_attention_logits(h, p.a, src, dst), h, src, dst,
                      g.num_nodes, LEAKY_SLOPE, mask)
 
@@ -178,13 +180,14 @@ def hgat_forward(x_ball, g: WeightedGraph, p: HGATParams, *,
 
     Messages are the Mobius matrix action plus a ball bias.  Each attention
     logit is the GAT logit of the tangent-space features, read from per-node
-    scores, times the closed-form geodesic distance between the endpoints;
-    per edge, only scalars and the two endpoint rows of the distance are
+    scores, times the closed-form geodesic distance between the endpoints,
+    one ``d_edge_distance`` node over the graph's cached attention index; per
+    edge, only scalars and the two endpoint rows of the distance are
     gathered.  Returns (tangent-space output, its ball image).
     """
     c = p.curvature
     x = pc.d_project(x_ball, c)
-    src, dst = attention_edges(g)
+    src, dst = g.attention_index
 
     wx = pc.d_mobius_matvec(p.W, x, c)
     out_dim = wx.shape[1]
@@ -192,8 +195,8 @@ def hgat_forward(x_ball, g: WeightedGraph, p: HGATParams, *,
     m = pc.d_mobius_add(wx, bias_ball, c)
 
     logits = _attention_logits(pc.d_log_origin(wx, c), p.a, src, dst)
-    dist = pc.d_hyp_distance(ad.gather_rows(x, dst), ad.gather_rows(x, src), c)
-    mask = _dropout_mask(src.shape, dropout, rng, training)
+    dist = pc.d_edge_distance(x, src, dst, c)
+    mask = _dropout_mask(src.idx.shape, dropout, rng, training)
     tangent = ad.attend(ad.mul(logits, dist), pc.d_log_origin(m, c), src, dst,
                         g.num_nodes, LEAKY_SLOPE, mask)
     ball_out = pc.d_exp_origin(tangent, c)

@@ -28,7 +28,7 @@ __all__ = [
     "mobius_add", "mobius_matvec", "exp_origin", "log_origin", "hyp_distance",
     "project_to_ball",
     "d_project", "d_exp_origin", "d_log_origin", "d_mobius_add",
-    "d_mobius_matvec", "d_hyp_distance",
+    "d_mobius_matvec", "d_hyp_distance", "d_edge_distance",
 ]
 
 PROJECTION_MARGIN = 1e-5
@@ -181,9 +181,12 @@ def _mobius_add_array(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
     return _mobius_add_parts(x, y, c)[0]
 
 
-def _distance_parts(x: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, tuple]:
+def _distance_parts(x: np.ndarray, y: np.ndarray, c: float,
+                    x2: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, tuple]:
     """(2/sqrt(c)) atanh(sqrt(c) ||-x (+)_c y||) per row, with the last axis kept.
 
+    ``x2`` and ``y2`` are the rows' squared norms, ``_sq_norm`` of ``x`` and
+    ``y``; a caller whose rows repeat gathers them from one norm per point.
     No Mobius sum is formed: ||-x (+)_c y||^2 = ||x - y||^2 / den with
     den = 1 - 2c<x,y> + c^2 ||x||^2 ||y||^2, read here in its equal form
     (1 - c||x||^2)(1 - c||y||^2) + c||x - y||^2, a sum of two terms that are
@@ -193,8 +196,6 @@ def _distance_parts(x: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray,
     """
     diff = x - y
     s2 = _sq_norm(diff)
-    x2 = _sq_norm(x)
-    y2 = _sq_norm(y)
     a = 1.0 - c * x2
     b = 1.0 - c * y2
     den = np.maximum(a * b + c * s2, _MIN_NORM)
@@ -225,7 +226,7 @@ def _distance_grad(g: np.ndarray, x, y, c, diff, x2, y2, a, b, den, n, u,
 
 
 def _distance_array(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    return _distance_parts(x, y, c)[0]
+    return _distance_parts(x, y, c, _sq_norm(x), _sq_norm(y))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +338,36 @@ def d_mobius_matvec(w: DiffValue, x, c) -> DiffValue:
 def d_hyp_distance(x, y, c) -> DiffValue:
     """Row-wise geodesic distance as a flat vector; identical rows give 0."""
     x, y = ad.as_diff(x), ad.as_diff(y)
-    out, parts = _distance_parts(x.value, y.value, _c_value(c))
+    out, parts = _distance_parts(x.value, y.value, _c_value(c),
+                                 _sq_norm(x.value), _sq_norm(y.value))
 
     def vjp(g):
         g_x, g_y, g_c = _distance_grad(g[..., None], *parts)
         return ad._unbroadcast(g_x, x.shape), ad._unbroadcast(g_y, y.shape), g_c
     return _ball_node(out[..., 0], (x, y), c, vjp)
+
+
+def d_edge_distance(x, src, dst, c) -> DiffValue:
+    """Geodesic distance between the rows ``x[dst]`` and ``x[src]`` of each edge, flat.
+
+    Value and gradients equal, bit for bit, those of
+    ``d_hyp_distance(gather_rows(x, dst), gather_rows(x, src), c)``, in one
+    node: each node's squared norm is computed once and gathered per edge,
+    and the VJP scatters the row gradients straight into ``x``.  ``src`` and
+    ``dst`` are index arrays or ``RowIndex``es, whose kept flat offsets the
+    scatters reuse.  Self loops give exactly 0 and pass no gradient.
+    """
+    x = ad.as_diff(x)
+    src, dst = ad.as_row_index(src), ad.as_row_index(dst)
+    x2 = _sq_norm(x.value)
+
+    def at(v, index):
+        return np.take(v, index.idx, axis=0)
+    out, parts = _distance_parts(at(x.value, dst), at(x.value, src), _c_value(c),
+                                 at(x2, dst), at(x2, src))
+    n = x.shape[0]
+
+    def vjp(g):
+        g_dst, g_src, g_c = _distance_grad(g[:, None], *parts)
+        return ad._scatter_rows(g_src, src, n) + ad._scatter_rows(g_dst, dst, n), g_c
+    return _ball_node(out[:, 0], (x,), c, vjp)

@@ -213,6 +213,21 @@ class TestDeltaOne:
         assert delta_one_sampled(dm, 5000, seed=4) == delta_one_sampled(dm, 5000, seed=4)
         assert delta_one_sampled(dm, 5000, seed=4) != delta_one_sampled(dm, 5000, seed=5)
 
+    @pytest.mark.parametrize("seed, num_samples, expected", [
+        (0, 100, (0.13, 0.03666666666666667)),
+        (0, 8192, (0.1143798828125, 0.004015274887502368)),
+        (0, 8193, (0.11436592212864641, 0.00401480904435068)),
+        (7, 8193, (0.11692908580495545, 0.004063028705756448)),
+        (7, 100_000, (0.11652, 0.0011660379464000837)),
+        (2**40 * 1_000_003 + 5, 100, (0.11, 0.03450955072018601)),
+        (2**40 * 1_000_003 + 5, 100_000, (0.11385, 0.0011533841848884437)),
+    ])
+    def test_sampled_stream_pinned(self, seed, num_samples, expected):
+        # Literal values pin the Philox stream itself: one chunk, a chunk
+        # boundary (8192 | 8193), many chunks, and a seed past 64 bits.
+        dm = shortest_paths(generate_lattice(5, 5))
+        assert delta_one_sampled(dm, num_samples, seed=seed) == expected
+
     def test_min_samples(self):
         dm = shortest_paths(cycle_graph(4))
         with pytest.raises(ValueError):

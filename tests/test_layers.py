@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from jointspace.layers import (JointSpaceGNN, _attention_logits, attention_edges
                                fusion_forward, gat_forward, hgat_forward,
                                init_layer_params, load_params_json,
                                save_params_json)
-from jointspace.poincare import (PROJECTION_MARGIN, d_exp_origin, d_hyp_distance,
-                                 d_log_origin, d_mobius_add, d_mobius_matvec,
-                                 d_project)
+from jointspace.poincare import (PROJECTION_MARGIN, d_edge_distance, d_exp_origin,
+                                 d_hyp_distance, d_log_origin, d_mobius_add,
+                                 d_mobius_matvec, d_project)
 from jointspace.training import synthetic_lp_tree, synthetic_nc_graph
 
 from conftest import path_graph
@@ -139,6 +141,58 @@ class TestDifferentiableBallOps:
                 <= 1.0 - PROJECTION_MARGIN + 1e-12).all()
 
 
+class TestEdgeDistance:
+    # Path 0-1-2, node 3 alone, and nodes 4-5 joined only to each other at
+    # antipodal near-boundary rows, whose distance is clipped at the margin.
+    GRAPH = WeightedGraph(6, ((0, 1, 1.0), (1, 2, 1.0), (4, 5, 1.0)))
+
+    def rows(self, rng, c):
+        x = ball_rows(rng, 6, 3, c, scale=0.2 / math.sqrt(c))
+        x[0] = 0.0                                  # a row at the origin
+        v = rng.normal(size=3)
+        x[4] = v / np.linalg.norm(v) * 0.999 / math.sqrt(c)
+        x[5] = -x[4]
+        return x
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_equals_gathered_composition(self, c):
+        rng = np.random.default_rng(31)
+        x0 = self.rows(rng, c)
+        src, dst = self.GRAPH.attention_index
+        w = rng.normal(size=src.idx.shape)
+        results = []
+        for fused in (True, False):
+            x, curv = ad.DiffValue(x0.copy()), ad.DiffValue(c)
+            if fused:
+                dist = d_edge_distance(x, src, dst, curv)
+            else:
+                dist = d_hyp_distance(ad.gather_rows(x, dst.idx),
+                                      ad.gather_rows(x, src.idx), curv)
+            ad.backward(ad.sum_(ad.mul(dist, w)))
+            results.append((dist.value, x.grad, curv.grad))
+        (value, g_x, g_c), (ref_value, ref_g_x, ref_g_c) = results
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(g_x, ref_g_x) and np.array_equal(g_c, ref_g_c)
+        loops = src.idx == dst.idx
+        assert np.all(value[loops] == 0.0)
+        clip = 2.0 * math.atanh(1.0 - PROJECTION_MARGIN) / math.sqrt(c)
+        assert value[(src.idx == 4) & (dst.idx == 5)][0] == pytest.approx(clip, rel=1e-15)
+        # Self loops and the clipped pair pass nothing; the path rows get some.
+        assert np.all(g_x[3:] == 0.0) and np.all(np.any(g_x[:3] != 0.0, axis=1))
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_gradcheck_with_trainable_curvature(self, c):
+        rng = np.random.default_rng(32)
+        x, curv = ad.DiffValue(self.rows(rng, c)), ad.DiffValue(c)
+        src, dst = attention_edges(self.GRAPH)
+        w = rng.normal(size=src.shape)
+
+        def loss_fn():
+            return ad.sum_(ad.mul(d_edge_distance(x, src, dst, curv), w))
+
+        assert ad.finite_diff_check(loss_fn, [x, curv]) < 1e-5
+
+
 class TestAttentionEdges:
     def test_includes_both_directions_and_self_loops(self):
         g = path_graph(3)
@@ -167,6 +221,56 @@ class TestAttentionEdges:
         src, _ = attention_edges(g)
         src[0] = 5                       # outputs are fresh arrays
         assert g.edge_index[0, 0] == 0
+
+
+class TestAttentionIndex:
+    def test_cached_read_only_and_equal_to_attention_edges(self):
+        g = synthetic_nc_graph()
+        index = g.attention_index
+        assert g.attention_index is index
+        src, dst = index
+        for got, want in zip(index, attention_edges(g)):
+            assert got.idx.dtype == np.int64 and not got.idx.flags.writeable
+            assert np.array_equal(got.idx, want)
+            flat = got.flat(4)
+            assert got.flat(4) is flat and not flat.flags.writeable
+        with pytest.raises(ValueError):
+            src.idx[0] = 1
+
+    def test_offsets_equal_formula(self):
+        src, dst = synthetic_nc_graph().attention_index
+        for index in (src, dst):
+            idx = index.idx
+            assert index.flat(1) is idx
+            for width in (2, 3, 16):
+                want = (idx[:, None] * width + np.arange(width)).ravel()
+                assert np.array_equal(index.flat(width), want)
+        assert np.array_equal(dst.flat(2, 0), 2 * dst.idx)
+        assert np.array_equal(src.flat(2, 1), 2 * src.idx + 1)
+
+    @pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
+    def test_scatter_with_kept_offsets_equals_add_at(self, tail):
+        g = synthetic_nc_graph()
+        rng = np.random.default_rng(33)
+        for index in g.attention_index:
+            shape = index.idx.shape + tail
+            rows = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+            want = np.zeros((g.num_nodes,) + tail)
+            np.add.at(want, index.idx, rows)
+            for _ in range(2):                   # builds the offsets, then reuses them
+                got = ad._scatter_rows(rows, index, g.num_nodes)
+                assert got.tobytes() == want.tobytes()
+
+    def test_graph_and_index_are_freed_together(self):
+        g = synthetic_nc_graph()
+        model = JointSpaceGNN(g.features.shape[1], 4, 2, seed=0)
+        out = model.forward(g, dropout=0.5, rng=np.random.default_rng(0),
+                            training=True)[0]
+        ad.backward(ad.sum_(out.z))             # keeps offsets on the index
+        refs = [weakref.ref(g), weakref.ref(g.attention_index[0].flat(4))]
+        del g, out
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
 
 class TestAttentionLogits:
@@ -318,6 +422,17 @@ class TestTapeSize:
         kw = dict(dropout=dropout, rng=rng, training=True)
         assert _tape_nodes([gat_forward(feats, g, lp.gat, **kw)], feats) <= 14
         assert _tape_nodes(hgat_forward(z_ball, g, lp.hgat, **kw), z_ball) <= 30
+
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_hgat_one_edge_distance_node(self, dropout):
+        # d_edge_distance replaces two row gathers and a distance node.
+        g = generate_tree(2, 2)
+        rng = np.random.default_rng(16)
+        lp = init_layer_params(rng, 3, 4, 2)
+        z_ball = d_exp_origin(ad.DiffValue(rng.normal(size=(7, 3))), lp.hgat.curvature)
+        out = hgat_forward(z_ball, g, lp.hgat, dropout=dropout, rng=rng, training=True)
+        assert _tape_nodes(out, z_ball) <= 25
 
 
 class TestFusion:
