@@ -298,11 +298,16 @@ def pow_const(a, p: float) -> DiffValue:
     return DiffValue(out, (a,), vjp)
 
 
+def _logistic(x) -> Array:
+    """1 / (1 + exp(-x)) from one ``exp`` of -|x|, so it never overflows."""
+    e = np.exp(-np.abs(x))
+    q = 1.0 + e
+    return np.where(x >= 0.0, 1.0 / q, e / q)
+
+
 def sigmoid(a) -> DiffValue:
     a = as_diff(a)
-    x = a.value
-    out = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = _logistic(a.value)
     return DiffValue(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -311,11 +316,7 @@ def softplus(a) -> DiffValue:
     a = as_diff(a)
     x = a.value
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    def vjp(g):
-        s = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return (g * s,)
-    return DiffValue(out, (a,), vjp)
+    return DiffValue(out, (a,), lambda g: (g * _logistic(x),))
 
 
 # ---------------------------------------------------------------------------

@@ -180,19 +180,20 @@ class DistanceMatrix:
     """All-pairs path distances with an explicit +inf sentinel for unreachable pairs."""
 
     d: np.ndarray
-    reachable: np.ndarray
 
     def __post_init__(self) -> None:
         d = np.asarray(self.d, dtype=np.float64)
-        r = np.asarray(self.reachable, dtype=bool)
         d.setflags(write=False)
-        r.setflags(write=False)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "reachable", r)
 
     @property
     def num_nodes(self) -> int:
         return self.d.shape[0]
+
+    @property
+    def reachable(self) -> np.ndarray:
+        """Bool matrix of the pairs at a finite distance."""
+        return np.isfinite(self.d)
 
     @property
     def connected(self) -> bool:
@@ -387,12 +388,10 @@ def shortest_paths(g: WeightedGraph) -> DistanceMatrix:
 
     One dense Floyd-Warshall pass (``_path_metric_stack`` on a stack of one,
     filled from ``edge_index`` and ``edge_weight``): O(n^3) time and O(n^2)
-    memory, meant for small graphs.  Unreachable pairs get a +inf sentinel and
-    a cleared ``reachable`` flag.
+    memory, meant for small graphs.  Unreachable pairs get a +inf sentinel.
     """
     u, v = g.edge_index.T
-    d = _path_metric_stack(1, g.num_nodes, 0, u, v, g.edge_weight)[0]
-    return DistanceMatrix(d=d, reachable=np.isfinite(d))
+    return DistanceMatrix(_path_metric_stack(1, g.num_nodes, 0, u, v, g.edge_weight)[0])
 
 
 def _path_metric_stack(count: int, n: int, b, u, v, w) -> np.ndarray:

@@ -177,13 +177,13 @@ class Histogram:
 
 def four_point_tau(dm: DistanceMatrix, x: int, y: int, z: int, t: int) -> float:
     """Four-point defect of one ordered quadruple (repeats allowed)."""
-    ids = (x, y, z, t)
-    for a in ids:
-        for b in ids:
-            if not dm.reachable[a, b]:
-                raise CrossComponentError(
-                    f"nodes {a} and {b} lie in different components")
+    ids = [x, y, z, t]
     d = dm.d
+    apart = np.argwhere(~np.isfinite(d[np.ix_(ids, ids)]))
+    if apart.size:
+        i, j = apart[0]
+        raise CrossComponentError(
+            f"nodes {ids[i]} and {ids[j]} lie in different components")
     s1 = d[x, y] + d[z, t]
     s2 = d[x, z] + d[y, t]
     s3 = d[z, y] + d[x, t]
@@ -370,13 +370,9 @@ def delta_one_exact(dm: DistanceMatrix,
                     exact_limit: int = DEFAULT_EXACT_LIMIT) -> float:
     """Mean four-point defect over all n^4 ordered vertex quadruples.
 
-    Tuples with a repeated vertex have zero defect and each distinct
-    unordered quadruple accounts for 24 ordered tuples, 8 per pairing, of
-    which only the largest-sum pairing contributes.  The mean therefore
-    reduces to 8/n^4 times the sum of max(0, (S_p - max others) / 2) over
-    unordered disjoint pair-pairs, which is what is enumerated here.  There is
-    no tree certificate: a tree metric enumerates to zero, and
-    ``local_profile`` certifies its balls before calling this.
+    This is ``_delta_one_stack`` on a stack of one, so a metric the tree
+    certificate accepts gets exactly 0, float-weighted ones included, and
+    not round-off noise.
     """
     _require_connected(dm)
     n = dm.num_nodes
@@ -386,29 +382,43 @@ def delta_one_exact(dm: DistanceMatrix,
             "use delta_one_sampled instead")
     if n < 4:
         return 0.0
-    d = dm.d
-    iu, ju = _pair_indices(n)
-    pd = d[iu, ju]
-    num_pairs = pd.shape[0]
+    return float(_delta_one_stack(dm.d[None])[0])
 
-    total = 0.0
-    block = max(1, (1 << 21) // max(num_pairs, 1))
-    for start in range(0, num_pairs, block):
-        stop = min(start + block, num_pairs)
-        bi, bj, bd = iu[start:stop], ju[start:stop], pd[start:stop]
-        cross1 = d[np.ix_(bi, iu)].copy()
-        cross1 += d[bj, :][:, ju]
-        cross2 = d[np.ix_(bi, ju)]
-        cross2 = cross2 + d[bj, :][:, iu]
-        cand = bd[:, None] + pd[None, :] - np.maximum(cross1, cross2)
-        # Keep strictly-upper pair indices so each unordered pairing counts once;
-        # pairings sharing a vertex contribute nonpositive candidates anyway.
-        cols = np.arange(num_pairs)[None, :]
-        rows = np.arange(start, stop)[:, None]
-        np.clip(cand, 0.0, None, out=cand)
-        cand[cols <= rows] = 0.0
-        total += float(cand.sum())
-    return 4.0 * total / float(n) ** 4
+
+def _delta_one_stack(d: np.ndarray) -> np.ndarray:
+    """``delta_one_exact`` of each connected metric in a ``(B, n, n)`` stack, n >= 4.
+
+    An unordered quadruple stands for 24 ordered tuples, 8 per pairing, and
+    only the 8 of the largest pairing sum S1 have a positive defect,
+    (S1 - S2) / 2 against the second largest; tuples with a repeat have none.
+    So the mean is 4/n^4 times the sum of S1 - S2 over a < b < c < e.  Tree
+    metrics, certified by ``_tree_mask``, get 0.  The others loop over b,
+    taking all a < b at once against the pairs c < e above b, a suffix of
+    ``_pair_indices``.  Each metric's sum runs in C order over its own rows,
+    so it is the same whatever else is in the stack.
+    """
+    out = np.zeros(d.shape[0])
+    live = np.flatnonzero(~_tree_mask(d))
+    if not live.size:
+        return out
+    d = d[live]
+    n = d.shape[1]
+    iu, ju = _pair_indices(n)
+    total = np.zeros(live.size)
+    for b in range(1, n - 2):
+        start = int(np.searchsorted(iu, b + 1))  # the first pair above b
+        c, e = iu[start:], ju[start:]
+        ab_ce = np.add(d[:, :b, b, None], d[:, None, c, e], order="C")
+        ac_be = np.add(d[:, :b, c], d[:, None, b, e], order="C")
+        ae_bc = np.add(d[:, :b, e], d[:, None, b, c], order="C")
+        top = np.maximum(ab_ce, ac_be)
+        mid = np.minimum(ab_ce, ac_be, out=ab_ce)
+        np.maximum(mid, np.minimum(top, ae_bc, out=ac_be), out=mid)
+        np.maximum(top, ae_bc, out=top)
+        top -= mid
+        total += top.reshape(live.size, -1).sum(axis=1)
+    out[live] = 4.0 * total / float(n) ** 4
+    return out
 
 
 def delta_one_sampled(dm: DistanceMatrix,
@@ -471,11 +481,11 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
     whose subgraph has fewer than 4 vertices get value 0 (all quadruples
     degenerate).  The balls come from one array breadth-first search per
     block of centers (``_ball_stacks``) and are processed in stacks of equal
-    size: one Floyd-Warshall, one tree certificate and, in "inf" mode, one
-    pruned far-pair walk per stack, each giving every ball exactly the value
-    a call on that ball alone gives.  In "one" mode, each ball that is not a
-    tree metric goes to ``delta_one_exact``, or above ``exact_limit`` to the
-    sampled estimator with a seed derived from (seed, node).
+    size: one Floyd-Warshall, one tree certificate and one kernel per stack
+    (the pruned far-pair walk for "inf", the exact quadruple sum for "one"),
+    each giving every ball exactly the value a call on that ball alone
+    gives.  In "one" mode, non-tree balls above ``exact_limit`` nodes go one
+    by one to the sampled estimator, with a seed derived from (seed, node).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -485,15 +495,12 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
     for centers, d in _ball_stacks(g, k):
         if mode == "inf":
             values[centers] = _delta_inf_stack(d)
-            continue
-        n = d.shape[1]
-        for i in np.flatnonzero(~_tree_mask(d)):
-            dm = DistanceMatrix(d=d[i], reachable=np.ones((n, n), dtype=bool))
-            v = int(centers[i])  # an np.int64 would make the seed overflow its uint64 mask
-            if n <= exact_limit:
-                values[v] = delta_one_exact(dm, exact_limit)
-            else:
-                values[v], _ = delta_one_sampled(dm, num_samples,
+        elif d.shape[1] <= exact_limit:
+            values[centers] = _delta_one_stack(d)
+        else:
+            for i in np.flatnonzero(~_tree_mask(d)):
+                v = int(centers[i])  # an np.int64 would make the seed overflow its uint64 mask
+                values[v], _ = delta_one_sampled(DistanceMatrix(d[i]), num_samples,
                                                  seed=seed * 1_000_003 + v)
     values.setflags(write=False)
     return HyperbolicityProfile(per_node=_NodeValues(values), k=k, mode=mode)

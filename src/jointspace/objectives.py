@@ -103,13 +103,9 @@ def wasserstein_1d(a, b, p: float = 2.0):
 def _wasserstein_diff(a: DiffValue, b, p: float) -> DiffValue:
     if a.value.ndim != 1 or a.value.size == 0:
         raise ValueError("differentiable path expects a non-empty flat vector")
-    if isinstance(b, DiffValue):
-        b_sorted = ad.gather_rows(b, np.argsort(b.value, kind="stable"))
-    else:
-        b_arr = np.sort(np.asarray(b, dtype=np.float64))
-        if b_arr.size != a.value.size:
-            raise ValueError("training path requires equal sample counts")
-        b_sorted = ad.as_diff(b_arr)
+    b_sorted = np.sort(np.asarray(b, dtype=np.float64))
+    if b_sorted.size != a.value.size:
+        raise ValueError("training path requires equal sample counts")
     perm = np.argsort(a.value, kind="stable")
     a_sorted = ad.gather_rows(a, perm)
     mean_pow = ad.mean_(ad.pow_const(ad.abs_(ad.sub(a_sorted, b_sorted)), p))
@@ -176,9 +172,7 @@ def fermi_dirac_prob(d, p: FermiDiracParams):
     """Edge probability, strictly decreasing in distance, in (0, 1)."""
     if isinstance(d, DiffValue):
         return ad.sigmoid(ad.mul(ad.sub(p.r, d), 1.0 / p.t))
-    x = (np.asarray(d, dtype=np.float64) - p.r) / p.t
-    out = np.where(x >= 0.0, np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
-                   1.0 / (1.0 + np.exp(-np.abs(x))))
+    out = ad._logistic((p.r - np.asarray(d, dtype=np.float64)) / p.t)
     return float(out) if np.ndim(d) == 0 else out
 
 

@@ -276,15 +276,12 @@ def evaluate_lp(scores: np.ndarray, truth: np.ndarray) -> float:
     if num_pos == 0 or num_neg == 0:
         raise ValueError("AUC needs both positive and negative examples")
     order = np.argsort(scores, kind="mergesort")
+    s = scores[order]
+    # Runs of equal scores; != keeps equal infinities together and each NaN apart.
+    start = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    count = np.diff(np.append(start, s.size))
     ranks = np.empty(truth.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < truth.size:
-        j = i
-        while j + 1 < truth.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(start + (count - 1) / 2.0 + 1.0, count)
     pos_rank_sum = float(ranks[truth].sum())
     return (pos_rank_sum - num_pos * (num_pos + 1) / 2.0) / (num_pos * num_neg)
 

@@ -5,6 +5,7 @@ import pytest
 
 from jointspace.cli import main
 from jointspace.graphs import load_edge_list
+from jointspace.hyperbolicity import local_profile
 from jointspace.training import synthetic_nc_graph
 
 
@@ -44,18 +45,22 @@ class TestGenerateAnalyze:
         g = load_edge_list(out)
         assert g.num_nodes == 40 and g.num_edges == 55
 
-    def test_analyze_profile_and_histogram(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["inf", "one"])
+    def test_analyze_profile_and_histogram(self, tmp_path, mode):
         edges = tmp_path / "c.edges"
         main(["generate", "combined", "--out", str(edges)])
         prof_out = tmp_path / "p.json"
         hist_out = tmp_path / "h.csv"
         code = main(["analyze", "--graph", str(edges), "--k", "2",
-                     "--mode", "inf", "--out", str(prof_out),
+                     "--mode", mode, "--out", str(prof_out),
                      "--hist", str(hist_out)])
         assert code == 0
         prof = json.loads(prof_out.read_text())
-        assert prof["k"] == 2 and prof["mode"] == "inf"
+        assert prof["k"] == 2 and prof["mode"] == mode
         assert prof["delta"]["39"] == 0.0  # a tree leaf
+        if mode == "one":
+            expected = local_profile(load_edge_list(edges), 2, "one").values_by_node()
+            assert [prof["delta"][str(v)] for v in range(expected.size)] == expected.tolist()
         lines = hist_out.read_text().strip().splitlines()
         assert lines[0] == "bin_left,bin_right,count"
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointspace import hyperbolicity
-from jointspace.graphs import (WeightedGraph, generate_combined, generate_lattice,
-                               generate_tree, k_hop_subgraph, shortest_paths)
+from jointspace.graphs import (DistanceMatrix, WeightedGraph, generate_combined,
+                               generate_lattice, generate_tree, k_hop_subgraph,
+                               shortest_paths)
 from jointspace.hyperbolicity import (CrossComponentError, EmpiricalDistribution,
                                       ExactLimitExceeded, HyperbolicityProfile,
                                       delta_inf, delta_one_exact,
@@ -232,6 +233,80 @@ class TestDeltaOne:
         dm = shortest_paths(cycle_graph(4))
         with pytest.raises(ValueError):
             delta_one_sampled(dm, 50, seed=0)
+
+
+def float_star(rng: np.random.Generator, n: int) -> WeightedGraph:
+    """Star on n nodes, center 0, with float weights in [0.5, 2).
+
+    Its Gromov products at the center are exactly 0, so the tree certificate
+    accepts it although its distances carry rounding.
+    """
+    edges = tuple((0, i, float(rng.uniform(0.5, 2.0))) for i in range(1, n))
+    return WeightedGraph(num_nodes=n, edges=edges)
+
+
+class TestDeltaOneStack:
+    @pytest.mark.parametrize("weights", ["half", "float"])
+    def test_matches_ordered_bruteforce(self, weights):
+        rng = np.random.default_rng(43)
+        make = random_halfint_graph if weights == "half" else random_connected_graph
+        for trial in range(10):
+            dm = shortest_paths(make(rng, int(rng.integers(4, 13))))
+            mine = hyperbolicity._delta_one_stack(dm.d[None])[0]
+            brute = ordered_mean_tau(dm)
+            if weights == "half":
+                # Half-integer sums are exact, so any summation order agrees.
+                assert mine == brute
+            else:
+                assert mine == pytest.approx(brute, rel=1e-12, abs=0.0)
+            assert delta_one_exact(dm) == mine
+
+    def test_mixed_stack_equals_stacks_of_one(self):
+        rng = np.random.default_rng(47)
+        n = 9
+        graphs = [random_connected_graph(rng, n), float_star(rng, n),
+                  random_halfint_graph(rng, n), random_tree(rng, n),
+                  random_connected_graph(rng, n, p=0.2), float_star(rng, n)]
+        d = np.stack([shortest_paths(g).d for g in graphs])
+        stacked = hyperbolicity._delta_one_stack(d)
+        for i, g in enumerate(graphs):
+            alone = hyperbolicity._delta_one_stack(d[i:i + 1])[0]
+            assert stacked[i] == alone == delta_one_exact(shortest_paths(g)), i
+        assert stacked[[1, 3, 5]].tolist() == [0.0, 0.0, 0.0]
+        assert (stacked[[0, 2, 4]] > 0.0).all()
+
+    def test_certified_float_weighted_tree_exactly_zero(self):
+        rng = np.random.default_rng(53)
+        for n in (4, 12, 30):
+            dm = shortest_paths(float_star(rng, n))
+            assert is_tree_metric(dm) and delta_one_exact(dm) == 0.0
+
+    def test_distance_matrix_of_disconnected_graph_rejected(self):
+        g = WeightedGraph(6, ((0, 1, 1.0), (1, 2, 1.5), (3, 4, 1.0), (4, 5, 2.0)))
+        dm = DistanceMatrix(shortest_paths(g).d)
+        with pytest.raises(CrossComponentError, match="nodes 0 and 3 lie"):
+            four_point_tau(dm, 0, 1, 3, 2)
+        with pytest.raises(CrossComponentError):
+            delta_one_exact(dm)
+        with pytest.raises(CrossComponentError):
+            delta_one_sampled(dm, 100)
+
+    def test_reachable_is_isfinite(self):
+        g = WeightedGraph(5, ((0, 1, 1.0), (1, 2, 0.5), (3, 4, 2.0)))
+        dm = shortest_paths(g)
+        assert np.array_equal(dm.reachable, np.isfinite(dm.d))
+        assert not dm.connected and dm.diameter == 2.0
+
+    def test_profile_builds_no_distance_matrix_for_exact_balls(self, monkeypatch):
+        g = generate_lattice(5, 5)
+        expected = local_profile(g, 2, "one", exact_limit=13)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-ball call")
+
+        for name in ("DistanceMatrix", "delta_one_exact", "delta_one_sampled"):
+            monkeypatch.setattr(hyperbolicity, name, refuse)
+        assert local_profile(g, 2, "one", exact_limit=13) == expected
 
 
 class TestLocalProfile:

@@ -94,6 +94,10 @@ class TestMetrics:
         assert evaluate_lp(np.array([0.9, 0.2, 0.6]), np.array([1, 0, 1])) == 1.0
         assert evaluate_lp(np.array([0.5, 0.5, 0.5, 0.5]),
                            np.array([1, 0, 1, 0])) == 0.5
+        # Equal infinities tie: the positives get ranks 1.5 and 5.5, not the
+        # 1 and 5 of their places in a stable sort.
+        assert evaluate_lp(np.array([-np.inf, -np.inf, 0.0, np.inf, np.inf, 1.0]),
+                           np.array([1, 0, 0, 1, 0, 0])) == 0.5
 
     def test_auc_hand_case(self):
         scores = np.array([0.9, 0.8, 0.3, 0.2])
