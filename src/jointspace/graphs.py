@@ -177,12 +177,15 @@ class WeightedGraph:
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """All-pairs path distances with an explicit +inf sentinel for unreachable pairs."""
+    """All-pairs path distances with an explicit +inf sentinel for unreachable pairs.
+
+    ``d`` is kept as a read-only view, so the caller's own array stays writable.
+    """
 
     d: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.d, dtype=np.float64)
+        d = np.asarray(self.d, dtype=np.float64).view()
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
 
@@ -353,8 +356,9 @@ def _read_csv_by_id(path: str | Path, convert,
     """Map each data row's integer id to its converted values.
 
     Rows must have ``width`` fields (default: the header's, at least 2).  A
-    short or long row, a value ``convert`` rejects and a repeated id raise
-    ``EdgeListParseError`` naming the file and line.
+    short or long row, a value ``convert`` rejects, a non-finite value (``nan``
+    or ``inf``) and a repeated id raise ``EdgeListParseError`` naming the file
+    and line.
     """
     path = Path(path)
     with path.open() as fh:
@@ -373,6 +377,9 @@ def _read_csv_by_id(path: str | Path, convert,
             i, vals = int(fields[0]), [convert(x) for x in fields[1:]]
         except ValueError as exc:
             raise EdgeListParseError(f"{where}: {exc}") from exc
+        bad = next((x for x in vals if not math.isfinite(x)), None)
+        if bad is not None:
+            raise EdgeListParseError(f"{where}: non-finite value {bad}")
         if i in by_id:
             raise EdgeListParseError(f"{where}: repeated node id {i}")
         by_id[i] = vals

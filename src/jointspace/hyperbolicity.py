@@ -257,8 +257,9 @@ def delta_inf(dm: DistanceMatrix) -> float:
     Computed as max(0, (S1 - S2) / 2) over unordered quadruples, where
     S1 >= S2 >= S3 are the three pairwise-sum pairings; this equals the
     supremum of tau over ordered tuples (tuples with repeats never exceed it).
-    Tree metrics are certified first; the others run the far-pair walk of
-    ``_delta_inf_stack``, here on a stack of one.
+    This is ``_delta_inf_stack`` on a stack of one: a tree certificate, then
+    a walk over pairs of pairs, farthest first, in which every candidate
+    evaluated is a lower bound and a pruning lemma bounds the others.
     """
     _require_connected(dm)
     if dm.num_nodes < 4:
@@ -269,63 +270,48 @@ def delta_inf(dm: DistanceMatrix) -> float:
 def _delta_inf_stack(d: np.ndarray) -> np.ndarray:
     """``delta_inf`` of each connected metric in a ``(B, n, n)`` stack, n >= 4.
 
-    Pairs are sorted by distance, farthest first, and row a pairs the a-th
-    farthest pair with each later pair ranked below ``cut``, the number of
-    pairs farther apart than 2 * best: since tau <= min(d(p1), d(p2)) / 2, no
-    other pair-pair can beat the best defect found so far (Cohen, Coudert and
-    Lancin, ACM JEA 2015).  A metric leaves the walk once ``cut <= a + 1`` or
-    once best reaches half its diameter, which bounds every defect.
-
-    All metrics walk at once, in blocks of rows: a block evaluates rows
-    a..a+R-1 of every live metric against that metric's current cut.  Rows
-    before the first one that raises best change nothing, exactly as in a
-    walk of one row at a time; the metric resumes after that row with its new
-    cut and the rest of the block is discarded.  Each metric therefore gets
-    the value the sequential walk gives it, bit for bit.  R starts at 1 and
-    doubles after each block in which no metric raised its best, within
-    ``_STACK_ELEMENTS`` candidates, so rows are rarely discarded.
+    Pairs are sorted by distance, farthest first.  Any pair-pair (a, c) gives
+    d(a) + d(c) less the larger other pairing sum of its quadruple: twice the
+    quadruple's defect if its own sum is the largest, else <= 0, so every
+    evaluated candidate is a lower bound.  The rest are bounded by tau <=
+    min(d(p1), d(p2)) / 2 (Cohen, Coudert and Lancin, ACM JEA 2015): only
+    columns c below ``cut``, the number of pairs farther apart than 2 * best,
+    can beat best.  Tree metrics, certified by ``_tree_mask``, get 0.  The
+    others walk in lockstep: each block evaluates rows a..a+R-1 of every live
+    metric against columns a+1 .. max(cut)-1, R filling ``_STACK_ELEMENTS``
+    candidates.  A metric stops once ``cut <= a + 1`` or best reaches half
+    its diameter, which bounds every defect, so it gets its exact maximum
+    whatever else is in the stack.
     """
     out = np.zeros(d.shape[0])
     walking = np.flatnonzero(~_tree_mask(d))
     if not walking.size:
         return out
-    if walking.size < d.shape[0]:
-        d = d[walking]
+    d = d[walking] if walking.size < d.shape[0] else d
     n = d.shape[1]
     flat = d.reshape(-1)
     iu, ju = _pair_indices(n)
     pd = d[:, iu, ju]
-    num_pairs = pd.shape[1]
     order = np.argsort(-pd, axis=1, kind="stable")
-    pd = pd.ravel()[order + np.arange(0, pd.size, num_pairs)[:, None]].reshape(pd.shape)
+    pd = pd.ravel()[order + np.arange(0, pd.size, iu.size)[:, None]].reshape(pd.shape)
     xs, ys = iu[order], ju[order]  # endpoints of each metric's sorted pairs
-
-    # One entry or row per metric still walking; rows leave these arrays
-    # together once their metric is done.
-    base = np.arange(0, flat.size, n * n)  # offset of the metric in flat
-    a = np.zeros(walking.size, dtype=np.intp)  # next row of the walk
+    base = np.arange(0, flat.size, n * n)[:, None, None]  # offset of the metric in flat
     cut = (pd > 0.0).sum(axis=1)
-    best = np.zeros(walking.size)
-    cap = pd[:, 0] / 2.0
-    rows = 1
+    best, cap = np.zeros(walking.size), pd[:, 0] / 2.0
+    a = 0  # first row of the next block, the same for every metric
     while True:
         keep = (cut > a + 1) & (best < cap)
         if not keep.all():
             out[walking[~keep]] = best[~keep]
             if not keep.any():
                 return out
-            walking, base, xs, ys, pd, a, cut, best, cap = (
-                v[keep] for v in (walking, base, xs, ys, pd, a, cut, best, cap))
-        # Columns lo..hi-1 cover every metric's a+1 .. cut-1.
-        lo, hi = int(a.min()) + 1, int(cut.max())
-        width = hi - lo
-        rows = max(1, min(rows, width, _STACK_ELEMENTS // (a.size * width)))
-        ri = np.minimum(a[:, None] + np.arange(rows), num_pairs - 1)
-        ri += np.arange(0, pd.size, num_pairs)[:, None]
-        # Offsets in flat of the rows d[x, :] and d[y, :] of each row pair.
-        x = (xs.ravel()[ri] * n + base[:, None])[:, :, None]
-        y = (ys.ravel()[ri] * n + base[:, None])[:, :, None]
-        bi, bj = xs[:, None, lo:hi], ys[:, None, lo:hi]
+            walking, base, xs, ys, pd, cut, best, cap = (
+                v[keep] for v in (walking, base, xs, ys, pd, cut, best, cap))
+        hi = int(cut.max())
+        rows = max(1, min(hi - a - 1, _STACK_ELEMENTS // (walking.size * (hi - a - 1))))
+        r, c = slice(a, a + rows), slice(a + 1, hi)
+        x, y = xs[:, r, None] * n + base, ys[:, r, None] * n + base  # rows d[x], d[y]
+        bi, bj = xs[:, None, c], ys[:, None, c]
         idx = x + bi
         s1 = flat[idx]
         np.add(y, bj, out=idx)
@@ -334,32 +320,13 @@ def _delta_inf_stack(d: np.ndarray) -> np.ndarray:
         s2 = flat[idx]
         np.add(y, bi, out=idx)
         s2 += flat[idx]
-        del idx
         np.maximum(s1, s2, out=s1)
-        np.add(pd.ravel()[ri][:, :, None], pd[:, None, lo:hi], out=s2)
-        cand = np.subtract(s2, s1, out=s1)
-        del s2
-        # Column c of row a+r counts only after the row and before the cut;
-        # with one row and equal windows every column does.
-        if rows > 1 or a.max() >= lo or cut.min() < hi:
-            c = np.arange(lo, hi)
-            np.copyto(cand, -np.inf, where=(c <= a[:, None, None] + np.arange(rows)[:, None])
-                      | (c >= cut[:, None, None]))
-        m = cand.max(axis=2) / 2.0
-        del cand
-        rise = m > best[:, None]
-        hit = rise.any(axis=1)
-        if not hit.any():
-            a += rows
-            rows *= 2
-            continue
-        first = rise.argmax(axis=1)
-        a += np.where(hit, first + 1, rows)
-        best = np.where(hit, m[np.arange(a.size), first], best)
-        h = np.flatnonzero(hit & (best < cap))
-        if h.size:
-            cut[h] = (pd[h] > 2.0 * best[h, None]).sum(axis=1)
-        rows = 1
+        np.add(pd[:, r, None], pd[:, None, c], out=s2)
+        m = np.subtract(s2, s1, out=s1).reshape(walking.size, -1).max(axis=1) / 2.0
+        rose = np.flatnonzero((m > best) & (m < cap))  # cut only matters below cap
+        np.maximum(best, m, out=best)
+        cut[rose] = (pd[rose] > 2.0 * best[rose, None]).sum(axis=1)
+        a += rows
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,10 @@ class TestTraining:
         ("features", lambda f: f[:2], "f.csv:5: expected 9 fields, got 2"),
         ("features", lambda f: [f[0], "abc"] + f[2:],
          "f.csv:5: could not convert string to float: 'abc'"),
-    ], ids=["repeated-label", "short-label", "short-feature", "non-float-feature"])
+        ("features", lambda f: [f[0], "nan"] + f[2:], "f.csv:5: non-finite value nan"),
+        ("features", lambda f: f[:-1] + ["inf"], "f.csv:5: non-finite value inf"),
+    ], ids=["repeated-label", "short-label", "short-feature", "non-float-feature",
+            "nan-feature", "inf-feature"])
     def test_train_nc_bad_csv_row_exit_2(self, combined_files, capsys, which, edit,
                                          fault):
         edges, feats, labels = combined_files

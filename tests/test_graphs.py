@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from jointspace.graphs import (EdgeListParseError, EdgeSplitSpec,
+from jointspace.graphs import (DistanceMatrix, EdgeListParseError, EdgeSplitSpec,
                                GraphValidationError, SplitError, SplitSpec,
                                WeightedGraph, _k_hop_balls, generate_combined,
                                generate_lattice, generate_tree, graph_hash,
@@ -148,8 +148,12 @@ class TestEdgeList:
          r"data.csv:3: expected 3 fields, got 2 in '1,0.5'"),
         (load_features_csv, "node_id,f0,f1\nzero,1.0,2.0\n",
          r"data.csv:2: invalid literal for int\(\) with base 10: 'zero'"),
+        (load_features_csv, "node_id,f0,f1\n0,1.0,2.0\n1,NaN,0.5\n",
+         r"data.csv:3: non-finite value nan"),
+        (load_features_csv, "node_id,f0,f1\n0,1.0,-inf\n1,0.5,0.5\n",
+         r"data.csv:2: non-finite value -inf"),
     ], ids=["short-label", "non-int-label", "non-float-feature", "short-feature",
-            "non-int-id"])
+            "non-int-id", "nan-feature", "inf-feature"])
     def test_csv_bad_row_names_file_line_and_fault(self, tmp_path, loader, text,
                                                    fault):
         path = tmp_path / "data.csv"
@@ -189,6 +193,11 @@ class TestShortestPaths:
             lhs = d[:, None, :]
             rhs = d[:, :, None] + d[None, :, :]
             assert (lhs <= rhs + 1e-12).all()
+
+    def test_distance_matrix_leaves_caller_array_writable(self):
+        a = np.zeros((3, 3))
+        dm = DistanceMatrix(a)
+        assert a.flags.writeable and not dm.d.flags.writeable
 
     def test_zero_diagonal(self):
         dm = shortest_paths(cycle_graph(5))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from jointspace import hyperbolicity
 from jointspace.graphs import (DistanceMatrix, WeightedGraph, generate_combined,
                                generate_lattice, generate_tree, k_hop_subgraph,
-                               shortest_paths)
+                               reference_combined_graph, shortest_paths)
 from jointspace.hyperbolicity import (CrossComponentError, EmpiricalDistribution,
                                       ExactLimitExceeded, HyperbolicityProfile,
                                       delta_inf, delta_one_exact,
@@ -148,6 +150,52 @@ class TestDeltaInf:
                 (u, v, w + float(rng.uniform(-eps, eps))) for u, v, w in g.edges)
             perturbed = delta_inf(shortest_paths(WeightedGraph(n, jitter)))
             assert abs(perturbed - base) <= 8.0 * eps
+
+
+def float_lattice_tree() -> WeightedGraph:
+    """A 20x20 lattice with seeded U(0.5, 2) weights, glued to tree(3, 5)."""
+    rng = np.random.default_rng(12)
+    lattice = generate_lattice(20, 20)
+    drawn = rng.uniform(0.5, 2.0, lattice.num_edges)
+    lattice = WeightedGraph(lattice.num_nodes, tuple(
+        (u, v, float(w)) for (u, v, _), w in zip(lattice.edges, drawn)))
+    return generate_combined(lattice, generate_tree(3, 5), (210, 0))
+
+
+class TestDeltaInfStack:
+    @pytest.mark.parametrize("graph,k,digest", [
+        ("lattice_tree", 2, "a69f8c1fd75b6e3bbb2c0cf4e6460a69211edba668b9046009dd66e61b38a9b8"),
+        ("lattice_tree", 3, "0d8b698299c8790855c851fd9abb2eea05f7be1d9847d9e6e63cf17671798504"),
+        ("reference", 1, "7b6436b0c98f62380866d9432c2af0ee08ce16a171bda6951aecd95ee1307d61"),
+        ("reference", 2, "4b69c0328f183e89c64fd17dc787823ce00a54ada2b94829efd200470328efa4"),
+        ("reference", 3, "659b767214edd8b1b7d67a212be7256c27603cc84c24e9150859ec28bf51b21f"),
+        ("reference", 4, "d1152d12fb3667b6b97a9a109adbdb072a4f8df01185d2eea04f4568ccc9b2e0"),
+    ])
+    def test_profile_bytes_pinned(self, graph, k, digest):
+        # Worst-case profiles are maxima of elementwise float sums, with no
+        # BLAS, so their bytes are the same on every platform; these digests
+        # pin them through any rewrite of the kernel.
+        g = float_lattice_tree() if graph == "lattice_tree" else reference_combined_graph()
+        values = local_profile(g, k, "inf").values_by_node()
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [9, 11, 14])
+    def test_stack_matches_naive_and_stacks_of_one(self, n):
+        # Metrics of different shapes and weights leave the walk at different
+        # rows, so the stack shrinks while the others keep walking.
+        rng = np.random.default_rng(59 + n)
+        graphs = []
+        for i in range(40):
+            p = float(rng.uniform(0.15, 0.6))
+            graphs.append(random_halfint_graph(rng, n, p) if i % 2
+                          else random_connected_graph(rng, n, p))
+        graphs += [cycle_graph(n), random_tree(rng, n)]
+        d = np.stack([shortest_paths(g).d for g in graphs])
+        stacked = hyperbolicity._delta_inf_stack(d)
+        assert len(set(stacked.tolist())) > 20
+        for i in range(d.shape[0]):
+            alone = hyperbolicity._delta_inf_stack(d[i:i + 1])[0]
+            assert stacked[i] == alone == naive_delta_inf(DistanceMatrix(d[i])), i
 
 
 class TestTreeMetricCertificate:
