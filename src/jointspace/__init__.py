@@ -18,7 +18,6 @@ from .graphs import (
     split_nodes,
 )
 from .hyperbolicity import (
-    EmpiricalDistribution,
     HyperbolicityProfile,
     delta_inf,
     delta_one_exact,
@@ -26,7 +25,6 @@ from .hyperbolicity import (
     four_point_tau,
     histogram,
     local_profile,
-    to_distribution,
 )
 from .layers import JointSpaceGNN
 from .objectives import (

@@ -6,10 +6,15 @@ primitive computes its forward value eagerly and registers an analytic VJP.
 ``backward`` runs one reverse topological sweep from a scalar loss and
 populates ``grad`` on every reachable node exactly once.
 
-The engine is deliberately small: the set of primitives below is exactly what
-the attention layers and loss terms need.  Both attention branches end in one
-``attend`` node (softmax attention and its aggregation), and the ball
-operations are their own fused nodes in ``poincare``.
+The engine is deliberately small: its primitives are plain functions (a
+``DiffValue`` has no operator overloads), exactly what the attention layers
+and loss terms need.  Arithmetic and shape: ``add``, ``sub``, ``neg``,
+``mul``, ``matmul``, ``transpose``, ``concat``, ``reshape``.  Indexing:
+``gather_rows``, and ``attend``, the one node in which both attention
+branches end.  Elementwise: ``tanh``, ``exp``, ``log``, ``abs_``,
+``pow_const``, ``sigmoid``, ``softplus``.  Reductions: ``sum_``, ``mean_``,
+``vector_norm``.  The ball operations are their own fused nodes in
+``poincare``.
 """
 
 from __future__ import annotations
@@ -24,13 +29,15 @@ __all__ = [
     "as_diff",
     "backward",
     "finite_diff_check",
-    "add", "sub", "mul", "div", "neg", "matmul", "transpose",
+    "add", "sub", "mul", "neg", "matmul", "transpose",
     "concat", "reshape", "RowIndex", "as_row_index", "gather_rows", "attend",
     "tanh", "exp", "log", "abs_", "pow_const", "sigmoid", "softplus",
     "sum_", "mean_", "vector_norm",
 ]
 
 Array = np.ndarray
+
+LEAKY_SLOPE = 0.2     # negative slope of the attention logits' leaky ReLU
 
 
 class DiffValue:
@@ -50,17 +57,6 @@ class DiffValue:
 
     def __repr__(self) -> str:
         return f"DiffValue(shape={self.value.shape}, leaf={self._vjp is None})"
-
-    def __add__(self, other): return add(self, other)
-    def __radd__(self, other): return add(other, self)
-    def __sub__(self, other): return sub(self, other)
-    def __rsub__(self, other): return sub(other, self)
-    def __mul__(self, other): return mul(self, other)
-    def __rmul__(self, other): return mul(other, self)
-    def __truediv__(self, other): return div(self, other)
-    def __rtruediv__(self, other): return div(other, self)
-    def __neg__(self): return neg(self)
-    def __matmul__(self, other): return matmul(self, other)
 
 
 def as_diff(x) -> DiffValue:
@@ -108,15 +104,6 @@ def mul(a, b) -> DiffValue:
     def vjp(g):
         return (_unbroadcast(g * b.value, a.value.shape),
                 _unbroadcast(g * a.value, b.value.shape))
-    return DiffValue(out, (a, b), vjp)
-
-
-def div(a, b) -> DiffValue:
-    a, b = as_diff(a), as_diff(b)
-    out = a.value / b.value
-    def vjp(g):
-        return (_unbroadcast(g / b.value, a.value.shape),
-                _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
     return DiffValue(out, (a, b), vjp)
 
 
@@ -224,11 +211,11 @@ def gather_rows(a, idx) -> DiffValue:
                      lambda g: (_scatter_rows(g, idx, a.value.shape[0]),))
 
 
-def attend(e, values, src, dst, num_segments: int, slope: float,
+def attend(e, values, src, dst, num_segments: int,
            mask: Array | None = None) -> DiffValue:
     """Graph-attention aggregation of ``values`` along edges ``src -> dst``.
 
-    ``alpha = softmax(leaky_relu(e, slope))`` within each destination's edges,
+    ``alpha = softmax(leaky_relu(e, LEAKY_SLOPE))`` within each destination's edges,
     times ``mask`` when given (dropout), weights the rows ``values[src]``;
     their sums per destination pass through ELU.  One node, parents
     ``(e, values)``, with a closed-form VJP.  ``src`` and ``dst`` are index
@@ -239,7 +226,7 @@ def attend(e, values, src, dst, num_segments: int, slope: float,
     src, dst = as_row_index(src), as_row_index(dst)
     at_dst = dst.idx
     x, hs = e.value, np.take(values.value, src.idx, axis=0)
-    s = np.where(x > 0.0, x, slope * x)
+    s = np.where(x > 0.0, x, LEAKY_SLOPE * x)
     mx = np.full(num_segments, -np.inf)
     np.maximum.at(mx, at_dst, s)
     ex = np.exp(s - mx[at_dst])
@@ -255,7 +242,7 @@ def attend(e, values, src, dst, num_segments: int, slope: float,
         if mask is not None:
             g_alpha = g_alpha * mask
         dot = _scatter_rows(g_alpha * alpha, dst, num_segments)
-        g_e = alpha * (g_alpha - dot[at_dst]) * np.where(x > 0.0, 1.0, slope)
+        g_e = alpha * (g_alpha - dot[at_dst]) * np.where(x > 0.0, 1.0, LEAKY_SLOPE)
         return g_e, g_values
     return DiffValue(out, (e, values), vjp)
 

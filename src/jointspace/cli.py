@@ -8,13 +8,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .graphs import (generate_combined, generate_lattice, generate_tree,
                      load_edge_list, load_features_csv, load_labels_csv,
                      save_edge_list)
-from .hyperbolicity import histogram, local_profile, profile_to_json, to_distribution
+from .hyperbolicity import histogram, local_profile, profile_to_json
 from .layers import save_params_json
 from .objectives import normalize_delta
 from .training import (RunReport, TrainConfig, TrainingDiverged,
@@ -68,10 +68,6 @@ def _config_from_args(args, task: str) -> TrainConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _report_dict(report: RunReport) -> dict:
-    return json.loads(report.to_json())
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -81,7 +77,7 @@ def _cmd_analyze(args) -> int:
     profile = local_profile(g, args.k, args.mode)
     _emit(profile_to_json(profile), args.out)
     if args.hist:
-        histogram(to_distribution(profile), args.bin_width).to_csv(args.hist)
+        histogram(profile.values_by_node(), args.bin_width).to_csv(args.hist)
     return 0
 
 
@@ -108,7 +104,7 @@ def _train_common(args, task: str) -> int:
         Path(args.checkpoint).write_text(save_params_json(model.state_dict()))
     else:
         report = result
-    _emit(_report_dict(report), args.out)
+    _emit(asdict(report), args.out)
     return 0
 
 

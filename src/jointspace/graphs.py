@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -209,26 +209,51 @@ class DistanceMatrix:
         return float(finite.max()) if finite.size else 0.0
 
 
+def _tuples(x):
+    """``x`` with every list in it, at any depth, turned into a tuple."""
+    if isinstance(x, list):
+        return tuple(_tuples(v) for v in x)
+    if isinstance(x, dict):
+        return {k: _tuples(v) for k, v in x.items()}
+    return x
+
+
+class _JsonRecord:
+    """JSON codec of a dataclass: ``to_json`` writes ``asdict``, ``from_json`` reads it.
+
+    ``from_json`` turns JSON arrays back into tuples, at any depth.  A
+    non-object, unknown keys and missing required keys raise ``ValueError``
+    naming the keys and the record, which each subclass names in ``_json_name``.
+    """
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self))
+
+    @classmethod
+    def from_json(cls, text: str):
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{cls._json_name} JSON must be an object")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {cls._json_name} keys: {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.name not in obj
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"missing {cls._json_name} keys: {', '.join(missing)}")
+        return cls(**_tuples(obj))
+
+
 @dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(_JsonRecord):
     """Disjoint train/val/test index sets over nodes or edges."""
+
+    _json_name = "split"
 
     train: tuple[int, ...]
     val: tuple[int, ...]
     test: tuple[int, ...]
     seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"train": list(self.train), "val": list(self.val),
-             "test": list(self.test), "seed": self.seed}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SplitSpec":
-        obj = json.loads(text)
-        return cls(tuple(obj["train"]), tuple(obj["val"]), tuple(obj["test"]),
-                   int(obj["seed"]))
 
 
 @dataclass(frozen=True)
@@ -237,24 +262,6 @@ class EdgeSplitSpec(SplitSpec):
 
     val_neg: tuple[tuple[int, int], ...] = ()
     test_neg: tuple[tuple[int, int], ...] = ()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"train": list(self.train), "val": list(self.val),
-             "test": list(self.test), "seed": self.seed,
-             "val_neg": [list(p) for p in self.val_neg],
-             "test_neg": [list(p) for p in self.test_neg]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EdgeSplitSpec":
-        obj = json.loads(text)
-        return cls(
-            tuple(obj["train"]), tuple(obj["val"]), tuple(obj["test"]),
-            int(obj["seed"]),
-            tuple((int(u), int(v)) for u, v in obj.get("val_neg", [])),
-            tuple((int(u), int(v)) for u, v in obj.get("test_neg", [])),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "CrossComponentError",
     "ExactLimitExceeded",
     "HyperbolicityProfile",
-    "EmpiricalDistribution",
     "Histogram",
     "four_point_tau",
     "is_tree_metric",
@@ -43,7 +42,6 @@ __all__ = [
     "delta_one_exact",
     "delta_one_sampled",
     "local_profile",
-    "to_distribution",
     "histogram",
     "profile_to_json",
     "profile_from_json",
@@ -143,18 +141,6 @@ class HyperbolicityProfile:
     def values_by_node(self) -> np.ndarray:
         """Read-only values ordered by node id (the profile's own array)."""
         return self.per_node.array
-
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Sorted sample list representing an empirical distribution."""
-
-    samples: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.samples:
-            raise ValueError("empirical distribution needs at least one sample")
-        object.__setattr__(self, "samples", tuple(sorted(float(s) for s in self.samples)))
 
 
 @dataclass(frozen=True)
@@ -395,7 +381,7 @@ def delta_one_sampled(dm: DistanceMatrix,
 
     Returns (estimate, standard error).  Samples are drawn in fixed-size
     chunks from counter-based Philox streams keyed by (seed, chunk index), so
-    the result is independent of how chunks are scheduled across workers.
+    the result depends only on ``seed`` and ``num_samples``.
     One generator serves every chunk: setting its state to the chunk's key
     and a zero counter starts the stream ``Philox(key=...)`` would, without
     the OS entropy each construction draws and the key then overrides.
@@ -519,22 +505,17 @@ def _stack(n: int, centers, per_ball, u, v, w) -> tuple[np.ndarray, np.ndarray]:
     return centers, _path_metric_stack(centers.size, n, ball, u, v, w)
 
 
-def to_distribution(profile: HyperbolicityProfile) -> EmpiricalDistribution:
-    """Empirical distribution (sorted samples) of a profile's values."""
-    if not profile.per_node:
-        raise ValueError("profile is empty")
-    return EmpiricalDistribution(samples=tuple(profile.values_by_node().tolist()))
+def histogram(values, bin_width: float = 0.5) -> Histogram:
+    """Counts of nonnegative ``values``, in any order, in half-open bins from 0.
 
-
-def histogram(dist: EmpiricalDistribution, bin_width: float = 0.5) -> Histogram:
-    """Histogram with half-open bins anchored at 0.
-
-    The default width 0.5 suits integer-weighted graphs, where defects are
-    multiples of 1/2.
+    ``values`` is typically ``profile.values_by_node()``.  The default width
+    0.5 suits integer-weighted graphs, where defects are multiples of 1/2.
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    samples = np.asarray(dist.samples)
+    samples = np.asarray(values, dtype=np.float64)
+    if samples.size == 0:
+        raise ValueError("histogram needs at least one value")
     nbins = int(samples.max() // bin_width) + 1
     idx = np.minimum((samples // bin_width).astype(int), nbins - 1)
     counts = np.bincount(idx, minlength=nbins)

@@ -31,7 +31,6 @@ __all__ = [
     "LayerParams",
     "LayerOutput",
     "init_layer_params",
-    "attention_edges",
     "gat_forward",
     "hgat_forward",
     "fusion_forward",
@@ -40,9 +39,6 @@ __all__ = [
     "save_params_json",
     "load_params_json",
 ]
-
-LEAKY_SLOPE = 0.2     # negative slope of the attention logits' leaky ReLU
-
 
 # ---------------------------------------------------------------------------
 # Parameter containers and initialization
@@ -119,17 +115,6 @@ def init_layer_params(rng: np.random.Generator, in_dim: int, out_dim: int,
 # Forward passes
 # ---------------------------------------------------------------------------
 
-def attention_edges(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Directed (source, destination) arrays for attention aggregation.
-
-    Fresh, writable copies of the graph's cached ``attention_index``: each
-    undirected edge contributes both directions, and every node gets a self
-    loop so no neighborhood is empty.
-    """
-    src, dst = g.attention_index
-    return src.idx.copy(), dst.idx.copy()
-
-
 def _attention_logits(h, a, src, dst) -> DiffValue:
     """Per-edge a^T [h_dst || h_src] as a flat vector, from per-node scores.
 
@@ -170,7 +155,7 @@ def gat_forward(features, g: WeightedGraph, p: GATParams, *,
     h = ad.matmul(ad.as_diff(features), ad.transpose(p.W))
     mask = _dropout_mask(src.idx.shape, dropout, rng, training)
     return ad.attend(_attention_logits(h, p.a, src, dst), h, src, dst,
-                     g.num_nodes, LEAKY_SLOPE, mask)
+                     g.num_nodes, mask)
 
 
 def hgat_forward(x_ball, g: WeightedGraph, p: HGATParams, *,
@@ -198,7 +183,7 @@ def hgat_forward(x_ball, g: WeightedGraph, p: HGATParams, *,
     dist = pc.d_edge_distance(x, src, dst, c)
     mask = _dropout_mask(src.idx.shape, dropout, rng, training)
     tangent = ad.attend(ad.mul(logits, dist), pc.d_log_origin(m, c), src, dst,
-                        g.num_nodes, LEAKY_SLOPE, mask)
+                        g.num_nodes, mask)
     ball_out = pc.d_exp_origin(tangent, c)
     return tangent, ball_out
 

@@ -170,8 +170,6 @@ def cross_entropy_nc(logits, labels, mask) -> DiffValue:
 
 def fermi_dirac_prob(d, p: FermiDiracParams):
     """Edge probability, strictly decreasing in distance, in (0, 1)."""
-    if isinstance(d, DiffValue):
-        return ad.sigmoid(ad.mul(ad.sub(p.r, d), 1.0 / p.t))
     out = ad._logistic((p.r - np.asarray(d, dtype=np.float64)) / p.t)
     return float(out) if np.ndim(d) == 0 else out
 

@@ -9,19 +9,18 @@ learned-hyperbolicity diagnostics.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import (EdgeSplitSpec, SplitSpec, WeightedGraph, graph_hash,
-                     sample_non_edges, split_edges, split_nodes)
+from .graphs import (EdgeSplitSpec, SplitSpec, WeightedGraph, _JsonRecord,
+                     graph_hash, sample_non_edges, split_edges, split_nodes)
 from .hyperbolicity import (HyperbolicityProfile, local_profile,
                             profile_from_json, profile_to_json)
 from .layers import JointSpaceGNN
@@ -54,9 +53,16 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss becomes non-finite."""
 
 
+def _is_number(x, kinds=(int, float)) -> bool:
+    """Whether ``x`` is an instance of ``kinds`` other than a bool."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(_JsonRecord):
     """Everything one training run depends on; JSON round-trippable."""
+
+    _json_name = "config"
 
     task: str = "nc"                      # "nc" or "lp"
     layers: int = 2
@@ -84,6 +90,22 @@ class TrainConfig:
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("layers", "hidden", "k", "q_dim", "patience", "max_epochs", "seed"):
+            if not _is_number(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("lr", "dropout", "omega_nu", "omega_was", "p", "curvature",
+                     "fermi_r", "fermi_t", "weight_decay"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not isinstance(self.trainable_curvature, bool):
+            raise ValueError("trainable_curvature must be true or false, "
+                             f"got {self.trainable_curvature!r}")
+        fr = self.split_fractions
+        if fr is not None and not (isinstance(fr, tuple) and len(fr) == 3
+                                   and all(_is_number(x) for x in fr)):
+            raise ValueError(f"split_fractions must be null or three numbers, got {fr!r}")
+        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
+            raise ValueError(f"cache_dir must be a string, got {self.cache_dir!r}")
         for name, choices in (("task", ("nc", "lp")),
                               ("comparison_mode", ("distribution", "pairwise", "mean")),
                               ("metric", ("accuracy", "f1")),
@@ -108,28 +130,15 @@ class TrainConfig:
     @property
     def fractions(self) -> tuple[float, float, float]:
         if self.split_fractions is not None:
-            return tuple(self.split_fractions)
+            return self.split_fractions
         return (0.6, 0.2, 0.2) if self.task == "nc" else (0.85, 0.05, 0.10)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError("config JSON must be an object")
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        if obj.get("split_fractions") is not None:
-            obj["split_fractions"] = tuple(obj["split_fractions"])
-        return cls(**obj)
 
 
 @dataclass(frozen=True)
-class RunReport:
+class RunReport(_JsonRecord):
     """Outcome of one training run; test metric comes from the best-val checkpoint."""
+
+    _json_name = "run report"
 
     best_val_metric: float
     test_metric: float
@@ -141,19 +150,6 @@ class RunReport:
     w2_nu_mu: float
     config: dict
     wall_time: float
-
-    def to_json(self) -> str:
-        obj = asdict(self)
-        obj["loss_trace"] = list(self.loss_trace)
-        obj["beta_samples"] = [list(b) for b in self.beta_samples]
-        return json.dumps(obj)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        obj = json.loads(text)
-        obj["loss_trace"] = tuple(obj["loss_trace"])
-        obj["beta_samples"] = tuple(tuple(b) for b in obj["beta_samples"])
-        return cls(**obj)
 
 
 class Adam:
@@ -252,10 +248,7 @@ def evaluate_nc(logits: np.ndarray, labels: np.ndarray, mask,
     if classes.size == 2:
         return _binary_f1(preds, truth, positive=int(classes.max()))
     if f1_average == "micro":
-        # Single-label micro-F1 equals accuracy; computed from global counts.
-        tp = float(np.sum(preds == truth))
-        fp = fn = float(np.sum(preds != truth))
-        return 2.0 * tp / max(2.0 * tp + fp + fn, 1e-12)
+        return float(np.mean(preds == truth))   # single-label micro-F1 is accuracy
     scores = [_binary_f1(preds, truth, positive=int(c)) for c in classes]
     return float(np.mean(scores))
 
@@ -503,7 +496,11 @@ def analyze_hyperbolicities(report: RunReport, mu) -> tuple[float, float]:
     """
     if not report.beta_samples:
         raise ValueError("report carries no beta record")
-    return _beta_diagnostics(report.beta_samples, np.asarray(mu, dtype=np.float64))
+    mu = np.asarray(mu, dtype=np.float64)
+    if len(report.beta_samples[0]) != mu.size:
+        raise ValueError(f"the run has {len(report.beta_samples[0])} nodes "
+                         f"but the graph has {mu.size}")
+    return _beta_diagnostics(report.beta_samples, mu)
 
 
 def run_grid(g: WeightedGraph, base_cfg: TrainConfig,

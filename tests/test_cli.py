@@ -168,6 +168,20 @@ class TestTraining:
                      "--labels", str(labels), "--config", str(cfg_path)]) == 2
         assert "weight_decay" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,field", [
+        ('{"hidden": 8.5}', "hidden"), ('{"layers": true}', "layers"),
+        ('{"split_fractions": [0.25, 0.25, 0.25, 0.25]}', "split_fractions")],
+        ids=["float-hidden", "bool-layers", "four-fractions"])
+    def test_train_nc_wrong_typed_config_exit_2(self, tmp_path, combined_files,
+                                                capsys, text, field):
+        edges, feats, labels = combined_files
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--config", str(cfg_path),
+                     "--max-epochs", "2"]) == 2
+        assert f"error: {field} must be" in capsys.readouterr().err
+
     def test_train_nc_bad_profile_cache_exit_2(self, tmp_path, combined_files,
                                                capsys):
         edges, feats, labels = combined_files
@@ -296,3 +310,37 @@ class TestAblateCompareReport:
         run = json.loads(run_path.read_text())
         diag = json.loads(out.read_text())
         assert diag["w2_nu_mu"] == pytest.approx(run["w2_nu_mu"], rel=1e-12, abs=0)
+
+    def test_report_on_graph_of_other_size_exit_2(self, tmp_path, combined_files,
+                                                  capsys):
+        edges, feats, labels = combined_files
+        run_path = tmp_path / "run.json"
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--hidden", "8", "--max-epochs", "2",
+                     "--out", str(run_path)]) == 0
+        lattice = tmp_path / "lat.edges"
+        assert main(["generate", "lattice", "--rows", "4", "--cols", "4",
+                     "--out", str(lattice)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--graph", str(lattice), "--run", str(run_path)]) == 2
+        assert "the run has 40 nodes but the graph has 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,present,message", [
+        ("bogus", True, "unknown run report keys: bogus"),
+        ("epoch_of_best", False, "missing run report keys: epoch_of_best")],
+        ids=["unknown-key", "missing-key"])
+    def test_report_run_with_bad_keys_exit_2(self, tmp_path, combined_files, capsys,
+                                             key, present, message):
+        edges, feats, labels = combined_files
+        run_path = tmp_path / "run.json"
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--hidden", "8", "--max-epochs", "2",
+                     "--out", str(run_path)]) == 0
+        run = json.loads(run_path.read_text())
+        if present:
+            run[key] = 1
+        else:
+            del run[key]
+        run_path.write_text(json.dumps(run))
+        assert main(["report", "--graph", str(edges), "--run", str(run_path)]) == 2
+        assert message in capsys.readouterr().err

@@ -445,6 +445,24 @@ class TestSplits:
         obj = json.loads(s.to_json())
         assert set(obj) == {"train", "val", "test", "seed"}
 
+    def test_json_text_pinned(self):
+        s = SplitSpec((0, 3), (1,), (2,), 7)
+        e = EdgeSplitSpec((0, 1), (2,), (3,), 5, ((0, 4), (1, 3)), ((2, 4),))
+        assert s.to_json() == '{"train": [0, 3], "val": [1], "test": [2], "seed": 7}'
+        assert e.to_json() == ('{"train": [0, 1], "val": [2], "test": [3], "seed": 5, '
+                               '"val_neg": [[0, 4], [1, 3]], "test_neg": [[2, 4]]}')
+        assert EdgeSplitSpec.from_json(e.to_json()) == e
+
+    @pytest.mark.parametrize("text,match", [
+        ('[0, 1]', "split JSON must be an object"),
+        ('{"train": [0], "val": [1], "test": [2], "seed": 0, "extra": 1}',
+         "unknown split keys: extra"),
+        ('{"train": [0], "test": [2]}', "missing split keys: val, seed")],
+        ids=["list", "unknown-key", "missing-keys"])
+    def test_json_of_other_shapes_rejected(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            EdgeSplitSpec.from_json(text)
+
     def test_non_edge_sampler_matches_rebuilt_edge_set(self):
         g = random_connected_graph(np.random.default_rng(4), 30, 0.15)
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)

@@ -9,13 +9,12 @@ from jointspace import hyperbolicity
 from jointspace.graphs import (DistanceMatrix, WeightedGraph, generate_combined,
                                generate_lattice, generate_tree, k_hop_subgraph,
                                reference_combined_graph, shortest_paths)
-from jointspace.hyperbolicity import (CrossComponentError, EmpiricalDistribution,
-                                      ExactLimitExceeded, HyperbolicityProfile,
-                                      delta_inf, delta_one_exact,
-                                      delta_one_sampled, four_point_tau,
-                                      histogram, is_tree_metric, local_profile,
-                                      profile_from_json, profile_to_json,
-                                      to_distribution)
+from jointspace.hyperbolicity import (CrossComponentError, ExactLimitExceeded,
+                                      HyperbolicityProfile, delta_inf,
+                                      delta_one_exact, delta_one_sampled,
+                                      four_point_tau, histogram, is_tree_metric,
+                                      local_profile, profile_from_json,
+                                      profile_to_json)
 
 from conftest import (cycle_graph, naive_delta_inf, ordered_mean_tau,
                       ordered_sup_tau, path_graph, random_connected_graph,
@@ -473,33 +472,31 @@ class TestLocalProfile:
 
 
 class TestDistributions:
-    def test_to_distribution_sorted(self):
-        prof = HyperbolicityProfile({0: 0.0, 1: 1.0, 2: 0.0}, 2, "inf")
-        dist = to_distribution(prof)
-        assert dist.samples == (0.0, 0.0, 1.0)
+    def test_histogram_ignores_order(self):
+        values = np.array([1.0, 0.0, 2.5, 0.25, 1.0])
+        assert histogram(values) == histogram(np.sort(values)) == histogram(values[::-1])
+        assert histogram(values).counts == (2, 0, 2, 0, 0, 1)
 
     def test_tree_single_bin(self):
         prof = local_profile(generate_tree(2, 3), 2, "inf")
-        h = histogram(to_distribution(prof))
+        h = histogram(prof.values_by_node())
         assert h.counts == (15,)
         assert h.bin_edges == (0.0, 0.5)
 
     def test_combined_three_nonzero_bins(self):
         from jointspace.graphs import reference_combined_graph
         prof = local_profile(reference_combined_graph(), 2, "inf")
-        h = histogram(to_distribution(prof))
+        h = histogram(prof.values_by_node())
         nonzero = [h.bin_edges[i] for i, c in enumerate(h.counts) if c > 0]
         assert nonzero == [0.0, 1.0, 2.0]
 
     def test_histogram_half_open_bins(self):
-        dist = EmpiricalDistribution(samples=(0.0, 0.5, 0.999, 1.0))
-        h = histogram(dist, 0.5)
+        h = histogram((0.0, 0.5, 0.999, 1.0), 0.5)
         assert h.counts == (1, 2, 1)
 
     def test_histogram_csv(self, tmp_path):
-        dist = EmpiricalDistribution(samples=(0.0, 1.0))
         f = tmp_path / "h.csv"
-        histogram(dist).to_csv(f)
+        histogram((0.0, 1.0)).to_csv(f)
         lines = f.read_text().strip().splitlines()
         assert lines[0] == "bin_left,bin_right,count"
         assert len(lines) == 4
@@ -520,5 +517,5 @@ class TestDistributions:
             profile_from_json(text)
 
     def test_empty_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution(samples=())
+        with pytest.raises(ValueError, match="at least one value"):
+            histogram(np.array([]))

@@ -195,12 +195,6 @@ class TestFermiDirac:
         vals = fermi_dirac_prob(grid, FermiDiracParams(2.0, 1.0))
         assert np.all(np.diff(vals) < 0)
 
-    def test_diffvalue_path_matches(self):
-        fd = FermiDiracParams(1.5, 0.7)
-        d = np.array([0.0, 1.0, 3.0])
-        diff = fermi_dirac_prob(DiffValue(d), fd)
-        assert np.allclose(diff.value, fermi_dirac_prob(d, fd), atol=1e-14)
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             FermiDiracParams(r=0.0, t=1.0)

@@ -1,7 +1,7 @@
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("delta_mode", "sup"), ("metric", "auc"), ("f1_average", "weighted"),
-        ("p", 0.5), ("weight_decay", -1.0)])
+        ("p", 0.5), ("weight_decay", -1.0), ("hidden", 8.5), ("layers", True),
+        ("seed", 1.0), ("lr", "0.01"), ("trainable_curvature", 1),
+        ("split_fractions", (0.25, 0.25, 0.25, 0.25)),
+        ("split_fractions", (0.5, 0.25, "0.25")), ("split_fractions", (0.5, 0.5, True)),
+        ("split_fractions", [0.5, 0.25, 0.25]), ("cache_dir", 5)])
     def test_rejects_unknown_choice_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
@@ -262,6 +266,33 @@ class TestTrainLoop:
         g = synthetic_nc_graph(seed=2)
         rep = train(g, quick_cfg(seed=2, max_epochs=12, patience=12))
         assert RunReport.from_json(rep.to_json()) == rep
+
+    def test_report_json_text_pinned_and_round_trip_keeps_tuples(self):
+        config = {"task": "nc", "split_fractions": (0.5, 0.25, 0.25), "cache_dir": None}
+        rep = RunReport(0.5, 0.75, 3, 4, (1.25, 0.5), ((0.25, 0.75), (0.5, 0.125)),
+                        0.1, 0.2, config, 1.5)
+        assert rep.to_json() == (
+            '{"best_val_metric": 0.5, "test_metric": 0.75, "epoch_of_best": 3, '
+            '"epochs_run": 4, "loss_trace": [1.25, 0.5], '
+            '"beta_samples": [[0.25, 0.75], [0.5, 0.125]], "w2_nu_unif": 0.1, '
+            '"w2_nu_mu": 0.2, "config": {"task": "nc", "split_fractions": '
+            '[0.5, 0.25, 0.25], "cache_dir": null}, "wall_time": 1.5}')
+        assert RunReport.from_json(rep.to_json()) == rep
+        full = replace(rep, config=asdict(quick_cfg(split_fractions=(0.5, 0.25, 0.25))))
+        assert RunReport.from_json(full.to_json()) == full
+
+    @pytest.mark.parametrize("add,drop,match", [
+        ({"bogus": 1}, None, "unknown run report keys: bogus"),
+        ({}, "test_metric", "missing run report keys: test_metric")],
+        ids=["unknown-key", "missing-key"])
+    def test_report_from_json_names_bad_keys(self, add, drop, match):
+        obj = {"best_val_metric": 0.5, "test_metric": 0.5, "epoch_of_best": 1,
+               "epochs_run": 1, "loss_trace": [1.0], "beta_samples": [[0.5]],
+               "w2_nu_unif": 0.0, "w2_nu_mu": 0.0, "config": {}, "wall_time": 0.0,
+               **add}
+        obj.pop(drop, None)
+        with pytest.raises(ValueError, match=match):
+            RunReport.from_json(json.dumps(obj))
 
     def test_beta_record_shape(self):
         g = synthetic_nc_graph(seed=0)
