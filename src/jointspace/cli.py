@@ -14,9 +14,9 @@ from pathlib import Path
 from .graphs import (generate_combined, generate_lattice, generate_tree,
                      load_edge_list, load_features_csv, load_labels_csv,
                      save_edge_list)
-from .hyperbolicity import histogram, local_profile, profile_to_json
+from .hyperbolicity import DELTA_MODES, histogram, local_profile, profile_to_json
 from .layers import save_params_json
-from .objectives import normalize_delta
+from .objectives import COMPARISON_MODES, normalize_delta
 from .training import (RunReport, TrainConfig, TrainingDiverged,
                        analyze_hyperbolicities, identity_features,
                        message_graph, mu_profile, train)
@@ -146,7 +146,7 @@ def _cmd_compare_modes(args) -> int:
     g = _load_graph(args, default_identity_features=True)
     base = _config_from_args(args, args.task)
     table = {}
-    for mode in ("distribution", "pairwise", "mean"):
+    for mode in COMPARISON_MODES:
         rep = train(g, replace(base, comparison_mode=mode))
         table[mode] = {"val_metric": rep.best_val_metric,
                        "test_metric": rep.test_metric}
@@ -185,7 +185,7 @@ def _add_graph_args(p: argparse.ArgumentParser, with_data: bool = False) -> None
         p.add_argument("--labels", help="node label CSV (node_id,label)")
 
 
-def _add_train_args(p: argparse.ArgumentParser) -> None:
+def _add_train_args(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
     p.add_argument("--config", help="TrainConfig JSON file")
     p.add_argument("--lr", type=float)
     p.add_argument("--omega-nu", dest="omega_nu", type=float)
@@ -195,8 +195,9 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layers", type=int)
     p.add_argument("--hidden", type=int)
     p.add_argument("--dropout", type=float)
-    p.add_argument("--mode", choices=("distribution", "pairwise", "mean"),
-                   help="comparison mode for the alignment term")
+    if with_mode:
+        p.add_argument("--mode", choices=COMPARISON_MODES,
+                       help="comparison mode for the alignment term")
     p.add_argument("--max-epochs", dest="max_epochs", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--out", help="RunReport JSON output path")
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="per-node local hyperbolicity profile")
     _add_graph_args(p)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--mode", choices=("inf", "one"), default="inf")
+    p.add_argument("--mode", choices=DELTA_MODES, default="inf")
     p.add_argument("--out", help="profile JSON output path")
     p.add_argument("--hist", help="histogram CSV output path")
     p.add_argument("--bin-width", dest="bin_width", type=float, default=0.5)
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-modes",
                        help="alignment comparison modes side by side")
     _add_graph_args(p, with_data=True)
-    _add_train_args(p)
+    _add_train_args(p, with_mode=False)
     p.add_argument("--task", choices=("nc", "lp"), default="nc")
     p.set_defaults(func=_cmd_compare_modes)
 

@@ -32,6 +32,7 @@ from .graphs import DistanceMatrix, WeightedGraph, _k_hop_balls, _path_metric_st
 from .graphs import k_hop_subgraph, shortest_paths  # noqa: F401
 
 __all__ = [
+    "DELTA_MODES",
     "CrossComponentError",
     "ExactLimitExceeded",
     "HyperbolicityProfile",
@@ -47,6 +48,7 @@ __all__ = [
     "profile_from_json",
 ]
 
+DELTA_MODES = ("inf", "one")
 DEFAULT_EXACT_LIMIT = 60
 DEFAULT_NUM_SAMPLES = 100_000
 _SAMPLE_CHUNK = 8192
@@ -131,7 +133,7 @@ class HyperbolicityProfile:
     mode: str  # "inf" or "one"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("inf", "one"):
+        if self.mode not in DELTA_MODES:
             raise ValueError(f"mode must be 'inf' or 'one', got {self.mode!r}")
         values = _node_array(self.per_node)
         if not (np.isfinite(values) & (values >= 0)).all():
@@ -442,7 +444,7 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if mode not in ("inf", "one"):
+    if mode not in DELTA_MODES:
         raise ValueError(f"mode must be 'inf' or 'one', got {mode!r}")
     values = np.zeros(g.num_nodes)
     for centers, d in _ball_stacks(g, k):
@@ -511,11 +513,15 @@ def histogram(values, bin_width: float = 0.5) -> Histogram:
     ``values`` is typically ``profile.values_by_node()``.  The default width
     0.5 suits integer-weighted graphs, where defects are multiples of 1/2.
     """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin_width must be finite and positive, got {bin_width}")
     samples = np.asarray(values, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("histogram needs at least one value")
+    bad = np.flatnonzero(~(np.isfinite(samples) & (samples >= 0)))
+    if bad.size:
+        raise ValueError("histogram values must be finite and nonnegative, "
+                         f"got {samples[bad[0]]} at position {bad[0]}")
     nbins = int(samples.max() // bin_width) + 1
     idx = np.minimum((samples // bin_width).astype(int), nbins - 1)
     counts = np.bincount(idx, minlength=nbins)

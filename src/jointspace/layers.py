@@ -1,10 +1,11 @@
 """Attention layers on both geometries and the per-node space-selection fusion.
 
 One model layer runs a Euclidean graph-attention block and a hyperbolic
-graph-attention block side by side, then fuses the two embeddings per node
-with a learned two-way softmax.  The Euclidean selection weight beta_r of each
-node is the model's hyperbolicity score and is recorded per layer for the
-alignment and non-uniformity losses.
+graph-attention block side by side on the same tangent-space embedding, then
+fuses their two tangent-space outputs per node with a learned two-way softmax.
+The Euclidean selection weight beta_r of each node is the model's
+hyperbolicity score and is recorded per layer for the alignment and
+non-uniformity losses.
 
 The layers hold no ball arithmetic: the hyperbolic branch calls the tape
 operations of ``poincare``, whose forward values are the ball kernel's and
@@ -158,58 +159,55 @@ def gat_forward(features, g: WeightedGraph, p: GATParams, *,
                      g.num_nodes, mask)
 
 
-def hgat_forward(x_ball, g: WeightedGraph, p: HGATParams, *,
+def hgat_forward(z, g: WeightedGraph, p: HGATParams, *,
                  dropout: float = 0.0, rng: np.random.Generator | None = None,
                  training: bool = False) -> tuple[DiffValue, DiffValue]:
-    """One hyperbolic graph-attention layer.
+    """One hyperbolic graph-attention layer on the tangent input ``z``.
 
-    Messages are the Mobius matrix action plus a ball bias.  Each attention
-    logit is the GAT logit of the tangent-space features, read from per-node
-    scores, times the closed-form geodesic distance between the endpoints,
-    one ``d_edge_distance`` node over the graph's cached attention index; per
-    edge, only scalars and the two endpoint rows of the distance are
-    gathered.  Returns (tangent-space output, its ball image).
+    It acts on the ball points exp_0(z), whose Mobius matrix action is
+    exp_0(t) with t = W z; messages are exp_0(t) (+) exp_0(b).  Each attention
+    logit is the GAT logit of t, read from per-node scores, times the
+    closed-form geodesic distance between the endpoints exp_0(z), one
+    ``d_edge_distance`` node over the graph's cached attention index.
+    Returns (tangent-space output, ball messages).
     """
     c = p.curvature
-    x = pc.d_project(x_ball, c)
     src, dst = g.attention_index
+    z = ad.as_diff(z)
+    x = pc.d_exp_origin(z, c)
+    t = ad.matmul(z, ad.transpose(p.W))
+    bias_ball = pc.d_exp_origin(ad.reshape(p.b, (1, t.shape[1])), c)
+    m = pc.d_mobius_add(pc.d_exp_origin(t, c), bias_ball, c)
 
-    wx = pc.d_mobius_matvec(p.W, x, c)
-    out_dim = wx.shape[1]
-    bias_ball = pc.d_exp_origin(ad.reshape(p.b, (1, out_dim)), c)
-    m = pc.d_mobius_add(wx, bias_ball, c)
-
-    logits = _attention_logits(pc.d_log_origin(wx, c), p.a, src, dst)
+    logits = _attention_logits(t, p.a, src, dst)
     dist = pc.d_edge_distance(x, src, dst, c)
     mask = _dropout_mask(src.idx.shape, dropout, rng, training)
     tangent = ad.attend(ad.mul(logits, dist), pc.d_log_origin(m, c), src, dst,
                         g.num_nodes, mask)
-    ball_out = pc.d_exp_origin(tangent, c)
-    return tangent, ball_out
+    return tangent, m
 
 
-def fusion_forward(z_r, z_d_ball, p: FusionParams, c) -> LayerOutput:
+def fusion_forward(z_r, z_d, p: FusionParams) -> LayerOutput:
     """Per-node convex combination of the two branch embeddings.
 
-    Scores w = q^T tanh(M z + b) are computed for the Euclidean embedding and
-    the tangent image of the hyperbolic one; a two-way softmax yields the
-    selection weights, so beta_r + beta_d = 1 exactly.
+    Both branches arrive in tangent space.  Scores w = q^T tanh(M z + b) are
+    computed for each; a two-way softmax yields the selection weights, so
+    beta_r + beta_d = 1 exactly.
     """
-    z_r = ad.as_diff(z_r)
+    z_r, z_d = ad.as_diff(z_r), ad.as_diff(z_d)
     n, _ = z_r.shape
     q_dim = p.q.shape[0]
-    zd_log = pc.d_log_origin(z_d_ball, c)
 
     def score(z):
         t = ad.tanh(ad.add(ad.matmul(z, ad.transpose(p.M)), p.b))
         return ad.reshape(ad.matmul(t, ad.reshape(p.q, (q_dim, 1))), (n,))
 
     w_r = score(z_r)
-    w_d = score(zd_log)
+    w_d = score(z_d)
     beta_r = ad.sigmoid(ad.sub(w_r, w_d))
     beta_d = ad.sub(1.0, beta_r)
     z = ad.add(ad.mul(ad.reshape(beta_r, (n, 1)), z_r),
-               ad.mul(ad.reshape(beta_d, (n, 1)), zd_log))
+               ad.mul(ad.reshape(beta_d, (n, 1)), z_d))
     return LayerOutput(z=z, beta_r=beta_r, beta_d=beta_d)
 
 
@@ -218,10 +216,9 @@ def joint_space_forward(features, g: WeightedGraph, layers: list[LayerParams], *
                   training: bool = False) -> tuple[LayerOutput, list[LayerOutput]]:
     """Run the full stack; each layer consumes the previous fused embedding.
 
-    The Euclidean branch takes the fused embedding directly and the hyperbolic
-    branch takes its exponential image (the raw input features on layer one).
-    Returns the final layer output and the per-layer record used by the
-    alignment losses.
+    Both branches take the same dropout-masked fused embedding (the raw input
+    features on layer one) as their tangent-space input.  Returns the final
+    layer output and the per-layer record used by the alignment losses.
     """
     if not layers:
         raise ValueError("need at least one layer")
@@ -231,11 +228,10 @@ def joint_space_forward(features, g: WeightedGraph, layers: list[LayerParams], *
         mask = _dropout_mask(z.shape, dropout, rng, training)
         if mask is not None:
             z = ad.mul(z, mask)
-        z_ball = pc.d_exp_origin(z, lp.hgat.curvature)
         z_r = gat_forward(z, g, lp.gat, dropout=dropout, rng=rng, training=training)
-        _, ball_out = hgat_forward(z_ball, g, lp.hgat, dropout=dropout, rng=rng,
-                                   training=training)
-        out = fusion_forward(z_r, ball_out, lp.fusion, lp.hgat.curvature)
+        z_d, _ = hgat_forward(z, g, lp.hgat, dropout=dropout, rng=rng,
+                              training=training)
+        out = fusion_forward(z_r, z_d, lp.fusion)
         z = out.z
         record.append(out)
     return record[-1], record

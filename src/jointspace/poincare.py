@@ -27,8 +27,8 @@ __all__ = [
     "PROJECTION_MARGIN", "Curvature", "BallPoint",
     "mobius_add", "mobius_matvec", "exp_origin", "log_origin", "hyp_distance",
     "project_to_ball",
-    "d_project", "d_exp_origin", "d_log_origin", "d_mobius_add",
-    "d_mobius_matvec", "d_hyp_distance", "d_edge_distance",
+    "d_exp_origin", "d_log_origin", "d_mobius_add", "d_hyp_distance",
+    "d_edge_distance",
 ]
 
 PROJECTION_MARGIN = 1e-5
@@ -304,11 +304,6 @@ def _radial_node(x, c, scale) -> DiffValue:
     return _ball_node(out, (x,), c, lambda g: _radial_grad(g, *parts))
 
 
-def d_project(x, c) -> DiffValue:
-    """Radial rescale of rows exceeding the ball margin; identity inside."""
-    return _radial_node(x, c, _project_scale)
-
-
 def d_exp_origin(v, c) -> DiffValue:
     """Row-wise exponential map at the origin, projected to the margin."""
     return _radial_node(v, c, _exp_scale)
@@ -328,11 +323,6 @@ def d_mobius_add(x, y, c) -> DiffValue:
         g_x, g_y, g_c = _mobius_add_grad(g, *parts)
         return ad._unbroadcast(g_x, x.shape), ad._unbroadcast(g_y, y.shape), g_c
     return _ball_node(out, (x, y), c, vjp)
-
-
-def d_mobius_matvec(w: DiffValue, x, c) -> DiffValue:
-    """Mobius matrix action exp_0(log_0(x) W^T) on rows."""
-    return d_exp_origin(ad.matmul(d_log_origin(x, c), ad.transpose(w)), c)
 
 
 def d_hyp_distance(x, y, c) -> DiffValue:

@@ -21,12 +21,13 @@ import numpy as np
 from . import autodiff as ad
 from .graphs import (EdgeSplitSpec, SplitSpec, WeightedGraph, _JsonRecord,
                      graph_hash, sample_non_edges, split_edges, split_nodes)
-from .hyperbolicity import (HyperbolicityProfile, local_profile,
+from .hyperbolicity import (DELTA_MODES, HyperbolicityProfile, local_profile,
                             profile_from_json, profile_to_json)
 from .layers import JointSpaceGNN
-from .objectives import (FermiDiracParams, LossWeights, cross_entropy_nc,
-                         fermi_dirac_prob, lp_loss, normalize_delta,
-                         overall_loss, unif_reference, wasserstein_1d)
+from .objectives import (COMPARISON_MODES, FermiDiracParams, LossWeights,
+                         cross_entropy_nc, fermi_dirac_prob, lp_loss,
+                         normalize_delta, overall_loss, unif_reference,
+                         wasserstein_1d)
 
 __all__ = [
     "TrainingDiverged",
@@ -107,10 +108,10 @@ class TrainConfig(_JsonRecord):
         if self.cache_dir is not None and not isinstance(self.cache_dir, str):
             raise ValueError(f"cache_dir must be a string, got {self.cache_dir!r}")
         for name, choices in (("task", ("nc", "lp")),
-                              ("comparison_mode", ("distribution", "pairwise", "mean")),
+                              ("comparison_mode", COMPARISON_MODES),
                               ("metric", ("accuracy", "f1")),
                               ("f1_average", ("micro", "macro")),
-                              ("delta_mode", ("inf", "one"))):
+                              ("delta_mode", DELTA_MODES)):
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {', '.join(choices)}; "
                                  f"got {getattr(self, name)!r}")

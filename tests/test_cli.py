@@ -64,6 +64,17 @@ class TestGenerateAnalyze:
         lines = hist_out.read_text().strip().splitlines()
         assert lines[0] == "bin_left,bin_right,count"
 
+    @pytest.mark.parametrize("width", ["inf", "nan"])
+    def test_analyze_bad_bin_width_exit_2(self, tmp_path, capsys, width):
+        edges = tmp_path / "lat.edges"
+        main(["generate", "lattice", "--rows", "3", "--cols", "3", "--out", str(edges)])
+        hist_out = tmp_path / "h.csv"
+        code = main(["analyze", "--graph", str(edges), "--out", str(tmp_path / "p.json"),
+                     "--hist", str(hist_out), "--bin-width", width])
+        assert code == 2
+        assert f"bin_width must be finite and positive, got {width}" in capsys.readouterr().err
+        assert not hist_out.exists()
+
     def test_analyze_bad_graph_exit_2(self, tmp_path):
         bad = tmp_path / "bad.edges"
         bad.write_text("0 0\n")
@@ -276,6 +287,14 @@ class TestAblateCompareReport:
         assert code == 0
         assert set(json.loads(out.read_text())) == {"distribution", "pairwise",
                                                     "mean"}
+
+    def test_compare_modes_rejects_mode(self, tmp_path, combined_files):
+        # compare-modes runs every comparison mode, so it takes no --mode.
+        edges, feats, labels = combined_files
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-modes", "--graph", str(edges), "--features", str(feats),
+                  "--labels", str(labels), "--mode", "pairwise"])
+        assert exc.value.code == 2
 
     def test_report_diagnostics(self, tmp_path, combined_files):
         edges, feats, labels = combined_files

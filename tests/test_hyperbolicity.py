@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -519,3 +520,16 @@ class TestDistributions:
     def test_empty_distribution_rejected(self):
         with pytest.raises(ValueError, match="at least one value"):
             histogram(np.array([]))
+
+    @pytest.mark.parametrize("width", [math.inf, math.nan, 0.0, -0.5])
+    def test_histogram_rejects_bad_width(self, width):
+        with pytest.raises(ValueError, match=f"bin_width .* got {width}$"):
+            histogram((0.0, 1.0), width)
+
+    @pytest.mark.parametrize("values,bad", [
+        ((0.5, math.nan, -1.0), "nan at position 1"),
+        ((1.0, 0.0, -0.5), "-0.5 at position 2"),
+        ((math.inf,), "inf at position 0")], ids=["nan", "negative", "inf"])
+    def test_histogram_rejects_bad_values(self, values, bad):
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {bad}$"):
+            histogram(values)

@@ -13,8 +13,7 @@ from jointspace.layers import (JointSpaceGNN, _attention_logits,
                                init_layer_params, load_params_json,
                                save_params_json)
 from jointspace.poincare import (PROJECTION_MARGIN, d_edge_distance, d_exp_origin,
-                                 d_hyp_distance, d_log_origin, d_mobius_add,
-                                 d_mobius_matvec, d_project)
+                                 d_hyp_distance, d_log_origin, d_mobius_add)
 from jointspace.training import synthetic_lp_tree, synthetic_nc_graph
 
 from conftest import path_graph
@@ -63,14 +62,6 @@ class TestDifferentiableBallOps:
         ad.backward(ad.sum_(dist))
         assert np.all(x.grad == 0.0) and np.all(y.grad == 0.0) and curv.grad == 0.0
 
-    def test_matvec_composition(self):
-        rng = np.random.default_rng(1)
-        x = ball_rows(rng, 4, 3)
-        w = ad.DiffValue(rng.normal(size=(5, 3)))
-        direct = d_mobius_matvec(w, x, 1.0).value
-        composed = d_exp_origin(ad.matmul(d_log_origin(x, 1.0), ad.transpose(w)), 1.0).value
-        assert np.array_equal(direct, composed)
-
     def test_gradients_through_ball_ops(self):
         rng = np.random.default_rng(2)
         x = ad.DiffValue(rng.normal(size=(4, 3)) * 0.3)
@@ -107,8 +98,6 @@ class TestDifferentiableBallOps:
             dist_y = np.vstack([rows(0.4, 0.0, 0.7, 0.0),
                                 close + step / np.linalg.norm(step) * 1e-3, -near])
             cases = {
-                # zero row, interior, beyond the margin (rescaled)
-                "project": (d_project, [rows(0.0, 0.5, 1.5, 3.0)]),
                 # zero row, interior, tanh(u) beyond the margin
                 "exp": (d_exp_origin, [rows(0.0, 0.5, 3.0, 8.0)]),
                 # zero row, interior, near the boundary, at the atanh clip
@@ -118,8 +107,6 @@ class TestDifferentiableBallOps:
                 "mobius_add": (d_mobius_add, [np.vstack([rows(0.0, 0.5, 0.9), near]),
                                               np.vstack([rows(0.5, 0.0, 0.6), near])]),
                 "bias_row": (d_mobius_add, [rows(0.0, 0.5, 0.9), rows(0.4)]),
-                "matvec": (lambda x_, w_, c_: d_mobius_matvec(w_, x_, c_),
-                           [rows(0.0, 0.5, 0.9), rng.normal(size=(2, 3))]),
                 "distance": (d_hyp_distance, [dist_x, dist_y]),
             }
             clip = 2.0 * math.atanh(1.0 - PROJECTION_MARGIN) / math.sqrt(c)
@@ -142,7 +129,7 @@ class TestDifferentiableBallOps:
     def test_projection_keeps_rows_valid(self):
         rng = np.random.default_rng(3)
         wild = rng.normal(size=(10, 4)) * 100.0
-        out = d_project(wild, 2.0).value
+        out = pc._project_array(wild, 2.0)
         assert (math.sqrt(2.0) * np.linalg.norm(out, axis=1)
                 <= 1.0 - PROJECTION_MARGIN + 1e-12).all()
 
@@ -355,41 +342,47 @@ class TestHGATLayer:
         assert np.all(tangent.value == 0.0) and np.all(ball.value == 0.0)
 
     def test_two_node_matches_explicit_composition(self):
-        g = WeightedGraph(2, ((0, 1, 1.0),))
+        # The pair plus a third node, joined to node 1, whose input row has
+        # sqrt(c) ||z|| = 10: the layer computes W z exactly there, where a
+        # log_0(exp_0(z)) round trip would clip the row's norm.
+        g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
         rng = np.random.default_rng(3)
         p = init_layer_params(rng, 3, 3, 2).hgat
-        x = ball_rows(rng, 2, 3)
-        tangent, ball = hgat_forward(x, g, p)
+        p.b.value = rng.normal(size=3) * 0.1
+        z = rng.normal(size=(3, 3)) * 0.3
+        z[2] *= 10.0 / np.linalg.norm(z[2])
+        tangent, m_out = hgat_forward(z, g, p)
 
-        xb = d_project(ad.as_diff(x), p.curvature)
-        wx = d_mobius_matvec(p.W, xb, p.curvature)
-        bias = d_exp_origin(ad.reshape(p.b, (1, 3)), p.curvature)
-        m = d_mobius_add(wx, bias, p.curvature)
-        hhat = d_log_origin(wx, p.curvature)
+        c = p.curvature
+        x = d_exp_origin(z, c)
+        t = ad.matmul(ad.as_diff(z), ad.transpose(p.W))
+        bias = d_exp_origin(ad.reshape(p.b, (1, 3)), c)
+        m = d_mobius_add(d_exp_origin(t, c), bias, c)
         src, dst = attention_arrays(g)
-        scores = ad.reshape(ad.matmul(hhat, ad.transpose(ad.reshape(p.a, (2, 3)))),
-                            (4,))
+        scores = ad.reshape(ad.matmul(t, ad.transpose(ad.reshape(p.a, (2, 3)))),
+                            (6,))
         raw = ad.add(ad.gather_rows(scores, 2 * dst), ad.gather_rows(scores, 2 * src + 1))
-        dist = d_hyp_distance(ad.gather_rows(xb, dst), ad.gather_rows(xb, src),
-                              p.curvature)
+        dist = d_hyp_distance(ad.gather_rows(x, dst), ad.gather_rows(x, src), c)
         # The aggregation tail in plain numpy, in the order the tape computes it.
         x = ad.mul(raw, dist).value
         e = np.where(x > 0.0, x, 0.2 * x)
-        mx = np.full(2, -np.inf)
+        mx = np.full(3, -np.inf)
         np.maximum.at(mx, dst, e)
         ex = np.exp(e - mx[dst])
-        denom = np.zeros(2)
+        denom = np.zeros(3)
         np.add.at(denom, dst, ex)
         alpha = ex / denom[dst]
-        agg = np.zeros((2, 3))
-        np.add.at(agg, dst, alpha[:, None] * d_log_origin(m, p.curvature).value[src])
+        agg = np.zeros((3, 3))
+        np.add.at(agg, dst, alpha[:, None] * d_log_origin(m, c).value[src])
         expected = np.where(agg > 0.0, agg, np.exp(np.minimum(agg, 0.0)) - 1.0)
         assert np.array_equal(tangent.value, expected)
+        assert np.array_equal(m_out.value, m.value)
 
     def test_gradcheck(self):
         g = path_graph(3)
         rng = np.random.default_rng(4)
-        p = init_layer_params(rng, 3, 4, 2).hgat
+        p = init_layer_params(rng, 3, 4, 2, curvature=0.7,
+                              trainable_curvature=True).hgat
         x = ball_rows(rng, 3, 3)
         wts = rng.normal(size=(3, 4))
 
@@ -397,7 +390,7 @@ class TestHGATLayer:
             t, b = hgat_forward(x, g, p)
             return ad.add(ad.sum_(ad.mul(t, wts)), ad.sum_(ad.mul(b, wts)))
 
-        assert ad.finite_diff_check(loss_fn, [p.W, p.b, p.a]) < 1e-4
+        assert ad.finite_diff_check(loss_fn, [p.W, p.b, p.a, p.curvature]) < 1e-4
 
 
 def _tape_nodes(outputs, inp) -> int:
@@ -420,10 +413,9 @@ class TestTapeSize:
         rng = np.random.default_rng(15)
         lp = init_layer_params(rng, 3, 4, 2)
         feats = ad.DiffValue(rng.normal(size=(7, 3)))
-        z_ball = d_exp_origin(feats, lp.hgat.curvature)
         kw = dict(dropout=dropout, rng=rng, training=True)
         assert _tape_nodes([gat_forward(feats, g, lp.gat, **kw)], feats) <= 14
-        assert _tape_nodes(hgat_forward(z_ball, g, lp.hgat, **kw), z_ball) <= 30
+        assert _tape_nodes(hgat_forward(feats, g, lp.hgat, **kw), feats) <= 22
 
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
@@ -432,9 +424,9 @@ class TestTapeSize:
         g = generate_tree(2, 2)
         rng = np.random.default_rng(16)
         lp = init_layer_params(rng, 3, 4, 2)
-        z_ball = d_exp_origin(ad.DiffValue(rng.normal(size=(7, 3))), lp.hgat.curvature)
-        out = hgat_forward(z_ball, g, lp.hgat, dropout=dropout, rng=rng, training=True)
-        assert _tape_nodes(out, z_ball) <= 25
+        z = ad.DiffValue(rng.normal(size=(7, 3)))
+        out = hgat_forward(z, g, lp.hgat, dropout=dropout, rng=rng, training=True)
+        assert _tape_nodes(out, z) <= 22
 
 
 class TestFusion:
@@ -443,15 +435,14 @@ class TestFusion:
         p = init_layer_params(rng, 4, 4, 3).fusion
         z_r = rng.normal(size=(6, 4))
         z_d = ball_rows(rng, 6, 4)
-        out = fusion_forward(z_r, z_d, p, 1.0)
+        out = fusion_forward(z_r, z_d, p)
         assert np.abs(out.beta_r.value + out.beta_d.value - 1.0).max() < 1e-12
 
     def test_equal_branches_any_beta(self):
         rng = np.random.default_rng(6)
         p = init_layer_params(rng, 4, 4, 3).fusion
         z_r = rng.normal(size=(5, 4)) * 0.3
-        z_d = d_exp_origin(z_r, 1.0).value  # log_o(z_d) == z_r
-        out = fusion_forward(z_r, z_d, p, 1.0)
+        out = fusion_forward(z_r, z_r.copy(), p)
         assert np.allclose(out.z.value, z_r, atol=1e-12)
 
     def test_shift_invariance_of_beta(self):
@@ -474,7 +465,7 @@ class TestFusion:
         p = FusionParams(M=ad.DiffValue(np.full((q, h), 50.0)),
                          b=ad.DiffValue(np.zeros(q)),
                          q=ad.DiffValue(np.full(q, 20.0)))
-        out = fusion_forward(z_r, z_d, p, 1.0)
+        out = fusion_forward(z_r, z_d, p)
         # w_r = 20*tanh(50) ~ 20, w_d = 20*tanh(0) = 0
         assert np.all(out.beta_r.value > 1.0 - 1e-8)
         assert np.allclose(out.z.value, z_r, atol=1e-7)
@@ -484,10 +475,9 @@ class TestFusion:
         p = init_layer_params(rng, 4, 4, 3).fusion
         z_r = rng.normal(size=(6, 4))
         z_d = ball_rows(rng, 6, 4)
-        z_log = d_log_origin(d_project(z_d, 1.0), 1.0).value
-        out = fusion_forward(z_r, z_d, p, 1.0).z.value
-        lo = np.minimum(z_r, z_log) - 1e-12
-        hi = np.maximum(z_r, z_log) + 1e-12
+        out = fusion_forward(z_r, z_d, p).z.value
+        lo = np.minimum(z_r, z_d) - 1e-12
+        hi = np.maximum(z_r, z_d) + 1e-12
         assert ((out >= lo) & (out <= hi)).all()
 
     def test_gradcheck(self):
@@ -498,7 +488,7 @@ class TestFusion:
         wts = rng.normal(size=(4, 3))
 
         def loss_fn():
-            out = fusion_forward(z_r, z_d, p, 1.0)
+            out = fusion_forward(z_r, z_d, p)
             return ad.add(ad.sum_(ad.mul(out.z, wts)), ad.mean_(out.beta_r))
 
         assert ad.finite_diff_check(loss_fn, [p.M, p.b, p.q]) < 1e-4
@@ -512,10 +502,9 @@ class TestStack:
         feats = rng.normal(size=(7, 3)) * 0.5
         out, _ = model.forward(g, feats)
         lp = model.layers[0]
-        z_ball = d_project(d_exp_origin(feats, lp.hgat.curvature), lp.hgat.curvature)
         z_r = gat_forward(ad.as_diff(feats), g, lp.gat)
-        _, ball = hgat_forward(z_ball, g, lp.hgat)
-        expected = fusion_forward(z_r, ball, lp.fusion, lp.hgat.curvature)
+        z_d, _ = hgat_forward(feats, g, lp.hgat)
+        expected = fusion_forward(z_r, z_d, lp.fusion)
         assert np.array_equal(out.z.value, expected.z.value)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -606,14 +595,13 @@ class TestStack:
                 z = ad.as_diff(feats)
                 for lp in model.layers:
                     c = float(lp.hgat.curvature.value)
-                    z_ball = d_project(d_exp_origin(z, c), c)
-                    assert (math.sqrt(c) * np.linalg.norm(z_ball.value, axis=1)
-                            <= limit).all()
+                    x = d_exp_origin(z, c)          # the layer's ball points
                     z_r = gat_forward(z, g, lp.gat)
-                    _, ball_out = hgat_forward(z_ball, g, lp.hgat)
-                    assert (math.sqrt(c) * np.linalg.norm(ball_out.value, axis=1)
-                            <= limit).all()
-                    z = fusion_forward(z_r, ball_out, lp.fusion, c).z
+                    z_d, m = hgat_forward(z, g, lp.hgat)
+                    for ball in (x, m):
+                        assert (math.sqrt(c) * np.linalg.norm(ball.value, axis=1)
+                                <= limit).all()
+                    z = fusion_forward(z_r, z_d, lp.fusion).z
 
 
 class TestCheckpointFormat:
