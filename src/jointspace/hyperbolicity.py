@@ -33,6 +33,7 @@ from .graphs import k_hop_subgraph, shortest_paths  # noqa: F401
 
 __all__ = [
     "DELTA_MODES",
+    "MAX_HISTOGRAM_BINS",
     "CrossComponentError",
     "ExactLimitExceeded",
     "HyperbolicityProfile",
@@ -61,6 +62,8 @@ _STACK_ELEMENTS = 1 << 13
 # Centers whose k-hop balls ``local_profile`` extracts together: enough to share
 # numpy's per-call overhead, few enough that the block's arrays stay small.
 _CENTER_BLOCK = 128
+# Most bins ``histogram`` builds; a width that would need more is rejected.
+MAX_HISTOGRAM_BINS = 10**6
 
 
 class CrossComponentError(ValueError):
@@ -512,6 +515,8 @@ def histogram(values, bin_width: float = 0.5) -> Histogram:
 
     ``values`` is typically ``profile.values_by_node()``.  The default width
     0.5 suits integer-weighted graphs, where defects are multiples of 1/2.
+    A width that would need more than ``MAX_HISTOGRAM_BINS`` (10**6) bins to
+    reach the largest value raises ``ValueError`` naming the width.
     """
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin_width must be finite and positive, got {bin_width}")
@@ -522,7 +527,11 @@ def histogram(values, bin_width: float = 0.5) -> Histogram:
     if bad.size:
         raise ValueError("histogram values must be finite and nonnegative, "
                          f"got {samples[bad[0]]} at position {bad[0]}")
-    nbins = int(samples.max() // bin_width) + 1
+    top = samples.max() // bin_width
+    if top >= MAX_HISTOGRAM_BINS:
+        raise ValueError(f"bin_width {bin_width} needs more than {MAX_HISTOGRAM_BINS} "
+                         f"bins to reach {samples.max()}")
+    nbins = int(top) + 1
     idx = np.minimum((samples // bin_width).astype(int), nbins - 1)
     counts = np.bincount(idx, minlength=nbins)
     edges = tuple(i * bin_width for i in range(nbins + 1))

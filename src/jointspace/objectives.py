@@ -48,8 +48,8 @@ class LossWeights:
             v = getattr(self, name)
             if v < 0 or not math.isfinite(v):
                 raise ValueError(f"{name} must be finite and nonnegative")
-        if self.p < 1:
-            raise ValueError("Wasserstein order p must be >= 1")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError(f"Wasserstein order p must be finite and >= 1, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -68,19 +68,12 @@ class FermiDiracParams:
 # 1-D Wasserstein
 # ---------------------------------------------------------------------------
 
-def _quantile_values(samples: np.ndarray, m: int) -> np.ndarray:
-    """Linear-interpolation quantiles at the m midpoints (i - 0.5) / m."""
-    qs = (np.arange(1, m + 1) - 0.5) / m
-    return np.quantile(np.sort(samples), qs, method="linear")
-
-
 def wasserstein_1d(a, b, p: float = 2.0):
-    """p-Wasserstein distance between two 1-D sample lists.
+    """p-Wasserstein distance between two 1-D sample lists of equal length.
 
-    Equal-length lists are paired by rank after sorting, which realizes the
-    optimal coupling between equal-size empirical distributions.  Unequal
-    lengths are compared at max(|a|, |b|) midpoint quantiles with linear
-    interpolation (analysis paths only).
+    The lists are paired by rank after sorting, which realizes the optimal
+    coupling between equal-size empirical distributions.  Lists of unequal
+    length raise ``ValueError`` naming both sizes.
 
     If ``a`` is a DiffValue the result is differentiable in ``a``: the sort
     permutation is fixed (stable, so ties break by index) and the p-th root
@@ -92,11 +85,9 @@ def wasserstein_1d(a, b, p: float = 2.0):
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise ValueError("sample lists must be non-empty")
-    if a.size == b.size:
-        diffs = np.abs(np.sort(a) - np.sort(b))
-    else:
-        m = max(a.size, b.size)
-        diffs = np.abs(_quantile_values(a, m) - _quantile_values(b, m))
+    if a.size != b.size:
+        raise ValueError(f"need equal sample counts, got {a.size} and {b.size}")
+    diffs = np.abs(np.sort(a) - np.sort(b))
     return float(np.mean(diffs ** p) ** (1.0 / p))
 
 
@@ -105,7 +96,7 @@ def _wasserstein_diff(a: DiffValue, b, p: float) -> DiffValue:
         raise ValueError("differentiable path expects a non-empty flat vector")
     b_sorted = np.sort(np.asarray(b, dtype=np.float64))
     if b_sorted.size != a.value.size:
-        raise ValueError("training path requires equal sample counts")
+        raise ValueError(f"need equal sample counts, got {a.value.size} and {b_sorted.size}")
     perm = np.argsort(a.value, kind="stable")
     a_sorted = ad.gather_rows(a, perm)
     mean_pow = ad.mean_(ad.pow_const(ad.abs_(ad.sub(a_sorted, b_sorted)), p))

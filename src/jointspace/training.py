@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, replace
@@ -25,9 +26,9 @@ from .hyperbolicity import (DELTA_MODES, HyperbolicityProfile, local_profile,
                             profile_from_json, profile_to_json)
 from .layers import JointSpaceGNN
 from .objectives import (COMPARISON_MODES, FermiDiracParams, LossWeights,
-                         cross_entropy_nc, fermi_dirac_prob, lp_loss,
-                         normalize_delta, overall_loss, unif_reference,
-                         wasserstein_1d)
+                         _pair_distances, cross_entropy_nc, fermi_dirac_prob,
+                         lp_loss, normalize_delta, overall_loss,
+                         unif_reference, wasserstein_1d)
 
 __all__ = [
     "TrainingDiverged",
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 _MIN_CURVATURE = 1e-4
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -55,8 +57,10 @@ class TrainingDiverged(RuntimeError):
 
 
 def _is_number(x, kinds=(int, float)) -> bool:
-    """Whether ``x`` is an instance of ``kinds`` other than a bool."""
-    return isinstance(x, kinds) and not isinstance(x, bool)
+    """Whether ``x`` is an instance of ``kinds`` other than a bool; unless
+    ``kinds`` is ``int``, it must also convert to a finite float."""
+    return (isinstance(x, kinds) and not isinstance(x, bool)
+            and (kinds is int or abs(x) <= sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -97,14 +101,16 @@ class TrainConfig(_JsonRecord):
         for name in ("lr", "dropout", "omega_nu", "omega_was", "p", "curvature",
                      "fermi_r", "fermi_t", "weight_decay"):
             if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"got {getattr(self, name)!r}")
         if not isinstance(self.trainable_curvature, bool):
             raise ValueError("trainable_curvature must be true or false, "
                              f"got {self.trainable_curvature!r}")
         fr = self.split_fractions
         if fr is not None and not (isinstance(fr, tuple) and len(fr) == 3
                                    and all(_is_number(x) for x in fr)):
-            raise ValueError(f"split_fractions must be null or three numbers, got {fr!r}")
+            raise ValueError("split_fractions must be null or three finite numbers, "
+                             f"got {fr!r}")
         if self.cache_dir is not None and not isinstance(self.cache_dir, str):
             raise ValueError(f"cache_dir must be a string, got {self.cache_dir!r}")
         for name, choices in (("task", ("nc", "lp")),
@@ -157,27 +163,25 @@ class Adam:
     """Adaptive moment estimation over DiffValue leaves."""
 
     def __init__(self, params: list[ad.DiffValue], lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.0):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.weight_decay = weight_decay
+        self.lr, self.weight_decay = lr, weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - _ADAM_BETA1 ** self.t
+        b2c = 1.0 - _ADAM_BETA2 ** self.t
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.value)
             if self.weight_decay:
                 g = g + self.weight_decay * p.value
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            self.m[i] = _ADAM_BETA1 * self.m[i] + (1.0 - _ADAM_BETA1) * g
+            self.v[i] = _ADAM_BETA2 * self.v[i] + (1.0 - _ADAM_BETA2) * g * g
             p.value = p.value - self.lr * (self.m[i] / b1c) / (
-                np.sqrt(self.v[i] / b2c) + self.eps)
+                np.sqrt(self.v[i] / b2c) + _ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -298,32 +302,6 @@ def message_graph(g: WeightedGraph, cfg: TrainConfig) -> WeightedGraph:
     return _lp_message_graph(g, split_edges(g, cfg.fractions, cfg.seed))
 
 
-def _nc_eval(z: np.ndarray, labels, mask, cfg: TrainConfig) -> tuple[float, float]:
-    """(metric, cross-entropy) of logits on a node mask; the loss breaks metric ties."""
-    metric = evaluate_nc(z, labels, mask, cfg.metric, cfg.f1_average)
-    mask = np.asarray(mask, dtype=np.int64)
-    shifted = z[mask] - z[mask].max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    ce = -float(np.mean(log_probs[np.arange(mask.size), np.asarray(labels)[mask]]))
-    return metric, ce
-
-
-def _lp_eval(z: np.ndarray, pos_pairs: np.ndarray, neg_pairs: np.ndarray,
-             cfg: TrainConfig) -> tuple[float, float]:
-    """(ROC-AUC, binary cross-entropy) of output embeddings on fixed pairs."""
-    fd = FermiDiracParams(cfg.fermi_r, cfg.fermi_t)
-    def score(pairs):
-        d = np.linalg.norm(z[pairs[:, 0]] - z[pairs[:, 1]], axis=1)
-        return fermi_dirac_prob(d, fd)
-    p_pos, p_neg = score(pos_pairs), score(neg_pairs)
-    scores = np.concatenate([p_pos, p_neg])
-    truth = np.concatenate([np.ones(len(pos_pairs)), np.zeros(len(neg_pairs))])
-    eps = 1e-12
-    bce = -float(np.mean(np.concatenate([np.log(p_pos + eps),
-                                         np.log(1.0 - p_neg + eps)])))
-    return evaluate_lp(scores, truth), bce
-
-
 @dataclass
 class _Best:
     """Best validation point so far and the parameters it was scored at."""
@@ -350,7 +328,10 @@ def train(g: WeightedGraph, cfg: TrainConfig, split: SplitSpec | None = None,
     The geometric profile is computed once up front.  Validation is checked
     every epoch; training stops ``patience`` epochs after the last strict
     improvement or at ``max_epochs``, whichever is first, and the test metric
-    is evaluated only at the restored best checkpoint.
+    is evaluated only at the restored best checkpoint.  One branch on the task
+    sets the split, the message graph, the training task loss and ``score``,
+    which returns a part's metric and that same task loss on it; the loss
+    breaks ties in the validation metric.
 
     Each epoch's validation scores the parameters its optimizer step wrote.
     At ``dropout == 0`` the next epoch's training forward runs at exactly
@@ -377,41 +358,49 @@ def train(g: WeightedGraph, cfg: TrainConfig, split: SplitSpec | None = None,
         if split is None:
             split = split_nodes(g, cfg.fractions, cfg.seed)
         msg_graph = g
+
+        def task_loss(z, rng):
+            return cross_entropy_nc(z, labels, split.train)
+
+        def score(z, part):
+            mask = getattr(split, part)
+            return (evaluate_nc(z.value, labels, mask, cfg.metric, cfg.f1_average),
+                    float(cross_entropy_nc(z, labels, mask).value))
     else:
         if split is None:
             split = split_edges(g, cfg.fractions, cfg.seed)
         if not isinstance(split, EdgeSplitSpec):
             raise ValueError("link prediction requires an edge split")
-        labels = None
         out_dim = cfg.hidden
         msg_graph = _lp_message_graph(g, split)
+        fd_params = FermiDiracParams(cfg.fermi_r, cfg.fermi_t)
+        pos = {part: g.edge_index[np.asarray(getattr(split, part), dtype=np.int64)]
+               for part in ("train", "val", "test")}
+        neg = {part: np.asarray(getattr(split, f"{part}_neg"), dtype=np.int64)
+               for part in ("val", "test")}
+
+        def task_loss(z, rng):
+            neg_pairs = np.asarray(
+                sample_non_edges(g, len(pos["train"]), rng), dtype=np.int64)
+            return lp_loss(z, pos["train"], neg_pairs, fd_params)
+
+        def score(z, part):
+            pairs = (pos[part], neg[part])
+            probs = [fermi_dirac_prob(_pair_distances(z, e).value, fd_params)
+                     for e in pairs]
+            truth = np.concatenate([np.ones(len(pairs[0])), np.zeros(len(pairs[1]))])
+            return (evaluate_lp(np.concatenate(probs), truth),
+                    float(lp_loss(z, *pairs, fd_params).value))
 
     profile = mu_profile(msg_graph, cfg.k, cfg.delta_mode, cfg.cache_dir)
     mu = normalize_delta(profile)
     weights = LossWeights(cfg.omega_nu, cfg.omega_was, cfg.p)
-    fd_params = FermiDiracParams(cfg.fermi_r, cfg.fermi_t)
 
     model = JointSpaceGNN(
         in_dim=features.shape[1], hidden_dim=cfg.hidden, out_dim=out_dim,
         num_layers=cfg.layers, q_dim=cfg.q_dim, curvature=cfg.curvature,
         trainable_curvature=cfg.trainable_curvature, seed=cfg.seed)
     opt = Adam(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-
-    if cfg.task == "nc":
-        def validate(z):
-            return _nc_eval(z, labels, split.val, cfg)
-        def test(z):
-            return _nc_eval(z, labels, split.test, cfg)
-    else:
-        train_pos, val_pos, test_pos = (
-            g.edge_index[np.asarray(part, dtype=np.int64)]
-            for part in (split.train, split.val, split.test))
-        val_neg = np.asarray(split.val_neg, dtype=np.int64)
-        test_neg = np.asarray(split.test_neg, dtype=np.int64)
-        def validate(z):
-            return _lp_eval(z, val_pos, val_neg, cfg)
-        def test(z):
-            return _lp_eval(z, test_pos, test_neg, cfg)
 
     forward_is_eval = cfg.dropout == 0.0
     loss_trace: list[float] = []
@@ -422,16 +411,10 @@ def train(g: WeightedGraph, cfg: TrainConfig, split: SplitSpec | None = None,
                                     dropout=cfg.dropout, rng=rng_epoch)
         if forward_is_eval and epoch > 1:
             # The previous epoch's validation, before this epoch's step.
-            best.update(validate(out.z.value), epoch - 1, model)
+            best.update(score(out.z, "val"), epoch - 1, model)
             if epoch - 1 - best.epoch >= cfg.patience:
                 break
-        if cfg.task == "nc":
-            task_loss = cross_entropy_nc(out.z, labels, split.train)
-        else:
-            neg_pairs = np.asarray(
-                sample_non_edges(g, len(train_pos), rng_epoch), dtype=np.int64)
-            task_loss = lp_loss(out.z, train_pos, neg_pairs, fd_params)
-        loss = overall_loss(task_loss,
+        loss = overall_loss(task_loss(out.z, rng_epoch),
                             [(r.beta_r, r.beta_d) for r in record],
                             mu, weights, cfg.comparison_mode)
         loss_value = float(loss.value)
@@ -446,17 +429,17 @@ def train(g: WeightedGraph, cfg: TrainConfig, split: SplitSpec | None = None,
         loss_trace.append(loss_value)
 
         if not forward_is_eval or epoch == cfg.max_epochs:
-            # Keep only the output array, so the eval tape is freed at once.
-            z = model.forward(msg_graph, features, training=False)[0].z.value
-            best.update(validate(z), epoch, model)
+            # Scored inline, so no name holds the eval tape into the next epoch.
+            best.update(score(model.forward(msg_graph, features, training=False)[0].z,
+                              "val"), epoch, model)
             if epoch - best.epoch >= cfg.patience:
                 break
-    del out, record, task_loss, loss   # free the last training tape
+    del out, record, loss   # free the last training tape
 
     if best.state is not None:
         model.load_state_dict(best.state)
     out, record = model.forward(msg_graph, features, training=False)
-    test_metric, _ = test(out.z.value)
+    test_metric, _ = score(out.z, "test")
     beta_samples = tuple(tuple(float(b) for b in r.beta_r.value) for r in record)
     w2_unif, w2_mu = _beta_diagnostics(beta_samples, mu)
 

@@ -75,6 +75,17 @@ class TestGenerateAnalyze:
         assert f"bin_width must be finite and positive, got {width}" in capsys.readouterr().err
         assert not hist_out.exists()
 
+    @pytest.mark.parametrize("width", ["1e-300", "1e-9"])
+    def test_analyze_bin_width_beyond_bin_cap_exit_2(self, tmp_path, capsys, width):
+        edges = tmp_path / "lat.edges"
+        main(["generate", "lattice", "--rows", "3", "--cols", "3", "--out", str(edges)])
+        hist_out = tmp_path / "h.csv"
+        code = main(["analyze", "--graph", str(edges), "--out", str(tmp_path / "p.json"),
+                     "--hist", str(hist_out), "--bin-width", width])
+        assert code == 2
+        assert f"bin_width {float(width)} needs more than" in capsys.readouterr().err
+        assert not hist_out.exists()
+
     def test_analyze_bad_graph_exit_2(self, tmp_path):
         bad = tmp_path / "bad.edges"
         bad.write_text("0 0\n")
@@ -181,8 +192,12 @@ class TestTraining:
 
     @pytest.mark.parametrize("text,field", [
         ('{"hidden": 8.5}', "hidden"), ('{"layers": true}', "layers"),
-        ('{"split_fractions": [0.25, 0.25, 0.25, 0.25]}', "split_fractions")],
-        ids=["float-hidden", "bool-layers", "four-fractions"])
+        ('{"split_fractions": [0.25, 0.25, 0.25, 0.25]}', "split_fractions"),
+        ('{"lr": NaN}', "lr"), ('{"curvature": Infinity}', "curvature"),
+        ('{"weight_decay": NaN}', "weight_decay"), ('{"fermi_t": NaN}', "fermi_t"),
+        ('{"p": Infinity}', "p")],
+        ids=["float-hidden", "bool-layers", "four-fractions", "nan-lr",
+             "infinite-curvature", "nan-weight-decay", "nan-fermi-t", "infinite-p"])
     def test_train_nc_wrong_typed_config_exit_2(self, tmp_path, combined_files,
                                                 capsys, text, field):
         edges, feats, labels = combined_files
@@ -192,6 +207,12 @@ class TestTraining:
                      "--labels", str(labels), "--config", str(cfg_path),
                      "--max-epochs", "2"]) == 2
         assert f"error: {field} must be" in capsys.readouterr().err
+
+    def test_train_nc_nan_lr_flag_exit_2(self, combined_files, capsys):
+        edges, feats, labels = combined_files
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--lr", "nan", "--max-epochs", "2"]) == 2
+        assert "error: lr must be a finite number, got nan" in capsys.readouterr().err
 
     def test_train_nc_bad_profile_cache_exit_2(self, tmp_path, combined_files,
                                                capsys):

@@ -10,12 +10,12 @@ from jointspace import hyperbolicity
 from jointspace.graphs import (DistanceMatrix, WeightedGraph, generate_combined,
                                generate_lattice, generate_tree, k_hop_subgraph,
                                reference_combined_graph, shortest_paths)
-from jointspace.hyperbolicity import (CrossComponentError, ExactLimitExceeded,
-                                      HyperbolicityProfile, delta_inf,
-                                      delta_one_exact, delta_one_sampled,
-                                      four_point_tau, histogram, is_tree_metric,
-                                      local_profile, profile_from_json,
-                                      profile_to_json)
+from jointspace.hyperbolicity import (MAX_HISTOGRAM_BINS, CrossComponentError,
+                                      ExactLimitExceeded, HyperbolicityProfile,
+                                      delta_inf, delta_one_exact,
+                                      delta_one_sampled, four_point_tau,
+                                      histogram, is_tree_metric, local_profile,
+                                      profile_from_json, profile_to_json)
 
 from conftest import (cycle_graph, naive_delta_inf, ordered_mean_tau,
                       ordered_sup_tau, path_graph, random_connected_graph,
@@ -533,3 +533,13 @@ class TestDistributions:
     def test_histogram_rejects_bad_values(self, values, bad):
         with pytest.raises(ValueError, match=f"finite and nonnegative, got {bad}$"):
             histogram(values)
+
+    def test_histogram_bin_cap(self):
+        values = (0.0, 1.0, 2.0)
+        h = histogram(values, 1e-5)
+        assert len(h.counts) == int(2.0 // 1e-5) + 1 <= MAX_HISTOGRAM_BINS
+        assert sum(h.counts) == 3 and h.counts[0] == 1 and h.counts[-1] == 1
+        for width in (2e-6, 1e-9, 1e-300):
+            with pytest.raises(ValueError, match=f"bin_width {width} needs more than "
+                                                 f"{MAX_HISTOGRAM_BINS} bins"):
+                histogram(values, width)

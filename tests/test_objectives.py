@@ -59,12 +59,11 @@ class TestWasserstein:
         assert wasserstein_1d([1, 2], [2, 1], 2) == 0.0
         assert wasserstein_1d([1, 2], [1, 3], 2) > 0.0
 
-    def test_unequal_sizes_quantile_path(self):
-        # midpoint-quantile convention; value must be finite and symmetric
-        a, b = [0.0, 1.0], [0.0, 0.5, 1.0]
-        w = wasserstein_1d(a, b, 2)
-        assert w == pytest.approx(wasserstein_1d(b, a, 2))
-        assert 0.0 <= w < 1.0
+    def test_unequal_sizes_rejected(self):
+        with pytest.raises(ValueError, match="equal sample counts, got 2 and 3"):
+            wasserstein_1d([0.0, 1.0], [0.0, 0.5, 1.0], 2)
+        with pytest.raises(ValueError, match="equal sample counts, got 3 and 2"):
+            wasserstein_1d([0.0, 0.5, 1.0], [0.0, 1.0], 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -294,3 +293,6 @@ class TestOverallLoss:
             LossWeights(-0.1, 0.0)
         with pytest.raises(ValueError):
             LossWeights(0.0, 0.0, p=0.5)
+        for p in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="p must be finite"):
+                LossWeights(0.0, 1.0, p=p)

@@ -62,7 +62,13 @@ class TestConfig:
         ("seed", 1.0), ("lr", "0.01"), ("trainable_curvature", 1),
         ("split_fractions", (0.25, 0.25, 0.25, 0.25)),
         ("split_fractions", (0.5, 0.25, "0.25")), ("split_fractions", (0.5, 0.5, True)),
-        ("split_fractions", [0.5, 0.25, 0.25]), ("cache_dir", 5)])
+        ("split_fractions", [0.5, 0.25, 0.25]), ("cache_dir", 5),
+        ("lr", math.nan), ("lr", math.inf), ("curvature", math.inf),
+        ("fermi_r", math.inf), ("fermi_t", math.nan), ("weight_decay", math.nan),
+        ("omega_nu", math.inf), ("omega_was", math.nan), ("p", math.inf),
+        ("split_fractions", (0.6, math.nan, 0.2)),
+        ("split_fractions", (math.inf, 0.2, 0.2)),
+        pytest.param("curvature", 10**400, id="curvature-int-beyond-float")])
     def test_rejects_unknown_choice_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
