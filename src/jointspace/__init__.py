@@ -43,7 +43,6 @@ from .poincare import (
     hyp_distance,
     log_origin,
     mobius_add,
-    mobius_matvec,
     project_to_ball,
 )
 from .training import (

@@ -22,6 +22,15 @@ from .training import (RunReport, TrainConfig, TrainingDiverged,
                        message_graph, mu_profile, train)
 
 
+# The TrainConfig fields that training flags set; each flag's dest is its field.
+_TRAIN_FIELDS = ("lr", "omega_nu", "omega_was", "k", "seed", "layers", "hidden",
+                 "dropout", "comparison_mode", "max_epochs", "patience")
+
+# The variants ``ablate`` trains: name -> overrides of the base config.
+_ABLATIONS = {"full": {}, "wo_nu": {"omega_nu": 0.0}, "wo_w2": {"omega_was": 0.0},
+              "wo_nu_w2": {"omega_nu": 0.0, "omega_was": 0.0}}
+
+
 def _emit(obj: dict | str, out: str | None) -> None:
     text = obj if isinstance(obj, str) else json.dumps(obj, indent=2)
     if out:
@@ -47,25 +56,12 @@ def _load_graph(args, default_identity_features: bool = False) -> "WeightedGraph
     return g
 
 
-def _config_from_args(args, task: str) -> TrainConfig:
-    if args.config:
-        cfg = TrainConfig.from_json(Path(args.config).read_text())
-        if cfg.task != task:
-            cfg = replace(cfg, task=task)
-    else:
-        cfg = TrainConfig(task=task)
-    overrides = {}
-    for flag, field in [("lr", "lr"), ("omega_nu", "omega_nu"),
-                        ("omega_was", "omega_was"), ("k", "k"),
-                        ("seed", "seed"), ("layers", "layers"),
-                        ("hidden", "hidden"), ("dropout", "dropout"),
-                        ("mode", "comparison_mode"),
-                        ("max_epochs", "max_epochs"),
-                        ("patience", "patience")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    return replace(cfg, **overrides) if overrides else cfg
+def _config_from_args(args) -> TrainConfig:
+    cfg = (TrainConfig.from_json(Path(args.config).read_text()) if args.config
+           else TrainConfig())
+    overrides = {field: getattr(args, field) for field in _TRAIN_FIELDS
+                 if getattr(args, field, None) is not None}
+    return replace(cfg, task=args.task, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +91,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _train_common(args, task: str) -> int:
+def _cmd_train(args) -> int:
     g = _load_graph(args, default_identity_features=True)
-    cfg = _config_from_args(args, task)
-    result = train(g, cfg, return_model=bool(args.checkpoint))
+    result = train(g, _config_from_args(args), return_model=bool(args.checkpoint))
     if args.checkpoint:
         report, model, _ = result
         Path(args.checkpoint).write_text(save_params_json(model.state_dict()))
@@ -108,49 +103,21 @@ def _train_common(args, task: str) -> int:
     return 0
 
 
-def _cmd_train_nc(args) -> int:
-    return _train_common(args, "nc")
-
-
-def _cmd_train_lp(args) -> int:
-    return _train_common(args, "lp")
-
-
-def _cmd_ablate(args) -> int:
+def _cmd_variants(args) -> int:
     g = _load_graph(args, default_identity_features=True)
-    base = _config_from_args(args, args.task)
-    variants = {
-        "full": base,
-        "wo_nu": replace(base, omega_nu=0.0),
-        "wo_w2": replace(base, omega_was=0.0),
-        "wo_nu_w2": replace(base, omega_nu=0.0, omega_was=0.0),
-    }
+    base = _config_from_args(args)
     table = {}
-    for name, cfg in variants.items():
-        rep = train(g, cfg)
-        table[name] = {"val_metric": rep.best_val_metric,
-                       "test_metric": rep.test_metric,
-                       "w2_nu_unif": rep.w2_nu_unif,
-                       "w2_nu_mu": rep.w2_nu_mu}
+    for name, overrides in args.variants.items():
+        rep = train(g, replace(base, **overrides))
+        row = {"val_metric": rep.best_val_metric, "test_metric": rep.test_metric,
+               "w2_nu_unif": rep.w2_nu_unif, "w2_nu_mu": rep.w2_nu_mu}
+        table[name] = {column: row[column] for column in args.columns}
     _emit(table, args.out)
-    if args.csv:
-        with Path(args.csv).open("w") as fh:
-            fh.write("variant,val_metric,test_metric,w2_nu_unif,w2_nu_mu\n")
-            for name, row in table.items():
-                fh.write(f"{name},{row['val_metric']},{row['test_metric']},"
-                         f"{row['w2_nu_unif']},{row['w2_nu_mu']}\n")
-    return 0
-
-
-def _cmd_compare_modes(args) -> int:
-    g = _load_graph(args, default_identity_features=True)
-    base = _config_from_args(args, args.task)
-    table = {}
-    for mode in COMPARISON_MODES:
-        rep = train(g, replace(base, comparison_mode=mode))
-        table[mode] = {"val_metric": rep.best_val_metric,
-                       "test_metric": rep.test_metric}
-    _emit(table, args.out)
+    if getattr(args, "csv", None):
+        lines = [",".join(("variant", *args.columns))]
+        lines += [",".join((name, *map(str, row.values())))
+                  for name, row in table.items()]
+        Path(args.csv).write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -186,6 +153,7 @@ def _add_graph_args(p: argparse.ArgumentParser, with_data: bool = False) -> None
 
 
 def _add_train_args(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
+    # Every flag but --config and --out sets the TrainConfig field its dest names.
     p.add_argument("--config", help="TrainConfig JSON file")
     p.add_argument("--lr", type=float)
     p.add_argument("--omega-nu", dest="omega_nu", type=float)
@@ -196,12 +164,11 @@ def _add_train_args(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
     p.add_argument("--hidden", type=int)
     p.add_argument("--dropout", type=float)
     if with_mode:
-        p.add_argument("--mode", choices=COMPARISON_MODES,
+        p.add_argument("--mode", dest="comparison_mode", choices=COMPARISON_MODES,
                        help="comparison mode for the alignment term")
     p.add_argument("--max-epochs", dest="max_epochs", type=int)
     p.add_argument("--patience", type=int)
-    p.add_argument("--out", help="RunReport JSON output path")
-    p.add_argument("--checkpoint", help="write best parameters as JSON")
+    p.add_argument("--out", help="JSON output path: the RunReport, or the table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,29 +197,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("train-nc", help="node classification run")
-    _add_graph_args(p, with_data=True)
-    _add_train_args(p)
-    p.set_defaults(func=_cmd_train_nc)
-
-    p = sub.add_parser("train-lp", help="link prediction run")
-    _add_graph_args(p, with_data=True)
-    _add_train_args(p)
-    p.set_defaults(func=_cmd_train_lp)
+    for task, help_text in (("nc", "node classification run"),
+                            ("lp", "link prediction run")):
+        p = sub.add_parser(f"train-{task}", help=help_text)
+        _add_graph_args(p, with_data=True)
+        _add_train_args(p)
+        p.add_argument("--checkpoint", help="write best parameters as JSON")
+        p.set_defaults(func=_cmd_train, task=task)
 
     p = sub.add_parser("ablate", help="full model and the three reduced variants")
     _add_graph_args(p, with_data=True)
     _add_train_args(p)
     p.add_argument("--task", choices=("nc", "lp"), default="nc")
     p.add_argument("--csv", help="also write the table as CSV")
-    p.set_defaults(func=_cmd_ablate)
+    p.set_defaults(func=_cmd_variants, variants=_ABLATIONS,
+                   columns=("val_metric", "test_metric", "w2_nu_unif", "w2_nu_mu"))
 
     p = sub.add_parser("compare-modes",
                        help="alignment comparison modes side by side")
     _add_graph_args(p, with_data=True)
     _add_train_args(p, with_mode=False)
     p.add_argument("--task", choices=("nc", "lp"), default="nc")
-    p.set_defaults(func=_cmd_compare_modes)
+    p.set_defaults(func=_cmd_variants, columns=("val_metric", "test_metric"),
+                   variants={m: {"comparison_mode": m} for m in COMPARISON_MODES})
 
     p = sub.add_parser("report", help="learned-hyperbolicity diagnostics of a run")
     _add_graph_args(p)

@@ -19,6 +19,7 @@ import numpy as np
 from .autodiff import RowIndex
 
 __all__ = [
+    "MAX_TOTAL_WEIGHT",
     "GraphValidationError",
     "EdgeListParseError",
     "SplitError",
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 
+# Largest total edge weight of a graph; see ``WeightedGraph``.
+MAX_TOTAL_WEIGHT = 1e150
+
+
 class GraphValidationError(ValueError):
     """Raised when a graph violates the simple-graph invariants."""
 
@@ -58,7 +63,12 @@ class SplitError(ValueError):
 class WeightedGraph:
     """Undirected simple graph with positive edge weights.
 
-    ``edges`` holds canonicalized ``(u, v, w)`` triples with ``u < v``.
+    ``edges`` holds canonicalized ``(u, v, w)`` triples with ``u < v``, whose
+    total weight T may not exceed ``MAX_TOTAL_WEIGHT`` (1e150), or a
+    ``GraphValidationError`` names T.  So no distance overflows: a shortest
+    path is at most T, a sum of two (a relaxation, a four-point pairing) at
+    most 2T, a four-point defect at most T, and a sampled defect's square at
+    most 1e300, finite summed over up to 1e8 samples.
     ``features`` is an optional ``(num_nodes, dim)`` float matrix and
     ``labels`` an optional ``(num_nodes,)`` integer class vector.
     """
@@ -73,6 +83,7 @@ class WeightedGraph:
             raise GraphValidationError("graph needs at least one node")
         canon = []
         seen: set[tuple[int, int]] = set()
+        total = 0.0
         for u, v, w in self.edges:
             u, v, w = int(u), int(v), float(w)
             if u == v:
@@ -86,6 +97,10 @@ class WeightedGraph:
                 raise GraphValidationError(f"duplicate edge ({u},{v})")
             seen.add(key)
             canon.append((key[0], key[1], w))
+            total += w
+        if total > MAX_TOTAL_WEIGHT:
+            raise GraphValidationError(f"total edge weight {total} exceeds "
+                                       f"{MAX_TOTAL_WEIGHT}")
         object.__setattr__(self, "edges", tuple(canon))
         if self.features is not None:
             f = np.asarray(self.features, dtype=np.float64)

@@ -310,13 +310,10 @@ class JointSpaceGNN:
             params[name].value = arr
 
 
-def save_params_json(params: dict[str, np.ndarray] | dict[str, DiffValue]) -> str:
+def save_params_json(params: dict[str, np.ndarray]) -> str:
     """Flat name -> {shape, row-major values} checkpoint encoding."""
-    obj = {}
-    for name, value in params.items():
-        arr = value.value if isinstance(value, DiffValue) else np.asarray(value)
-        obj[name] = {"shape": list(arr.shape), "values": arr.reshape(-1).tolist()}
-    return json.dumps(obj)
+    return json.dumps({name: {"shape": list(a.shape), "values": a.reshape(-1).tolist()}
+                       for name, a in params.items()})
 
 
 def load_params_json(text: str) -> dict[str, np.ndarray]:

@@ -3,14 +3,14 @@
 Points live in the open ball {x in R^n : c * ||x||^2 < 1}.  Each formula is
 written once over rows (trailing feature axis): projection and exp/log at the
 origin are radial maps x * s(sqrt(c) ||x||) that supply only s and ds/du;
-Mobius addition has one closed form and matrix action is composed of these;
-the geodesic distance is its own closed form over row dot products, with no
-Mobius sum.  The ``BallPoint`` functions and the ``d_*`` tape operations
-share this kernel.  Each tape operation is one autodiff node per radial map,
-Mobius addition or distance, with closed-form gradients in the inputs and in
-the curvature (a ``DiffValue`` when it is trained).  Ball-valued results are
-projected back to norm at most (1 - margin) / sqrt(c); atanh inputs are
-clipped below 1 so boundary blow-up cannot occur.
+Mobius addition has one closed form (callers compose the matrix action
+exp_0(W log_0(x)) from the maps); the geodesic distance is its own closed form
+over row dot products, with no Mobius sum.  The ``BallPoint`` functions and the
+``d_*`` tape operations share this kernel.  Each tape operation is one autodiff
+node per radial map, Mobius addition or edge distance, with closed-form
+gradients in the inputs and in the curvature (a ``DiffValue`` when trained).
+Ball-valued results are projected back to norm at most (1 - margin) / sqrt(c);
+atanh inputs are clipped below 1 so boundary blow-up cannot occur.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from .autodiff import DiffValue
 
 __all__ = [
     "PROJECTION_MARGIN", "Curvature", "BallPoint",
-    "mobius_add", "mobius_matvec", "exp_origin", "log_origin", "hyp_distance",
-    "project_to_ball",
-    "d_exp_origin", "d_log_origin", "d_mobius_add", "d_hyp_distance",
-    "d_edge_distance",
+    "mobius_add", "exp_origin", "log_origin", "hyp_distance", "project_to_ball",
+    "d_exp_origin", "d_log_origin", "d_mobius_add", "d_edge_distance",
 ]
 
 PROJECTION_MARGIN = 1e-5
@@ -245,19 +243,6 @@ def mobius_add(x: BallPoint, y: BallPoint) -> BallPoint:
     return BallPoint(_mobius_add_array(x.coords, y.coords, x.c), x.curvature)
 
 
-def mobius_matvec(w: np.ndarray, x: BallPoint) -> BallPoint:
-    """Mobius matrix action: exp at the origin of W applied to log at the origin.
-
-    A zero image maps exactly to the origin.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape[1] != x.coords.shape[-1]:
-        raise ValueError(f"matrix columns {w.shape[1]} != point dimension "
-                         f"{x.coords.shape[-1]}")
-    t = _log_origin_array(x.coords, x.c) @ w.T
-    return BallPoint(_exp_origin_array(t, x.c), x.curvature)
-
-
 def exp_origin(v: np.ndarray, c: float | Curvature = 1.0) -> BallPoint:
     """Exponential map at the origin: tanh(sqrt(c)||v||) * v / (sqrt(c)||v||)."""
     curv = c if isinstance(c, Curvature) else Curvature(c)
@@ -325,27 +310,15 @@ def d_mobius_add(x, y, c) -> DiffValue:
     return _ball_node(out, (x, y), c, vjp)
 
 
-def d_hyp_distance(x, y, c) -> DiffValue:
-    """Row-wise geodesic distance as a flat vector; identical rows give 0."""
-    x, y = ad.as_diff(x), ad.as_diff(y)
-    out, parts = _distance_parts(x.value, y.value, _c_value(c),
-                                 _sq_norm(x.value), _sq_norm(y.value))
-
-    def vjp(g):
-        g_x, g_y, g_c = _distance_grad(g[..., None], *parts)
-        return ad._unbroadcast(g_x, x.shape), ad._unbroadcast(g_y, y.shape), g_c
-    return _ball_node(out[..., 0], (x, y), c, vjp)
-
-
 def d_edge_distance(x, src, dst, c) -> DiffValue:
     """Geodesic distance between the rows ``x[dst]`` and ``x[src]`` of each edge, flat.
 
-    Value and gradients equal, bit for bit, those of
-    ``d_hyp_distance(gather_rows(x, dst), gather_rows(x, src), c)``, in one
-    node: each node's squared norm is computed once and gathered per edge,
-    and the VJP scatters the row gradients straight into ``x``.  ``src`` and
-    ``dst`` are index arrays or ``RowIndex``es, whose kept flat offsets the
-    scatters reuse.  Self loops give exactly 0 and pass no gradient.
+    The one distance operation of the tape: ``_distance_parts`` on the
+    gathered endpoint rows, in one node.  Squared norms are computed once per
+    node and gathered per edge, and the VJP scatters ``_distance_grad``'s row
+    gradients straight into ``x``.  ``src`` and ``dst`` are index arrays or
+    ``RowIndex``es, whose kept flat offsets the scatters reuse.  Self loops
+    give exactly 0 and pass no gradient.
     """
     x = ad.as_diff(x)
     src, dst = ad.as_row_index(src), ad.as_row_index(dst)

@@ -31,6 +31,7 @@ from .objectives import (COMPARISON_MODES, FermiDiracParams, LossWeights,
                          unif_reference, wasserstein_1d)
 
 __all__ = [
+    "MAX_MODEL_SIZE",
     "TrainingDiverged",
     "TrainConfig",
     "RunReport",
@@ -50,6 +51,9 @@ __all__ = [
 
 _MIN_CURVATURE = 1e-4
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+# Largest ``layers``, ``hidden`` and ``q_dim`` a config may ask for: a larger
+# value fails here, by name, not in numpy's allocation or a float overflow.
+MAX_MODEL_SIZE = 2**16
 
 
 class TrainingDiverged(RuntimeError):
@@ -127,6 +131,12 @@ class TrainConfig(_JsonRecord):
                      "patience", "max_epochs", "fermi_r", "fermi_t"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("layers", "hidden", "q_dim"):
+            if getattr(self, name) > MAX_MODEL_SIZE:
+                raise ValueError(f"{name} must be at most {MAX_MODEL_SIZE}, "
+                                 f"got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.omega_nu < 0 or self.omega_was < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.weight_decay < 0:

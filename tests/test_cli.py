@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from jointspace import cli
 from jointspace.cli import main
 from jointspace.graphs import load_edge_list
 from jointspace.hyperbolicity import local_profile
-from jointspace.training import synthetic_nc_graph
+from jointspace.training import synthetic_nc_graph, train
 
 
 @pytest.fixture
@@ -86,6 +87,16 @@ class TestGenerateAnalyze:
         assert f"bin_width {float(width)} needs more than" in capsys.readouterr().err
         assert not hist_out.exists()
 
+    @pytest.mark.parametrize("weight", ["1e308", "1e200"])
+    def test_analyze_overweight_graph_exit_2(self, tmp_path, capsys, weight):
+        # A 4-cycle whose path sums would overflow; at 1e308 it once gave delta 0.
+        edges = tmp_path / "c4.edges"
+        edges.write_text("".join(f"{u} {(u + 1) % 4} {weight}\n" for u in range(4)))
+        out = tmp_path / "p.json"
+        assert main(["analyze", "--graph", str(edges), "--out", str(out)]) == 2
+        assert "total edge weight" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analyze_bad_graph_exit_2(self, tmp_path):
         bad = tmp_path / "bad.edges"
         bad.write_text("0 0\n")
@@ -104,11 +115,12 @@ class TestTraining:
         code = main(["train-nc", "--graph", str(edges),
                      "--features", str(feats), "--labels", str(labels),
                      "--hidden", "8", "--max-epochs", "10", "--patience", "10",
-                     "--seed", "1", "--out", str(report_path),
+                     "--seed", "1", "--mode", "pairwise", "--out", str(report_path),
                      "--checkpoint", str(ck_path)])
         assert code == 0
         rep = json.loads(report_path.read_text())
         assert rep["epochs_run"] == 10
+        assert rep["config"]["comparison_mode"] == "pairwise"
         ck = json.loads(ck_path.read_text())
         assert any(k.endswith("gat.W") for k in ck)
         assert all(set(v) == {"shape", "values"} for v in ck.values())
@@ -195,9 +207,11 @@ class TestTraining:
         ('{"split_fractions": [0.25, 0.25, 0.25, 0.25]}', "split_fractions"),
         ('{"lr": NaN}', "lr"), ('{"curvature": Infinity}', "curvature"),
         ('{"weight_decay": NaN}', "weight_decay"), ('{"fermi_t": NaN}', "fermi_t"),
-        ('{"p": Infinity}', "p")],
+        ('{"p": Infinity}', "p"), ('{"q_dim": 1%s}' % ("0" * 400), "q_dim"),
+        ('{"hidden": 100000000000000000000}', "hidden"), ('{"seed": -1}', "seed")],
         ids=["float-hidden", "bool-layers", "four-fractions", "nan-lr",
-             "infinite-curvature", "nan-weight-decay", "nan-fermi-t", "infinite-p"])
+             "infinite-curvature", "nan-weight-decay", "nan-fermi-t", "infinite-p",
+             "401-digit-q-dim", "huge-hidden", "negative-seed"])
     def test_train_nc_wrong_typed_config_exit_2(self, tmp_path, combined_files,
                                                 capsys, text, field):
         edges, feats, labels = combined_files
@@ -285,18 +299,31 @@ class TestTraining:
 
 
 class TestAblateCompareReport:
-    def test_ablate_table(self, tmp_path, combined_files):
+    def test_ablate_table(self, tmp_path, combined_files, monkeypatch):
         edges, feats, labels = combined_files
+        configs = []
+
+        def recording_train(g, cfg):
+            configs.append(cfg)
+            return train(g, cfg)
+        monkeypatch.setattr(cli, "train", recording_train)
         out = tmp_path / "ablate.json"
         csv = tmp_path / "ablate.csv"
         code = main(["ablate", "--graph", str(edges), "--features", str(feats),
                      "--labels", str(labels), "--hidden", "8",
-                     "--max-epochs", "5", "--patience", "5",
+                     "--max-epochs", "5", "--patience", "5", "--mode", "mean",
                      "--out", str(out), "--csv", str(csv)])
         assert code == 0
         table = json.loads(out.read_text())
-        assert set(table) == {"full", "wo_nu", "wo_w2", "wo_nu_w2"}
-        assert csv.read_text().startswith("variant,")
+        assert list(table) == ["full", "wo_nu", "wo_w2", "wo_nu_w2"]
+        assert [(c.omega_nu, c.omega_was) for c in configs] == [
+            (0.1, 0.1), (0.0, 0.1), (0.1, 0.0), (0.0, 0.0)]
+        assert {(c.task, c.comparison_mode, c.hidden) for c in configs} == {
+            ("nc", "mean", 8)}
+        columns = ["val_metric", "test_metric", "w2_nu_unif", "w2_nu_mu"]
+        assert csv.read_text().splitlines() == ["variant," + ",".join(columns)] + [
+            ",".join([name] + [str(row[c]) for c in columns])
+            for name, row in table.items()]
 
     def test_compare_modes(self, tmp_path, combined_files):
         edges, feats, labels = combined_files
@@ -316,6 +343,19 @@ class TestAblateCompareReport:
             main(["compare-modes", "--graph", str(edges), "--features", str(feats),
                   "--labels", str(labels), "--mode", "pairwise"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["ablate", "compare-modes"])
+    def test_table_commands_reject_checkpoint(self, tmp_path, combined_files,
+                                              command):
+        # They train several variants and write a table, so no one checkpoint.
+        edges, feats, labels = combined_files
+        out, ck = tmp_path / "table.json", tmp_path / "ck.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--graph", str(edges), "--features", str(feats),
+                  "--labels", str(labels), "--max-epochs", "1",
+                  "--out", str(out), "--checkpoint", str(ck)])
+        assert exc.value.code == 2
+        assert not out.exists() and not ck.exists()
 
     def test_report_diagnostics(self, tmp_path, combined_files):
         edges, feats, labels = combined_files

@@ -33,6 +33,17 @@ class TestWeightedGraph:
         with pytest.raises(GraphValidationError, match="weight"):
             WeightedGraph(2, ((0, 1, -2.0),))
 
+    @pytest.mark.parametrize("w", [1e308, 1e200])
+    def test_rejects_total_weight_beyond_bound(self, w):
+        # At 1e308 the 4-cycle's path sums overflowed and local_profile gave
+        # delta 0 on every node; at 1e200 the sampler's squares would overflow.
+        with pytest.raises(GraphValidationError, match="total edge weight"):
+            cycle_graph(4, w)
+
+    def test_heavy_graph_within_bound_keeps_exact_delta(self):
+        g = cycle_graph(4, 1e100)
+        assert local_profile(g, 2, "inf").values_by_node().tolist() == [1e100] * 4
+
     def test_rejects_out_of_range_ids(self):
         with pytest.raises(GraphValidationError):
             WeightedGraph(2, ((0, 5, 1.0),))

@@ -13,7 +13,7 @@ from jointspace.layers import (JointSpaceGNN, _attention_logits,
                                init_layer_params, load_params_json,
                                save_params_json)
 from jointspace.poincare import (PROJECTION_MARGIN, d_edge_distance, d_exp_origin,
-                                 d_hyp_distance, d_log_origin, d_mobius_add)
+                                 d_log_origin, d_mobius_add)
 from jointspace.training import synthetic_lp_tree, synthetic_nc_graph
 
 from conftest import path_graph
@@ -27,6 +27,13 @@ def attention_arrays(g):
 
 def ball_rows(rng, n, dim, c=1.0, scale=0.3):
     return pc._project_array(rng.normal(size=(n, dim)) * scale, c)
+
+
+def pair_distance(x, y, c):
+    """Distance between rows ``x[i]`` and ``y[i]``: ``d_edge_distance`` over the
+    stacked rows, with edges from each ``y`` row to its ``x`` row."""
+    n = x.shape[0]
+    return d_edge_distance(ad.concat([x, y]), np.arange(n, 2 * n), np.arange(n), c)
 
 
 class TestDifferentiableBallOps:
@@ -48,7 +55,7 @@ class TestDifferentiableBallOps:
         dist_np = np.array([pc.hyp_distance(pc.BallPoint(x[i], curv),
                                             pc.BallPoint(y[i], curv))
                             for i in range(6)])
-        assert np.allclose(d_hyp_distance(x, y, c).value, dist_np, atol=1e-12)
+        assert np.allclose(pair_distance(x, y, c).value, dist_np, atol=1e-12)
 
     def test_zero_vector_exactness(self):
         z = np.zeros((2, 3))
@@ -57,7 +64,7 @@ class TestDifferentiableBallOps:
         x = ad.DiffValue(ball_rows(np.random.default_rng(0), 2, 3))
         y = ad.DiffValue(x.value.copy())
         curv = ad.DiffValue(1.5)
-        dist = d_hyp_distance(x, y, curv)
+        dist = pair_distance(x, y, curv)
         assert np.all(dist.value == 0.0)
         ad.backward(ad.sum_(dist))
         assert np.all(x.grad == 0.0) and np.all(y.grad == 0.0) and curv.grad == 0.0
@@ -71,7 +78,7 @@ class TestDifferentiableBallOps:
         def loss_fn():
             s = d_mobius_add(d_exp_origin(x, 1.0), d_exp_origin(y, 1.0), 1.0)
             t = d_log_origin(s, 1.0)
-            d = d_hyp_distance(d_exp_origin(x, 1.0), d_exp_origin(y, 1.0), 1.0)
+            d = pair_distance(d_exp_origin(x, 1.0), d_exp_origin(y, 1.0), 1.0)
             return ad.add(ad.sum_(ad.mul(t, wts)), ad.sum_(d))
 
         assert ad.finite_diff_check(loss_fn, [x, y]) < 1e-5
@@ -107,10 +114,10 @@ class TestDifferentiableBallOps:
                 "mobius_add": (d_mobius_add, [np.vstack([rows(0.0, 0.5, 0.9), near]),
                                               np.vstack([rows(0.5, 0.0, 0.6), near])]),
                 "bias_row": (d_mobius_add, [rows(0.0, 0.5, 0.9), rows(0.4)]),
-                "distance": (d_hyp_distance, [dist_x, dist_y]),
+                "distance": (pair_distance, [dist_x, dist_y]),
             }
             clip = 2.0 * math.atanh(1.0 - PROJECTION_MARGIN) / math.sqrt(c)
-            clipped = d_hyp_distance(near, -near, c).value[0]
+            clipped = pair_distance(near, -near, c).value[0]
             assert clipped == pytest.approx(clip, rel=1e-15)
             for name, (op, arrays) in cases.items():
                 leaves = [ad.DiffValue(a) for a in arrays]
@@ -153,18 +160,21 @@ class TestEdgeDistance:
         x0 = self.rows(rng, c)
         src, dst = self.GRAPH.attention_index
         w = rng.normal(size=src.idx.shape)
-        results = []
-        for fused in (True, False):
-            x, curv = ad.DiffValue(x0.copy()), ad.DiffValue(c)
-            if fused:
-                dist = d_edge_distance(x, src, dst, curv)
-            else:
-                dist = d_hyp_distance(ad.gather_rows(x, dst.idx),
-                                      ad.gather_rows(x, src.idx), curv)
-            ad.backward(ad.sum_(ad.mul(dist, w)))
-            results.append((dist.value, x.grad, curv.grad))
-        (value, g_x, g_c), (ref_value, ref_g_x, ref_g_c) = results
-        assert np.array_equal(value, ref_value)
+        x, curv = ad.DiffValue(x0.copy()), ad.DiffValue(c)
+        dist = d_edge_distance(x, src, dst, curv)
+        ad.backward(ad.sum_(ad.mul(dist, w)))
+        value, g_x, g_c = dist.value, x.grad, curv.grad
+        # The reference: the row kernel on the gathered endpoint rows, and its
+        # row gradients summed into each endpoint with np.add.at.
+        xd, xs = x0[dst.idx], x0[src.idx]
+        ref_value, parts = pc._distance_parts(xd, xs, c, pc._sq_norm(xd),
+                                              pc._sq_norm(xs))
+        g_dst, g_src, ref_g_c = pc._distance_grad(w[:, None], *parts)
+        into_dst, into_src = np.zeros_like(x0), np.zeros_like(x0)
+        np.add.at(into_dst, dst.idx, g_dst)
+        np.add.at(into_src, src.idx, g_src)
+        ref_g_x = into_src + into_dst
+        assert np.array_equal(value, ref_value[:, 0])
         assert np.array_equal(g_x, ref_g_x) and np.array_equal(g_c, ref_g_c)
         loops = src.idx == dst.idx
         assert np.all(value[loops] == 0.0)
@@ -362,9 +372,9 @@ class TestHGATLayer:
         scores = ad.reshape(ad.matmul(t, ad.transpose(ad.reshape(p.a, (2, 3)))),
                             (6,))
         raw = ad.add(ad.gather_rows(scores, 2 * dst), ad.gather_rows(scores, 2 * src + 1))
-        dist = d_hyp_distance(ad.gather_rows(x, dst), ad.gather_rows(x, src), c)
+        dist = pc._distance_array(x.value[dst], x.value[src], float(c.value))[:, 0]
         # The aggregation tail in plain numpy, in the order the tape computes it.
-        x = ad.mul(raw, dist).value
+        x = raw.value * dist
         e = np.where(x > 0.0, x, 0.2 * x)
         mx = np.full(3, -np.inf)
         np.maximum.at(mx, dst, e)

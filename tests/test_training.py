@@ -12,7 +12,7 @@ from jointspace import training
 from jointspace.graphs import generate_tree
 from jointspace.layers import JointSpaceGNN, load_params_json, save_params_json
 from jointspace.objectives import normalize_delta, overall_loss
-from jointspace.training import (Adam, RunReport, TrainConfig,
+from jointspace.training import (MAX_MODEL_SIZE, Adam, RunReport, TrainConfig,
                                  analyze_hyperbolicities, evaluate_lp,
                                  evaluate_nc, identity_features, mu_profile,
                                  run_grid, run_seeds, synthetic_lp_tree,
@@ -55,6 +55,8 @@ class TestConfig:
             TrainConfig(comparison_mode="other")
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
+        # The size bound is inclusive; building the config builds no model.
+        TrainConfig(layers=MAX_MODEL_SIZE, hidden=MAX_MODEL_SIZE, q_dim=MAX_MODEL_SIZE)
 
     @pytest.mark.parametrize("field,value", [
         ("delta_mode", "sup"), ("metric", "auc"), ("f1_average", "weighted"),
@@ -68,7 +70,9 @@ class TestConfig:
         ("omega_nu", math.inf), ("omega_was", math.nan), ("p", math.inf),
         ("split_fractions", (0.6, math.nan, 0.2)),
         ("split_fractions", (math.inf, 0.2, 0.2)),
-        pytest.param("curvature", 10**400, id="curvature-int-beyond-float")])
+        pytest.param("curvature", 10**400, id="curvature-int-beyond-float"),
+        ("seed", -1), ("layers", MAX_MODEL_SIZE + 1), ("hidden", 10**20),
+        pytest.param("q_dim", 10**400, id="q_dim-int-beyond-float")])
     def test_rejects_unknown_choice_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
