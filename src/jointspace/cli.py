@@ -8,12 +8,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from .graphs import (generate_combined, generate_lattice, generate_tree,
-                     load_edge_list, load_features_csv, load_labels_csv,
-                     save_edge_list)
+from .graphs import (_read_lines, generate_combined, generate_lattice,
+                     generate_tree, load_edge_list, load_features_csv,
+                     load_labels_csv, save_edge_list)
 from .hyperbolicity import DELTA_MODES, histogram, local_profile, profile_to_json
 from .layers import save_params_json
 from .objectives import COMPARISON_MODES, normalize_delta
@@ -22,9 +22,9 @@ from .training import (RunReport, TrainConfig, TrainingDiverged,
                        message_graph, mu_profile, train)
 
 
-# The TrainConfig fields that training flags set; each flag's dest is its field.
-_TRAIN_FIELDS = ("lr", "omega_nu", "omega_was", "k", "seed", "layers", "hidden",
-                 "dropout", "comparison_mode", "max_epochs", "patience")
+# The TrainConfig fields the scalar training flags set; --omega-nu sets omega_nu.
+_TRAIN_FLAGS = ("lr", "omega_nu", "omega_was", "k", "seed", "layers", "hidden",
+                "dropout", "max_epochs", "patience")
 
 # The variants ``ablate`` trains: name -> overrides of the base config.
 _ABLATIONS = {"full": {}, "wo_nu": {"omega_nu": 0.0}, "wo_w2": {"omega_was": 0.0},
@@ -56,12 +56,20 @@ def _load_graph(args, default_identity_features: bool = False) -> "WeightedGraph
     return g
 
 
+def _read_record(cls, path: str):
+    """``cls.from_json`` of the file; bytes or text it cannot decode name the file."""
+    text = "".join(_read_lines(path))
+    try:
+        return cls.from_json(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{Path(path).name}: not JSON ({exc})") from exc
+
+
 def _config_from_args(args) -> TrainConfig:
-    cfg = (TrainConfig.from_json(Path(args.config).read_text()) if args.config
-           else TrainConfig())
-    overrides = {field: getattr(args, field) for field in _TRAIN_FIELDS
-                 if getattr(args, field, None) is not None}
-    return replace(cfg, task=args.task, **overrides)
+    cfg = _read_record(TrainConfig, args.config) if args.config else TrainConfig()
+    # Every TrainConfig field that args carries (the task always) overrides.
+    return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(TrainConfig)
+                           if getattr(args, f.name, None) is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +131,7 @@ def _cmd_variants(args) -> int:
 
 def _cmd_report(args) -> int:
     g = _load_graph(args)
-    report = RunReport.from_json(Path(args.run).read_text())
+    report = _read_record(RunReport, args.run)
     # Compare against the profile the run aligned to: its k, its delta mode
     # and, for link prediction, its training-edge message graph.
     cfg = TrainConfig.from_json(json.dumps(report.config))
@@ -155,19 +163,12 @@ def _add_graph_args(p: argparse.ArgumentParser, with_data: bool = False) -> None
 def _add_train_args(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
     # Every flag but --config and --out sets the TrainConfig field its dest names.
     p.add_argument("--config", help="TrainConfig JSON file")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--omega-nu", dest="omega_nu", type=float)
-    p.add_argument("--omega-was", dest="omega_was", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--dropout", type=float)
+    for name in _TRAIN_FLAGS:   # each flag's type is the type of the field's default
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
+                       type=type(getattr(TrainConfig, name)))
     if with_mode:
         p.add_argument("--mode", dest="comparison_mode", choices=COMPARISON_MODES,
                        help="comparison mode for the alignment term")
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
     p.add_argument("--out", help="JSON output path: the RunReport, or the table")
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .autodiff import RowIndex
 
 __all__ = [
+    "MAX_NODES",
     "MAX_TOTAL_WEIGHT",
     "GraphValidationError",
     "EdgeListParseError",
@@ -43,7 +44,8 @@ __all__ = [
 ]
 
 
-# Largest total edge weight of a graph; see ``WeightedGraph``.
+# Largest node count and total edge weight of a graph; see ``WeightedGraph``.
+MAX_NODES = 2**24
 MAX_TOTAL_WEIGHT = 1e150
 
 
@@ -63,6 +65,11 @@ class SplitError(ValueError):
 class WeightedGraph:
     """Undirected simple graph with positive edge weights.
 
+    ``num_nodes`` may not exceed ``MAX_NODES`` (2**24), or a
+    ``GraphValidationError`` names it: every node gets rows in dense per-node
+    arrays (adjacency offsets, features, labels, profiles), so a stray huge
+    id would otherwise allocate without bound, and the ball search's
+    ``(center, node)`` keys, below n**2 = 2**48, stay exact in int64.
     ``edges`` holds canonicalized ``(u, v, w)`` triples with ``u < v``, whose
     total weight T may not exceed ``MAX_TOTAL_WEIGHT`` (1e150), or a
     ``GraphValidationError`` names T.  So no distance overflows: a shortest
@@ -81,6 +88,9 @@ class WeightedGraph:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise GraphValidationError("graph needs at least one node")
+        if self.num_nodes > MAX_NODES:
+            raise GraphValidationError(f"num_nodes must be at most {MAX_NODES}, "
+                                       f"got {self.num_nodes}")
         canon = []
         seen: set[tuple[int, int]] = set()
         total = 0.0
@@ -293,24 +303,26 @@ def load_edge_list(path: str | Path, weighted: bool = True,
     """
     path = Path(path)
     raw_edges: list[tuple[int, int, float]] = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) not in (2, 3):
-                raise EdgeListParseError(
-                    f"{path.name}:{lineno}: expected 'u v [w]', got {stripped!r}")
-            if len(parts) == 3 and not weighted:
-                raise EdgeListParseError(
-                    f"{path.name}:{lineno}: weight column present in unweighted mode")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError as exc:
-                raise EdgeListParseError(f"{path.name}:{lineno}: {exc}") from exc
-            raw_edges.append((u, v, w))
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) not in (2, 3):
+            raise EdgeListParseError(
+                f"{path.name}:{lineno}: expected 'u v [w]', got {stripped!r}")
+        if len(parts) == 3 and not weighted:
+            raise EdgeListParseError(
+                f"{path.name}:{lineno}: weight column present in unweighted mode")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise EdgeListParseError(f"{path.name}:{lineno}: {exc}") from exc
+        if not remap_ids and max(u, v) >= MAX_NODES:
+            raise EdgeListParseError(f"{path.name}:{lineno}: node id {max(u, v)} "
+                                     f"is not below MAX_NODES ({MAX_NODES})")
+        raw_edges.append((u, v, w))
     if not raw_edges:
         raise EdgeListParseError(f"{path.name}: no edges found")
 
@@ -324,6 +336,15 @@ def load_edge_list(path: str | Path, weighted: bool = True,
             raise GraphValidationError("negative node id (use remap_ids for sparse ids)")
         num_nodes = ids[-1] + 1
     return WeightedGraph(num_nodes=num_nodes, edges=tuple(raw_edges))
+
+
+def _read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes raise ``ValueError`` naming it."""
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            return list(fh)
+    except UnicodeDecodeError as exc:
+        raise EdgeListParseError(f"{Path(path).name}: not UTF-8 text ({exc})") from exc
 
 
 def save_edge_list(g: WeightedGraph, path: str | Path) -> None:
@@ -355,11 +376,19 @@ def load_labels_csv(path: str | Path) -> np.ndarray:
 
     Every id from 0 to the largest one must have exactly one row.
     """
-    by_id = _read_csv_by_id(path, int, width=2)
+    by_id = _read_csv_by_id(path, _int64, width=2)
     out = np.zeros(_dense_id_count(path, by_id), dtype=np.int64)
     for i, (lab,) in by_id.items():
         out[i] = lab
     return out
+
+
+def _int64(text: str) -> int:
+    """``int(text)``, which must fit in int64."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"label {value} is outside int64")
+    return value
 
 
 def _dense_id_count(path: str | Path, by_id: dict[int, object]) -> int:
@@ -383,8 +412,8 @@ def _read_csv_by_id(path: str | Path, convert,
     and line.
     """
     path = Path(path)
-    with path.open() as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = [(no, ln.strip()) for no, ln in enumerate(_read_lines(path), start=1)
+             if ln.strip()]
     if len(lines) < 2:
         raise EdgeListParseError(f"{path.name}: expected header plus data rows")
     header = lines[0][1].split(",")
@@ -546,6 +575,9 @@ def generate_lattice(rows: int, cols: int) -> WeightedGraph:
     """Grid graph with 4-neighbor connectivity and unit weights."""
     if rows < 2 or cols < 2:
         raise GraphValidationError("lattice needs rows >= 2 and cols >= 2")
+    if rows * cols > MAX_NODES:
+        raise GraphValidationError(f"a {rows}x{cols} lattice has more than "
+                                   f"MAX_NODES ({MAX_NODES}) nodes")
     edges = []
     for r in range(rows):
         for col in range(cols):
@@ -563,6 +595,13 @@ def generate_tree(branching: int, depth: int) -> WeightedGraph:
         raise GraphValidationError("branching must be >= 1")
     if depth < 0:
         raise GraphValidationError("depth must be >= 0")
+    # Capped depth: a tree of branching >= 2 and depth MAX_NODES.bit_length()
+    # already has more than MAX_NODES nodes.
+    size = (depth + 1 if branching == 1 else
+            (branching ** (min(depth, MAX_NODES.bit_length()) + 1) - 1) // (branching - 1))
+    if size > MAX_NODES:
+        raise GraphValidationError(f"a tree of branching {branching} and depth "
+                                   f"{depth} has more than MAX_NODES ({MAX_NODES}) nodes")
     edges = []
     next_id = 1
     frontier = [0]

@@ -56,8 +56,7 @@ class HGATParams:
     W: DiffValue          # (out, in)
     b: DiffValue          # (out,), mapped into the ball by exp at the origin
     a: DiffValue          # (2*out,)
-    curvature: DiffValue  # positive scalar
-    trainable_curvature: bool = False
+    curvature: DiffValue | float  # positive; a tape leaf only when trained
 
 
 @dataclass
@@ -101,8 +100,8 @@ def init_layer_params(rng: np.random.Generator, in_dim: int, out_dim: int,
         W=DiffValue(_glorot(rng, (out_dim, in_dim))),
         b=DiffValue(np.zeros(out_dim)),
         a=DiffValue(_glorot(rng, (2 * out_dim,))),
-        curvature=DiffValue(float(curvature)),
-        trainable_curvature=trainable_curvature,
+        curvature=(DiffValue(float(curvature)) if trainable_curvature
+                   else float(curvature)),
     )
     fusion = FusionParams(
         M=DiffValue(_glorot(rng, (q_dim, out_dim))),
@@ -268,18 +267,13 @@ class JointSpaceGNN:
                              rng=rng, training=training)
 
     def named_parameters(self) -> dict[str, DiffValue]:
+        """Every ``DiffValue`` of each layer's groups, in field declaration order."""
         out: dict[str, DiffValue] = {}
         for i, lp in enumerate(self.layers):
-            out[f"layer{i}.gat.W"] = lp.gat.W
-            out[f"layer{i}.gat.a"] = lp.gat.a
-            out[f"layer{i}.hgat.W"] = lp.hgat.W
-            out[f"layer{i}.hgat.b"] = lp.hgat.b
-            out[f"layer{i}.hgat.a"] = lp.hgat.a
-            if lp.hgat.trainable_curvature:
-                out[f"layer{i}.hgat.curvature"] = lp.hgat.curvature
-            out[f"layer{i}.fusion.M"] = lp.fusion.M
-            out[f"layer{i}.fusion.b"] = lp.fusion.b
-            out[f"layer{i}.fusion.q"] = lp.fusion.q
+            for group, params in vars(lp).items():
+                for name, value in vars(params).items():
+                    if isinstance(value, DiffValue):
+                        out[f"layer{i}.{group}.{name}"] = value
         return out
 
     def parameters(self) -> list[DiffValue]:

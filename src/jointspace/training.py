@@ -14,14 +14,14 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import (EdgeSplitSpec, SplitSpec, WeightedGraph, _JsonRecord,
-                     graph_hash, sample_non_edges, split_edges, split_nodes)
+from .graphs import (EdgeSplitSpec, WeightedGraph, _JsonRecord, graph_hash,
+                     sample_non_edges, split_edges, split_nodes)
 from .hyperbolicity import (DELTA_MODES, HyperbolicityProfile, local_profile,
                             profile_from_json, profile_to_json)
 from .layers import JointSpaceGNN
@@ -99,17 +99,15 @@ class TrainConfig(_JsonRecord):
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("layers", "hidden", "k", "q_dim", "patience", "max_epochs", "seed"):
-            if not _is_number(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("lr", "dropout", "omega_nu", "omega_was", "p", "curvature",
-                     "fermi_r", "fermi_t", "weight_decay"):
-            if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, "
-                                 f"got {getattr(self, name)!r}")
-        if not isinstance(self.trainable_curvature, bool):
-            raise ValueError("trainable_curvature must be true or false, "
-                             f"got {self.trainable_curvature!r}")
+        # A bool, int or float field must hold the type of its default.
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind is bool and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+            if kind is int and not _is_number(value, int):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if kind is float and not _is_number(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         fr = self.split_fractions
         if fr is not None and not (isinstance(fr, tuple) and len(fr) == 3
                                    and all(_is_number(x) for x in fr)):
@@ -167,6 +165,27 @@ class RunReport(_JsonRecord):
     w2_nu_mu: float
     config: dict
     wall_time: float
+
+    def __post_init__(self) -> None:
+        for name in ("best_val_metric", "test_metric", "w2_nu_unif", "w2_nu_mu",
+                     "wall_time"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("epoch_of_best", "epochs_run"):
+            if not _is_number(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (isinstance(self.loss_trace, tuple)
+                and all(_is_number(x) for x in self.loss_trace)):
+            raise ValueError("loss_trace must be a list of finite numbers")
+        rows = self.beta_samples
+        if not (isinstance(rows, tuple) and all(isinstance(r, tuple) for r in rows)
+                and len({len(r) for r in rows}) <= 1
+                and all(_is_number(b) and 0.0 <= b <= 1.0 for r in rows for b in r)):
+            raise ValueError("beta_samples must be equal-length rows of numbers "
+                             "in [0, 1]")
+        if not isinstance(self.config, dict):
+            raise ValueError(f"config must be an object, got {self.config!r}")
 
 
 class Adam:
@@ -331,15 +350,15 @@ class _Best:
             self.state = model.state_dict()
 
 
-def train(g: WeightedGraph, cfg: TrainConfig, split: SplitSpec | None = None,
-          return_model: bool = False):
-    """Train one model; returns a RunReport (plus the model when requested).
+def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
+    """Train one model; returns a RunReport, or ``(report, model, split)``.
 
     The geometric profile is computed once up front.  Validation is checked
     every epoch; training stops ``patience`` epochs after the last strict
     improvement or at ``max_epochs``, whichever is first, and the test metric
     is evaluated only at the restored best checkpoint.  One branch on the task
-    sets the split, the message graph, the training task loss and ``score``,
+    sets the seeded split of ``cfg.fractions`` (the one ``message_graph``
+    assumes), the message graph, the training task loss and ``score``,
     which returns a part's metric and that same task loss on it; the loss
     breaks ties in the validation metric.
 
@@ -365,8 +384,11 @@ def train(g: WeightedGraph, cfg: TrainConfig, split: SplitSpec | None = None,
             raise ValueError(f"node {v} has negative label {int(labels[v])}; "
                              "labels must be class ids >= 0")
         out_dim = int(labels.max()) + 1
-        if split is None:
-            split = split_nodes(g, cfg.fractions, cfg.seed)
+        if out_dim > MAX_MODEL_SIZE:
+            v = int(np.argmax(labels))
+            raise ValueError(f"node {v} has label {int(labels[v])}; class ids must "
+                             f"be below MAX_MODEL_SIZE ({MAX_MODEL_SIZE})")
+        split = split_nodes(g, cfg.fractions, cfg.seed)
         msg_graph = g
 
         def task_loss(z, rng):
@@ -377,10 +399,7 @@ def train(g: WeightedGraph, cfg: TrainConfig, split: SplitSpec | None = None,
             return (evaluate_nc(z.value, labels, mask, cfg.metric, cfg.f1_average),
                     float(cross_entropy_nc(z, labels, mask).value))
     else:
-        if split is None:
-            split = split_edges(g, cfg.fractions, cfg.seed)
-        if not isinstance(split, EdgeSplitSpec):
-            raise ValueError("link prediction requires an edge split")
+        split = split_edges(g, cfg.fractions, cfg.seed)
         out_dim = cfg.hidden
         msg_graph = _lp_message_graph(g, split)
         fd_params = FermiDiracParams(cfg.fermi_r, cfg.fermi_t)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from jointspace import cli
+from jointspace import cli, graphs
 from jointspace.cli import main
 from jointspace.graphs import load_edge_list
 from jointspace.hyperbolicity import local_profile
@@ -97,6 +97,23 @@ class TestGenerateAnalyze:
         assert "total edge weight" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_analyze_huge_node_id_exit_2(self, tmp_path, capsys):
+        # Id 99999999999 once sized a 745 GiB array and died with MemoryError.
+        edges = tmp_path / "huge.edges"
+        edges.write_text("0 1\n1 99999999999\n")
+        assert main(["analyze", "--graph", str(edges)]) == 2
+        assert "huge.edges:2: node id 99999999999 is not below MAX_NODES" in (
+            capsys.readouterr().err)
+
+    def test_generate_tree_beyond_node_bound_exit_2(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # Checked against a lowered bound, so no tree is built past it.
+        monkeypatch.setattr(graphs, "MAX_NODES", 100)
+        out = tmp_path / "t.edges"
+        assert main(["generate", "tree", "--depth", "6", "--out", str(out)]) == 2
+        assert "has more than MAX_NODES (100) nodes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analyze_bad_graph_exit_2(self, tmp_path):
         bad = tmp_path / "bad.edges"
         bad.write_text("0 0\n")
@@ -183,6 +200,42 @@ class TestTraining:
         assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
                      "--labels", str(labels), "--max-epochs", "2"]) == 2
         assert "node 3 has negative label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label,message", [
+        (10**30, "l.csv:3: label 1000000000000000000000000000000 is outside int64"),
+        (2**16, "node 1 has label 65536; class ids must be below MAX_MODEL_SIZE")],
+        ids=["beyond-int64", "beyond-model-size"])
+    def test_train_nc_huge_label_exit_2(self, combined_files, capsys, label,
+                                        message):
+        edges, feats, labels = combined_files
+        rows = labels.read_text().splitlines()
+        rows[2] = f"1,{label}"
+        labels.write_text("\n".join(rows) + "\n")
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--max-epochs", "1"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["graph", "features", "config"])
+    def test_train_nc_non_utf8_input_exit_2(self, tmp_path, combined_files, capsys,
+                                            which):
+        edges, feats, labels = combined_files
+        files = {"graph": edges, "features": feats, "config": tmp_path / "cfg.json"}
+        files["config"].write_text("{}")
+        path = files[which]
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--config", str(files["config"]),
+                     "--max-epochs", "1"]) == 2
+        assert f"{path.name}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_train_nc_config_not_json_exit_2(self, tmp_path, combined_files, capsys):
+        edges, feats, labels = combined_files
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{lr: 0.1}")
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--config", str(cfg_path)]) == 2
+        assert "cfg.json: not JSON (Expecting property name" in (
+            capsys.readouterr().err)
 
     def test_train_nc_unknown_config_key_exit_2(self, tmp_path, combined_files,
                                                 capsys):
@@ -424,3 +477,33 @@ class TestAblateCompareReport:
         run_path.write_text(json.dumps(run))
         assert main(["report", "--graph", str(edges), "--run", str(run_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda run: run.update(beta_samples=[["a"] * 40] * 2), "beta_samples"),
+        (lambda run: run.update(beta_samples=0.5), "beta_samples"),
+        (lambda run: run["beta_samples"][1].pop(), "beta_samples"),
+        (lambda run: run.update(beta_samples=[[float("nan")] * 40] * 2),
+         "beta_samples"),
+        (lambda run: run.update(test_metric="x"), "test_metric must be a finite number")],
+        ids=["string-betas", "bare-number-betas", "ragged-betas", "nan-betas",
+             "string-test-metric"])
+    def test_report_run_with_bad_values_exit_2(self, tmp_path, combined_files,
+                                               capsys, edit, message):
+        edges, feats, labels = combined_files
+        run_path = tmp_path / "run.json"
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--hidden", "8", "--max-epochs", "2",
+                     "--out", str(run_path)]) == 0
+        run = json.loads(run_path.read_text())
+        edit(run)
+        run_path.write_text(json.dumps(run))
+        capsys.readouterr()
+        assert main(["report", "--graph", str(edges), "--run", str(run_path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_report_run_not_json_exit_2(self, tmp_path, combined_files, capsys):
+        edges, _, _ = combined_files
+        run_path = tmp_path / "run.json"
+        run_path.write_text('{"best_val_metric": 1.0,')
+        assert main(["report", "--graph", str(edges), "--run", str(run_path)]) == 2
+        assert "run.json: not JSON" in capsys.readouterr().err

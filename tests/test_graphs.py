@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from jointspace.graphs import (DistanceMatrix, EdgeListParseError, EdgeSplitSpec,
+from jointspace import graphs
+from jointspace.graphs import (MAX_NODES, DistanceMatrix, EdgeListParseError, EdgeSplitSpec,
                                GraphValidationError, SplitError, SplitSpec,
                                WeightedGraph, _k_hop_balls, generate_combined,
                                generate_lattice, generate_tree, graph_hash,
@@ -43,6 +44,13 @@ class TestWeightedGraph:
     def test_heavy_graph_within_bound_keeps_exact_delta(self):
         g = cycle_graph(4, 1e100)
         assert local_profile(g, 2, "inf").values_by_node().tolist() == [1e100] * 4
+
+    def test_rejects_node_count_beyond_bound(self):
+        # 10**12 nodes once built; the first per-node array then died in numpy.
+        with pytest.raises(GraphValidationError,
+                           match=f"num_nodes must be at most {MAX_NODES}, got 10{{12}}"):
+            WeightedGraph(10**12, ((0, 1, 1.0),))
+        assert WeightedGraph(MAX_NODES, ((0, MAX_NODES - 1, 1.0),)).num_nodes == MAX_NODES
 
     def test_rejects_out_of_range_ids(self):
         with pytest.raises(GraphValidationError):
@@ -98,6 +106,14 @@ class TestEdgeList:
         f.write_text("0 1 2.0\n")
         with pytest.raises(EdgeListParseError):
             load_edge_list(f, weighted=False)
+
+    def test_huge_node_id_names_file_and_line(self, tmp_path):
+        p = tmp_path / "huge.edges"
+        p.write_text("0 1\n1 99999999999\n")
+        with pytest.raises(EdgeListParseError,
+                           match="huge.edges:2: node id 99999999999 is not below"):
+            load_edge_list(p)
+        assert load_edge_list(p, remap_ids=True).num_nodes == 3
 
     def test_remap_sparse_ids(self, tmp_path):
         f = tmp_path / "g.edges"
@@ -163,8 +179,10 @@ class TestEdgeList:
          r"data.csv:3: non-finite value nan"),
         (load_features_csv, "node_id,f0,f1\n0,1.0,-inf\n1,0.5,0.5\n",
          r"data.csv:2: non-finite value -inf"),
+        (load_labels_csv, f"node_id,label\n0,1\n1,{10**30}\n",
+         r"data.csv:3: label 10{30} is outside int64"),
     ], ids=["short-label", "non-int-label", "non-float-feature", "short-feature",
-            "non-int-id", "nan-feature", "inf-feature"])
+            "non-int-id", "nan-feature", "inf-feature", "beyond-int64-label"])
     def test_csv_bad_row_names_file_line_and_fault(self, tmp_path, loader, text,
                                                    fault):
         path = tmp_path / "data.csv"
@@ -405,6 +423,19 @@ class TestGenerators:
     def test_lattice_validation(self):
         with pytest.raises(GraphValidationError):
             generate_lattice(1, 5)
+
+    def test_node_bound_checked_before_building(self, monkeypatch):
+        # Against a lowered bound: unbounded, tree(2, 100) would loop over
+        # about 2**101 nodes.
+        monkeypatch.setattr(graphs, "MAX_NODES", 100)
+        assert generate_lattice(10, 10).num_nodes == 100
+        assert generate_tree(1, 99).num_nodes == 100
+        assert generate_tree(3, 3).num_nodes == 40
+        for make in (lambda: generate_lattice(10, 11), lambda: generate_tree(1, 100),
+                     lambda: generate_tree(2, 6), lambda: generate_tree(2, 100),
+                     lambda: generate_tree(10**20, 1)):
+            with pytest.raises(GraphValidationError, match=r"MAX_NODES \(100\)"):
+                make()
 
 
 class TestSplits:

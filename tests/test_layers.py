@@ -372,7 +372,7 @@ class TestHGATLayer:
         scores = ad.reshape(ad.matmul(t, ad.transpose(ad.reshape(p.a, (2, 3)))),
                             (6,))
         raw = ad.add(ad.gather_rows(scores, 2 * dst), ad.gather_rows(scores, 2 * src + 1))
-        dist = pc._distance_array(x.value[dst], x.value[src], float(c.value))[:, 0]
+        dist = pc._distance_array(x.value[dst], x.value[src], float(c))[:, 0]
         # The aggregation tail in plain numpy, in the order the tape computes it.
         x = raw.value * dist
         e = np.where(x > 0.0, x, 0.2 * x)
@@ -604,7 +604,7 @@ class TestStack:
             if step % 20 == 0:
                 z = ad.as_diff(feats)
                 for lp in model.layers:
-                    c = float(lp.hgat.curvature.value)
+                    c = float(lp.hgat.curvature)
                     x = d_exp_origin(z, c)          # the layer's ball points
                     z_r = gat_forward(z, g, lp.gat)
                     z_d, m = hgat_forward(z, g, lp.hgat)
@@ -648,3 +648,19 @@ class TestCheckpointFormat:
         m = JointSpaceGNN(3, 4, 2, num_layers=1, q_dim=3, seed=1,
                           trainable_curvature=True)
         assert "layer0.hgat.curvature" in m.state_dict()
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_parameter_names_in_layer_order(self, trainable):
+        m = JointSpaceGNN(3, 4, 2, num_layers=2, q_dim=3, seed=1,
+                          trainable_curvature=trainable)
+        hgat = ["W", "b", "a"] + (["curvature"] if trainable else [])
+        assert list(m.named_parameters()) == [
+            f"layer{i}.{group}.{name}" for i in range(2)
+            for group, names in (("gat", ["W", "a"]), ("hgat", hgat),
+                                 ("fusion", ["M", "b", "q"]))
+            for name in names]
+        # An untrained curvature is a plain float, not a tape leaf.
+        assert all(isinstance(lp.hgat.curvature, ad.DiffValue) == trainable
+                   for lp in m.layers)
+        if not trainable:
+            assert all(type(lp.hgat.curvature) is float for lp in m.layers)

@@ -1,7 +1,7 @@
 import json
 import math
 import os
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +9,14 @@ import pytest
 
 from jointspace import autodiff as ad
 from jointspace import training
-from jointspace.graphs import generate_tree
+from jointspace.graphs import generate_tree, split_edges, split_nodes
 from jointspace.layers import JointSpaceGNN, load_params_json, save_params_json
 from jointspace.objectives import normalize_delta, overall_loss
 from jointspace.training import (MAX_MODEL_SIZE, Adam, RunReport, TrainConfig,
                                  analyze_hyperbolicities, evaluate_lp,
-                                 evaluate_nc, identity_features, mu_profile,
-                                 run_grid, run_seeds, synthetic_lp_tree,
-                                 synthetic_nc_graph, train)
+                                 evaluate_nc, identity_features, message_graph,
+                                 mu_profile, run_grid, run_seeds,
+                                 synthetic_lp_tree, synthetic_nc_graph, train)
 
 
 def quick_cfg(**kw) -> TrainConfig:
@@ -76,6 +76,16 @@ class TestConfig:
     def test_rejects_unknown_choice_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", [f for f in fields(TrainConfig)
+                                       if type(f.default) in (bool, int, float)],
+                             ids=lambda f: f.name)
+    def test_each_scalar_field_checked_by_its_defaults_type(self, field):
+        expected = {bool: "true or false", int: "an integer",
+                    float: "a finite number"}[type(field.default)]
+        with pytest.raises(ValueError, match=f"^{field.name} must be {expected}, "
+                                             "got '1'$"):
+            TrainConfig(**{field.name: "1"})
 
 
 class TestMetrics:
@@ -162,6 +172,18 @@ class TestTrainLoop:
         labels = g.labels.copy()
         labels[[7, 12]] = -1
         with pytest.raises(ValueError, match="node 7 has negative label -1"):
+            train(g.with_labels(labels), quick_cfg(max_epochs=2, patience=2))
+
+    def test_label_beyond_model_size_rejected_before_the_model(self, monkeypatch):
+        # A class id of 10**8 once sized a (10**8 + 1, 16) output layer.
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built")
+        monkeypatch.setattr(training, "JointSpaceGNN", no_model)
+        g = synthetic_nc_graph(seed=0)
+        labels = g.labels.copy()
+        labels[[5, 9]] = MAX_MODEL_SIZE
+        with pytest.raises(ValueError, match="node 5 has label 65536; class ids "
+                                             "must be below MAX_MODEL_SIZE"):
             train(g.with_labels(labels), quick_cfg(max_epochs=2, patience=2))
 
     def test_missing_features_rejected(self):
@@ -272,6 +294,17 @@ class TestTrainLoop:
         assert ((capped.best_val_metric, capped.test_metric, capped.beta_samples)
                 == (rep.best_val_metric, rep.test_metric, rep.beta_samples))
 
+    @pytest.mark.parametrize("task", ["nc", "lp"])
+    def test_returned_split_is_the_seeded_default(self, task):
+        # message_graph and the report command assume this split.
+        g = synthetic_nc_graph(seed=1) if task == "nc" else synthetic_lp_tree(seed=1)
+        cfg = quick_cfg(task=task, seed=1, max_epochs=1)
+        _, _, split = train(g, cfg, return_model=True)
+        make = split_nodes if task == "nc" else split_edges
+        assert split == make(g, cfg.fractions, cfg.seed)
+        if task == "lp":
+            assert message_graph(g, cfg).edges == tuple(g.edges[i] for i in split.train)
+
     def test_report_round_trip(self):
         g = synthetic_nc_graph(seed=2)
         rep = train(g, quick_cfg(seed=2, max_epochs=12, patience=12))
@@ -303,6 +336,31 @@ class TestTrainLoop:
         obj.pop(drop, None)
         with pytest.raises(ValueError, match=match):
             RunReport.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("beta_samples", (("a", "b"), ("c", "d")), "beta_samples"),
+        ("beta_samples", 0.5, "beta_samples"),
+        ("beta_samples", ((0.5, 0.5), (0.5,)), "beta_samples"),
+        ("beta_samples", ((math.nan, math.nan),) * 2, "beta_samples"),
+        ("beta_samples", ((0.5, 1.5), (0.5, 0.5)), "beta_samples"),
+        ("beta_samples", ((True, 0.5), (0.5, 0.5)), "beta_samples"),
+        ("test_metric", "x", "test_metric must be a finite number, got 'x'"),
+        ("best_val_metric", True, "best_val_metric must be a finite number"),
+        ("w2_nu_mu", math.inf, "w2_nu_mu must be a finite number"),
+        ("epochs_run", 2.0, "epochs_run must be an integer, got 2.0"),
+        ("epoch_of_best", "1", "epoch_of_best must be an integer"),
+        ("loss_trace", (1.0, math.nan), "loss_trace"),
+        ("loss_trace", 1.0, "loss_trace"),
+        ("config", 5, "config must be an object")],
+        ids=["string-betas", "bare-number-betas", "ragged-betas", "nan-betas",
+             "beta-above-one", "bool-beta", "string-test-metric", "bool-val-metric",
+             "infinite-w2", "float-epochs", "string-epoch", "nan-loss",
+             "bare-number-loss", "number-config"])
+    def test_report_rejects_bad_field(self, field, value, match):
+        rep = RunReport(0.5, 0.75, 3, 4, (1.25, 0.5), ((0.25, 0.75), (0.5, 0.125)),
+                        0.1, 0.2, {}, 1.5)
+        with pytest.raises(ValueError, match=match):
+            replace(rep, **{field: value})
 
     def test_beta_record_shape(self):
         g = synthetic_nc_graph(seed=0)
