@@ -51,7 +51,6 @@ from .training import (
     analyze_hyperbolicities,
     evaluate_lp,
     evaluate_nc,
-    run_grid,
     run_seeds,
     train,
 )

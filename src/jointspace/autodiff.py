@@ -120,18 +120,13 @@ def transpose(a) -> DiffValue:
     return DiffValue(a.value.T, (a,), lambda g: (g.T,))
 
 
-def concat(parts: Sequence, axis: int = 0) -> DiffValue:
+def concat(parts: Sequence) -> DiffValue:
+    """Join ``parts`` along the first axis; backward slices the rows apart."""
     parts = [as_diff(p) for p in parts]
-    out = np.concatenate([p.value for p in parts], axis=axis)
-    sizes = [p.value.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    out = np.concatenate([p.value for p in parts], axis=0)
+    offsets = np.cumsum([0] + [p.value.shape[0] for p in parts])
     def vjp(g):
-        slices = []
-        for i in range(len(parts)):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(offsets[i], offsets[i + 1])
-            slices.append(g[tuple(idx)])
-        return tuple(slices)
+        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
     return DiffValue(out, tuple(parts), vjp)
 
 
@@ -320,24 +315,17 @@ def sum_(a, axis: int | None = None, keepdims: bool = False) -> DiffValue:
     return DiffValue(out, (a,), vjp)
 
 
-def mean_(a, axis: int | None = None, keepdims: bool = False) -> DiffValue:
+def mean_(a) -> DiffValue:
+    """Mean over all elements."""
     a = as_diff(a)
-    count = a.value.size if axis is None else a.value.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(sum_(a), 1.0 / a.value.size)
 
 
-def vector_norm(a, axis: int = -1, keepdims: bool = True) -> DiffValue:
-    """Euclidean norm along one axis with subgradient 0 at zero vectors."""
+def vector_norm(a) -> DiffValue:
+    """Euclidean norm of each row, kept as a column; subgradient 0 at zero rows."""
     a = as_diff(a)
-    out = np.sqrt(np.sum(a.value * a.value, axis=axis, keepdims=keepdims))
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-            denom = np.expand_dims(out, axis)
-        else:
-            denom = out
-        return (g * a.value / np.maximum(denom, 1e-15),)
-    return DiffValue(out, (a,), vjp)
+    out = np.sqrt(np.sum(a.value * a.value, axis=-1, keepdims=True))
+    return DiffValue(out, (a,), lambda g: (g * a.value / np.maximum(out, 1e-15),))
 
 
 # ---------------------------------------------------------------------------

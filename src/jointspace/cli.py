@@ -47,12 +47,16 @@ def _load_graph(args, default_identity_features: bool = False) -> "WeightedGraph
                          "only the edge list is remapped")
     g = load_edge_list(args.graph, weighted=not args.unweighted,
                        remap_ids=args.remap_ids)
-    if getattr(args, "features", None):
-        g = g.with_features(load_features_csv(args.features))
-    elif default_identity_features:
+    for name, load in (("features", load_features_csv), ("labels", load_labels_csv)):
+        path = getattr(args, name, None)
+        if path:
+            rows = load(path)
+            if len(rows) != g.num_nodes:
+                raise ValueError(f"{Path(path).name}: {len(rows)} rows, but the graph "
+                                 f"has {g.num_nodes} nodes")
+            g = replace(g, **{name: rows})
+    if g.features is None and default_identity_features:
         g = g.with_features(identity_features(g.num_nodes))
-    if getattr(args, "labels", None):
-        g = g.with_labels(load_labels_csv(args.labels))
     return g
 
 

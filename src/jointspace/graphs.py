@@ -8,9 +8,8 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -219,61 +218,13 @@ class DistanceMatrix:
         return self.d.shape[0]
 
     @property
-    def reachable(self) -> np.ndarray:
-        """Bool matrix of the pairs at a finite distance."""
-        return np.isfinite(self.d)
-
-    @property
     def connected(self) -> bool:
-        return bool(self.reachable.all())
-
-    @property
-    def diameter(self) -> float:
-        """Largest finite distance."""
-        finite = self.d[self.reachable]
-        return float(finite.max()) if finite.size else 0.0
-
-
-def _tuples(x):
-    """``x`` with every list in it, at any depth, turned into a tuple."""
-    if isinstance(x, list):
-        return tuple(_tuples(v) for v in x)
-    if isinstance(x, dict):
-        return {k: _tuples(v) for k, v in x.items()}
-    return x
-
-
-class _JsonRecord:
-    """JSON codec of a dataclass: ``to_json`` writes ``asdict``, ``from_json`` reads it.
-
-    ``from_json`` turns JSON arrays back into tuples, at any depth.  A
-    non-object, unknown keys and missing required keys raise ``ValueError``
-    naming the keys and the record, which each subclass names in ``_json_name``.
-    """
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str):
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError(f"{cls._json_name} JSON must be an object")
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown {cls._json_name} keys: {', '.join(unknown)}")
-        missing = [f.name for f in fields(cls) if f.name not in obj
-                   and f.default is MISSING and f.default_factory is MISSING]
-        if missing:
-            raise ValueError(f"missing {cls._json_name} keys: {', '.join(missing)}")
-        return cls(**_tuples(obj))
+        return bool(np.isfinite(self.d).all())
 
 
 @dataclass(frozen=True)
-class SplitSpec(_JsonRecord):
+class SplitSpec:
     """Disjoint train/val/test index sets over nodes or edges."""
-
-    _json_name = "split"
 
     train: tuple[int, ...]
     val: tuple[int, ...]
@@ -319,6 +270,9 @@ def load_edge_list(path: str | Path, weighted: bool = True,
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise EdgeListParseError(f"{path.name}:{lineno}: {exc}") from exc
+        if not remap_ids and min(u, v) < 0:
+            raise EdgeListParseError(f"{path.name}:{lineno}: negative node id "
+                                     f"{min(u, v)} (use remap_ids for sparse ids)")
         if not remap_ids and max(u, v) >= MAX_NODES:
             raise EdgeListParseError(f"{path.name}:{lineno}: node id {max(u, v)} "
                                      f"is not below MAX_NODES ({MAX_NODES})")
@@ -332,8 +286,6 @@ def load_edge_list(path: str | Path, weighted: bool = True,
         raw_edges = [(remap[u], remap[v], w) for u, v, w in raw_edges]
         num_nodes = len(ids)
     else:
-        if ids[0] < 0:
-            raise GraphValidationError("negative node id (use remap_ids for sparse ids)")
         num_nodes = ids[-1] + 1
     return WeightedGraph(num_nodes=num_nodes, edges=tuple(raw_edges))
 

@@ -184,7 +184,7 @@ def lp_loss(z, pos_edges, neg_edges, p: FermiDiracParams) -> DiffValue:
         raise ValueError("both edge sets must be non-empty")
     x_pos = ad.mul(ad.sub(_pair_distances(z, pos), p.r), 1.0 / p.t)
     x_neg = ad.mul(ad.sub(_pair_distances(z, neg), p.r), 1.0 / p.t)
-    terms = ad.concat([ad.softplus(x_pos), ad.softplus(ad.neg(x_neg))], axis=0)
+    terms = ad.concat([ad.softplus(x_pos), ad.softplus(ad.neg(x_neg))])
     return ad.mean_(terms)
 
 

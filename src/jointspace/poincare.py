@@ -128,18 +128,6 @@ def _radial_grad(g: np.ndarray, x, norm, s, ds, sqrt_c) -> tuple[np.ndarray, flo
     return gx, float(np.sum(k * norm)) / (2.0 * sqrt_c)
 
 
-def _project_array(x: np.ndarray, c: float) -> np.ndarray:
-    return _radial(x, c, _project_scale)[0]
-
-
-def _exp_origin_array(v: np.ndarray, c: float) -> np.ndarray:
-    return _radial(v, c, _exp_scale)[0]
-
-
-def _log_origin_array(y: np.ndarray, c: float) -> np.ndarray:
-    return _radial(y, c, _log_scale)[0]
-
-
 # ---------------------------------------------------------------------------
 # Mobius addition and the composed operations
 # ---------------------------------------------------------------------------
@@ -173,10 +161,6 @@ def _mobius_add_grad(g: np.ndarray, x, y, c, x2, y2, xy, a, b, den, safe, r,
     g_c += float(np.sum(g_a * (2.0 * xy + y2) - g_b * x2
                         + 2.0 * g_den * (xy + c * x2 * y2)))
     return g_x, g_y, g_c
-
-
-def _mobius_add_array(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    return _mobius_add_parts(x, y, c)[0]
 
 
 def _distance_parts(x: np.ndarray, y: np.ndarray, c: float,
@@ -223,10 +207,6 @@ def _distance_grad(g: np.ndarray, x, y, c, diff, x2, y2, a, b, den, n, u,
     return g_x, g_y, g_c
 
 
-def _distance_array(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    return _distance_parts(x, y, c, _sq_norm(x), _sq_norm(y))[0]
-
-
 # ---------------------------------------------------------------------------
 # Public operations on validated points
 # ---------------------------------------------------------------------------
@@ -234,30 +214,33 @@ def _distance_array(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
 def project_to_ball(v: np.ndarray, c: float | Curvature = 1.0) -> BallPoint:
     """Rescale any vector into the ball margin; interior points pass through."""
     curv = c if isinstance(c, Curvature) else Curvature(c)
-    return BallPoint(_project_array(np.asarray(v, dtype=np.float64), curv.c), curv)
+    return BallPoint(_radial(np.asarray(v, dtype=np.float64), curv.c,
+                             _project_scale)[0], curv)
 
 
 def mobius_add(x: BallPoint, y: BallPoint) -> BallPoint:
     """Mobius addition x (+)_c y, projected back to the ball margin."""
     x._check_compatible(y)
-    return BallPoint(_mobius_add_array(x.coords, y.coords, x.c), x.curvature)
+    return BallPoint(_mobius_add_parts(x.coords, y.coords, x.c)[0], x.curvature)
 
 
 def exp_origin(v: np.ndarray, c: float | Curvature = 1.0) -> BallPoint:
     """Exponential map at the origin: tanh(sqrt(c)||v||) * v / (sqrt(c)||v||)."""
     curv = c if isinstance(c, Curvature) else Curvature(c)
-    return BallPoint(_exp_origin_array(np.asarray(v, dtype=np.float64), curv.c), curv)
+    return BallPoint(_radial(np.asarray(v, dtype=np.float64), curv.c,
+                             _exp_scale)[0], curv)
 
 
 def log_origin(y: BallPoint) -> np.ndarray:
     """Logarithmic map at the origin: atanh(sqrt(c)||y||) * y / (sqrt(c)||y||)."""
-    return _log_origin_array(y.coords, y.c)
+    return _radial(y.coords, y.c, _log_scale)[0]
 
 
 def hyp_distance(x: BallPoint, y: BallPoint) -> float | np.ndarray:
     """Geodesic distance (2/sqrt(c)) * atanh(sqrt(c) || -x (+)_c y ||)."""
     x._check_compatible(y)
-    out = np.squeeze(_distance_array(x.coords, y.coords, x.c), axis=-1)
+    x2, y2 = _sq_norm(x.coords), _sq_norm(y.coords)
+    out = np.squeeze(_distance_parts(x.coords, y.coords, x.c, x2, y2)[0], axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,4 +1,4 @@
-"""Training loop with early stopping, evaluation metrics, grid/seed runners.
+"""Training loop with early stopping, evaluation metrics, a multi-seed runner.
 
 One run precomputes the geometric profile of the graph, trains the model
 full-batch with adaptive moment estimation, early-stops on the validation
@@ -8,19 +8,19 @@ learned-hyperbolicity diagnostics.
 
 from __future__ import annotations
 
-import itertools
+import json
 import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import (EdgeSplitSpec, WeightedGraph, _JsonRecord, graph_hash,
+from .graphs import (EdgeSplitSpec, WeightedGraph, graph_hash,
                      sample_non_edges, split_edges, split_nodes)
 from .hyperbolicity import (DELTA_MODES, HyperbolicityProfile, local_profile,
                             profile_from_json, profile_to_json)
@@ -42,7 +42,6 @@ __all__ = [
     "train",
     "evaluate_nc",
     "evaluate_lp",
-    "run_grid",
     "run_seeds",
     "analyze_hyperbolicities",
     "synthetic_nc_graph",
@@ -65,6 +64,41 @@ def _is_number(x, kinds=(int, float)) -> bool:
     ``kinds`` is ``int``, it must also convert to a finite float."""
     return (isinstance(x, kinds) and not isinstance(x, bool)
             and (kinds is int or abs(x) <= sys.float_info.max))
+
+
+def _tuples(x):
+    """``x`` with every list in it, at any depth, turned into a tuple."""
+    if isinstance(x, list):
+        return tuple(_tuples(v) for v in x)
+    if isinstance(x, dict):
+        return {k: _tuples(v) for k, v in x.items()}
+    return x
+
+
+class _JsonRecord:
+    """JSON codec of a dataclass: ``to_json`` writes ``asdict``, ``from_json`` reads it.
+
+    ``from_json`` turns JSON arrays back into tuples, at any depth.  A
+    non-object, unknown keys and missing required keys raise ``ValueError``
+    naming the keys and the record, which each subclass names in ``_json_name``.
+    """
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self))
+
+    @classmethod
+    def from_json(cls, text: str):
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{cls._json_name} JSON must be an object")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {cls._json_name} keys: {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.name not in obj
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"missing {cls._json_name} keys: {', '.join(missing)}")
+        return cls(**_tuples(obj))
 
 
 @dataclass(frozen=True)
@@ -218,7 +252,14 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 def identity_features(n: int) -> np.ndarray:
-    """One-hot fallback features for graphs without node attributes."""
+    """One-hot fallback features for graphs without node attributes.
+
+    They are ``n`` wide, the model's input width, so ``n`` is bounded by
+    ``MAX_MODEL_SIZE`` as every layer width is; a larger graph needs features.
+    """
+    if n > MAX_MODEL_SIZE:
+        raise ValueError(f"identity features of {n} nodes would be {n} wide, beyond "
+                         f"MAX_MODEL_SIZE ({MAX_MODEL_SIZE}): give node features instead")
     return np.eye(n)
 
 
@@ -516,21 +557,6 @@ def analyze_hyperbolicities(report: RunReport, mu) -> tuple[float, float]:
     return _beta_diagnostics(report.beta_samples, mu)
 
 
-def run_grid(g: WeightedGraph, base_cfg: TrainConfig,
-             grid: dict[str, list]) -> tuple[RunReport, list[dict]]:
-    """Train every point of a parameter lattice; select by validation metric."""
-    if not grid:
-        raise ValueError("grid must not be empty")
-    names = sorted(grid)
-    points = [dict(zip(names, combo))
-              for combo in itertools.product(*(grid[n] for n in names))]
-    reports = [train(g, replace(base_cfg, **pt)) for pt in points]
-    table = [{**pt, "val_metric": r.best_val_metric, "test_metric": r.test_metric}
-             for pt, r in zip(points, reports)]
-    best_idx = max(range(len(reports)), key=lambda i: reports[i].best_val_metric)
-    return reports[best_idx], table
-
-
 def run_seeds(g: WeightedGraph, cfg: TrainConfig, seeds: list[int]) -> dict:
     """Repeat a configuration across seeds; report mean and std of the metrics."""
     if not seeds:
@@ -552,31 +578,30 @@ def run_seeds(g: WeightedGraph, cfg: TrainConfig, seeds: list[int]) -> dict:
 # Synthetic task
 # ---------------------------------------------------------------------------
 
-def synthetic_nc_graph(feature_dim: int = 8, noise: float = 0.4,
-                       seed: int = 0) -> WeightedGraph:
+def synthetic_nc_graph(seed: int = 0) -> WeightedGraph:
     """Reference combined graph with planted two-class labels.
 
-    Lattice nodes are class 0 and tree nodes class 1; features are noisy
-    class indicators so the task is learnable but not trivial.
+    Lattice nodes are class 0 and tree nodes class 1; features are 8-wide
+    class indicators plus N(0, 0.4**2) noise, so the task is learnable but
+    not trivial.
     """
     from .graphs import reference_combined_graph
 
     g = reference_combined_graph()
     labels = np.array([0] * 25 + [1] * 15, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    features = rng.normal(scale=noise, size=(g.num_nodes, feature_dim))
+    features = rng.normal(scale=0.4, size=(g.num_nodes, 8))
     features[np.arange(g.num_nodes), labels] += 1.0
     return g.with_features(features).with_labels(labels)
 
 
-def synthetic_lp_tree(depth: int = 4, feature_dim: int = 8, noise: float = 0.05,
-                      seed: int = 0) -> WeightedGraph:
+def synthetic_lp_tree(depth: int = 4, seed: int = 0) -> WeightedGraph:
     """Balanced binary tree with planar-layout coordinates as node features.
 
-    Each node's leading two feature dimensions hold its position in a radial
-    drawing of the tree (radius = depth, angle = center of its subtree's
-    angular wedge) plus noise, so features correlate with proximity the way
-    attribute vectors do in real link-prediction benchmarks.
+    Each node's 8 features are N(0, 0.05**2) noise, and the leading two also
+    hold its position in a radial drawing of the tree (radius = depth, angle
+    = center of its subtree's angular wedge), so features correlate with
+    proximity the way attribute vectors do in real link-prediction benchmarks.
     """
     from .graphs import generate_tree
 
@@ -600,6 +625,6 @@ def synthetic_lp_tree(depth: int = 4, feature_dim: int = 8, noise: float = 0.05,
     place(0, 0.0, 2.0 * math.pi)
 
     rng = np.random.default_rng(seed)
-    features = rng.normal(scale=noise, size=(n, feature_dim))
+    features = rng.normal(scale=0.05, size=(n, 8))
     features[:, :2] += coords
     return g.with_features(features)

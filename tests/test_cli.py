@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from jointspace import cli, graphs
+from jointspace import cli, graphs, training
 from jointspace.cli import main
 from jointspace.graphs import load_edge_list
 from jointspace.hyperbolicity import local_profile
@@ -104,6 +104,12 @@ class TestGenerateAnalyze:
         assert main(["analyze", "--graph", str(edges)]) == 2
         assert "huge.edges:2: node id 99999999999 is not below MAX_NODES" in (
             capsys.readouterr().err)
+
+    def test_analyze_negative_node_id_exit_2(self, tmp_path, capsys):
+        edges = tmp_path / "neg.edges"
+        edges.write_text("0 1\n1 -5\n")
+        assert main(["analyze", "--graph", str(edges)]) == 2
+        assert "neg.edges:2: negative node id -5" in capsys.readouterr().err
 
     def test_generate_tree_beyond_node_bound_exit_2(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -334,6 +340,35 @@ class TestTraining:
         assert code == 0
         rep = json.loads(report_path.read_text())
         assert 0.0 <= rep["test_metric"] <= 1.0
+
+    def test_train_lp_without_features_beyond_model_size_exit_2(self, tmp_path,
+                                                                 capsys, monkeypatch):
+        # Id 999999 once sized a 7.28 TiB one-hot; checked here against a
+        # lowered bound, so nothing large is allocated.
+        monkeypatch.setattr(training, "MAX_MODEL_SIZE", 3)
+        edges = tmp_path / "g.edges"
+        edges.write_text("0 1\n1 2\n2 3\n")
+        assert main(["train-lp", "--graph", str(edges), "--max-epochs", "1"]) == 2
+        assert ("identity features of 4 nodes would be 4 wide, beyond "
+                "MAX_MODEL_SIZE (3)") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which, rows, fault", [
+        ("features", 2, "f.csv: 2 rows, but the graph has 4 nodes"),
+        ("labels", 3, "l.csv: 3 rows, but the graph has 4 nodes")],
+        ids=["features", "labels"])
+    def test_train_nc_csv_of_other_length_exit_2(self, tmp_path, capsys, which, rows,
+                                                 fault):
+        edges = tmp_path / "g.edges"
+        edges.write_text("0 1\n1 2\n2 3\n")
+        counts = {"features": 4, "labels": 4, which: rows}
+        feats, labels = tmp_path / "f.csv", tmp_path / "l.csv"
+        feats.write_text("node_id,f0\n" + "".join(
+            f"{i},0.5\n" for i in range(counts["features"])))
+        labels.write_text("node_id,label\n" + "".join(
+            f"{i},{i % 2}\n" for i in range(counts["labels"])))
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--max-epochs", "1"]) == 2
+        assert fault in capsys.readouterr().err
 
     def test_config_file_with_overrides(self, tmp_path, combined_files):
         edges, feats, labels = combined_files

@@ -26,7 +26,7 @@ def attention_arrays(g):
 
 
 def ball_rows(rng, n, dim, c=1.0, scale=0.3):
-    return pc._project_array(rng.normal(size=(n, dim)) * scale, c)
+    return pc._radial(rng.normal(size=(n, dim)) * scale, c, pc._project_scale)[0]
 
 
 def pair_distance(x, y, c):
@@ -136,7 +136,7 @@ class TestDifferentiableBallOps:
     def test_projection_keeps_rows_valid(self):
         rng = np.random.default_rng(3)
         wild = rng.normal(size=(10, 4)) * 100.0
-        out = pc._project_array(wild, 2.0)
+        out = pc._radial(wild, 2.0, pc._project_scale)[0]
         assert (math.sqrt(2.0) * np.linalg.norm(out, axis=1)
                 <= 1.0 - PROJECTION_MARGIN + 1e-12).all()
 
@@ -372,7 +372,8 @@ class TestHGATLayer:
         scores = ad.reshape(ad.matmul(t, ad.transpose(ad.reshape(p.a, (2, 3)))),
                             (6,))
         raw = ad.add(ad.gather_rows(scores, 2 * dst), ad.gather_rows(scores, 2 * src + 1))
-        dist = pc._distance_array(x.value[dst], x.value[src], float(c))[:, 0]
+        xd, xs = x.value[dst], x.value[src]
+        dist = pc._distance_parts(xd, xs, float(c), pc._sq_norm(xd), pc._sq_norm(xs))[0][:, 0]
         # The aggregation tail in plain numpy, in the order the tape computes it.
         x = raw.value * dist
         e = np.where(x > 0.0, x, 0.2 * x)

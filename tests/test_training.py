@@ -15,7 +15,7 @@ from jointspace.objectives import normalize_delta, overall_loss
 from jointspace.training import (MAX_MODEL_SIZE, Adam, RunReport, TrainConfig,
                                  analyze_hyperbolicities, evaluate_lp,
                                  evaluate_nc, identity_features, message_graph,
-                                 mu_profile, run_grid, run_seeds,
+                                 mu_profile, run_seeds,
                                  synthetic_lp_tree, synthetic_nc_graph, train)
 
 
@@ -494,24 +494,6 @@ class TestAnalysis:
 
 
 class TestRunners:
-    def test_singleton_grid_equals_train(self):
-        g = synthetic_nc_graph(seed=0)
-        cfg = quick_cfg(max_epochs=8, patience=8)
-        best, table = run_grid(g, cfg, {"lr": [0.01]})
-        solo = train(g, replace(cfg, lr=0.01))
-        assert best.loss_trace == solo.loss_trace
-        assert len(table) == 1
-
-    def test_two_point_grid_selects_by_val(self):
-        g = synthetic_nc_graph(seed=0)
-        cfg = quick_cfg(max_epochs=8, patience=8)
-        best, table = run_grid(g, cfg, {"lr": [0.01, 0.005]})
-        assert best.best_val_metric == max(r["val_metric"] for r in table)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            run_grid(synthetic_nc_graph(), quick_cfg(), {})
-
     def test_run_seeds_summary(self):
         g = synthetic_nc_graph(seed=0)
         cfg = quick_cfg(max_epochs=6, patience=6)
