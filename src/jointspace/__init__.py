@@ -38,7 +38,6 @@ from .objectives import (
 )
 from .poincare import (
     BallPoint,
-    Curvature,
     exp_origin,
     hyp_distance,
     log_origin,

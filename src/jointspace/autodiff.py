@@ -379,12 +379,11 @@ def backward(loss: DiffValue) -> None:
 
 def finite_diff_check(loss_fn: Callable[[], DiffValue],
                       params: Sequence[DiffValue],
-                      h: float = 1e-5,
-                      rel_floor: float = 1e-5) -> float:
+                      h: float = 1e-5) -> float:
     """Max relative error between analytic gradients and central differences.
 
     ``loss_fn`` must rebuild the computation from the same ``params`` leaves.
-    Relative error uses max(|analytic|, |fd|, rel_floor) as denominator so
+    Relative error uses max(|analytic|, |fd|, 1e-5) as denominator so
     coordinates with negligible gradient are compared on an absolute scale.
     """
     if not (1e-6 <= h <= 1e-4):
@@ -403,6 +402,6 @@ def finite_diff_check(loss_fn: Callable[[], DiffValue],
             p.value[idx] = orig
             fd = (up - down) / (2.0 * h)
             a = float(grads[idx])
-            rel = abs(a - fd) / max(abs(a), abs(fd), rel_floor)
+            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-5)
             worst = max(worst, rel)
     return worst

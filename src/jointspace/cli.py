@@ -107,7 +107,7 @@ def _cmd_train(args) -> int:
     g = _load_graph(args, default_identity_features=True)
     result = train(g, _config_from_args(args), return_model=bool(args.checkpoint))
     if args.checkpoint:
-        report, model, _ = result
+        report, model = result
         Path(args.checkpoint).write_text(save_params_json(model.state_dict()))
     else:
         report = result

@@ -222,22 +222,21 @@ class DistanceMatrix:
         return bool(np.isfinite(self.d).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitSpec:
-    """Disjoint train/val/test index sets over nodes or edges."""
+    """Disjoint train/val/test index sets over nodes or edges, as read-only int64 arrays."""
 
-    train: tuple[int, ...]
-    val: tuple[int, ...]
-    test: tuple[int, ...]
-    seed: int
+    train: np.ndarray
+    val: np.ndarray
+    test: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeSplitSpec(SplitSpec):
-    """Edge split (indices into ``graph.edges``) plus sampled non-edge negatives."""
+    """Edge split (indices into ``graph.edges``) plus ``(m, 2)`` sampled non-edge negatives."""
 
-    val_neg: tuple[tuple[int, int], ...] = ()
-    test_neg: tuple[tuple[int, int], ...] = ()
+    val_neg: np.ndarray
+    test_neg: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -620,12 +619,9 @@ def split_nodes(g: WeightedGraph, fractions: tuple[float, float, float],
     """Seed-deterministic disjoint node split covering all nodes."""
     n_train, n_val, _ = _split_counts(g.num_nodes, fractions)
     perm = np.random.default_rng(seed).permutation(g.num_nodes)
-    return SplitSpec(
-        train=tuple(int(i) for i in perm[:n_train]),
-        val=tuple(int(i) for i in perm[n_train:n_train + n_val]),
-        test=tuple(int(i) for i in perm[n_train + n_val:]),
-        seed=seed,
-    )
+    perm.setflags(write=False)
+    return SplitSpec(train=perm[:n_train], val=perm[n_train:n_train + n_val],
+                     test=perm[n_train + n_val:])
 
 
 def split_edges(g: WeightedGraph, fractions: tuple[float, float, float],
@@ -636,26 +632,20 @@ def split_edges(g: WeightedGraph, fractions: tuple[float, float, float],
     ``sample_non_edges``, one per held-out positive.
     """
     m = g.num_edges
-    n_train, n_val, _ = _split_counts(m, fractions)
+    n_train, n_val, n_test = _split_counts(m, fractions)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
-    val_idx = perm[n_train:n_train + n_val]
-    test_idx = perm[n_train + n_val:]
-    val_neg = sample_non_edges(g, len(val_idx), rng)
-    test_neg = sample_non_edges(g, len(test_idx), rng)
-    return EdgeSplitSpec(
-        train=tuple(int(i) for i in perm[:n_train]),
-        val=tuple(int(i) for i in val_idx),
-        test=tuple(int(i) for i in test_idx),
-        seed=seed,
-        val_neg=val_neg,
-        test_neg=test_neg,
-    )
+    perm.setflags(write=False)
+    return EdgeSplitSpec(train=perm[:n_train], val=perm[n_train:n_train + n_val],
+                         test=perm[n_train + n_val:],
+                         val_neg=sample_non_edges(g, n_val, rng),
+                         test_neg=sample_non_edges(g, n_test, rng))
 
 
 def sample_non_edges(g: WeightedGraph, count: int,
-                     rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
-    """Uniform rejection sample of ``count`` distinct non-edges (u < v)."""
+                     rng: np.random.Generator) -> np.ndarray:
+    """Uniform rejection sample of ``count`` distinct non-edges (u < v), in draw
+    order, as a read-only ``(count, 2)`` int64 array."""
     n = g.num_nodes
     present = g.edge_keys
     max_non = n * (n - 1) // 2 - len(present)
@@ -673,7 +663,9 @@ def sample_non_edges(g: WeightedGraph, count: int,
             continue
         chosen.add(key)
         out.append(key)
-    return tuple(out)
+    pairs = np.array(out, dtype=np.int64).reshape(-1, 2)
+    pairs.setflags(write=False)
+    return pairs
 
 
 def graph_hash(g: WeightedGraph) -> str:

@@ -431,7 +431,6 @@ def delta_one_sampled(dm: DistanceMatrix,
 
 def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
                   exact_limit: int = DEFAULT_EXACT_LIMIT,
-                  num_samples: int = DEFAULT_NUM_SAMPLES,
                   seed: int = 0) -> HyperbolicityProfile:
     """Per-node hyperbolicity of each k-hop induced subgraph's path metric.
 
@@ -443,7 +442,7 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
     (the pruned far-pair walk for "inf", the exact quadruple sum for "one"),
     each giving every ball exactly the value a call on that ball alone
     gives.  In "one" mode, non-tree balls above ``exact_limit`` nodes go one
-    by one to the sampled estimator, with a seed derived from (seed, node).
+    by one to the sampled estimator: ``DEFAULT_NUM_SAMPLES`` draws, seeded by (seed, node).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -458,8 +457,8 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
         else:
             for i in np.flatnonzero(~_tree_mask(d)):
                 v = int(centers[i])  # an np.int64 would make the seed overflow its uint64 mask
-                values[v], _ = delta_one_sampled(DistanceMatrix(d[i]), num_samples,
-                                                 seed=seed * 1_000_003 + v)
+                values[v], _ = delta_one_sampled(
+                    DistanceMatrix(d[i]), DEFAULT_NUM_SAMPLES, seed=seed * 1_000_003 + v)
     values.setflags(write=False)
     return HyperbolicityProfile(per_node=_NodeValues(values), k=k, mode=mode)
 

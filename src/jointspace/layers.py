@@ -256,13 +256,9 @@ class JointSpaceGNN:
             for i in range(num_layers)
         ]
 
-    def forward(self, g: WeightedGraph, features=None, *, dropout: float = 0.0,
+    def forward(self, g: WeightedGraph, features, *, dropout: float = 0.0,
                 rng: np.random.Generator | None = None,
                 training: bool = False) -> tuple[LayerOutput, list[LayerOutput]]:
-        if features is None:
-            features = g.features
-        if features is None:
-            raise ValueError("graph has no features and none were provided")
         return joint_space_forward(features, g, self.layers, dropout=dropout,
                              rng=rng, training=training)
 

@@ -159,10 +159,9 @@ def cross_entropy_nc(logits, labels, mask) -> DiffValue:
     return ad.neg(ad.mean_(ad.sum_(ad.mul(log_probs, onehot), axis=1)))
 
 
-def fermi_dirac_prob(d, p: FermiDiracParams):
-    """Edge probability, strictly decreasing in distance, in (0, 1)."""
-    out = ad._logistic((p.r - np.asarray(d, dtype=np.float64)) / p.t)
-    return float(out) if np.ndim(d) == 0 else out
+def fermi_dirac_prob(d, p: FermiDiracParams) -> np.ndarray:
+    """Edge probability of each distance, strictly decreasing in it, in (0, 1)."""
+    return ad._logistic((p.r - np.asarray(d, dtype=np.float64)) / p.t)
 
 
 def _pair_distances(z: DiffValue, pairs: np.ndarray) -> DiffValue:

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import DiffValue
 
 __all__ = [
-    "PROJECTION_MARGIN", "Curvature", "BallPoint",
+    "PROJECTION_MARGIN", "BallPoint",
     "mobius_add", "exp_origin", "log_origin", "hyp_distance", "project_to_ball",
     "d_exp_origin", "d_log_origin", "d_mobius_add", "d_edge_distance",
 ]
@@ -34,43 +34,31 @@ _ATANH_MAX = 1.0 - 1e-15
 _MIN_NORM = 1e-15
 
 
-@dataclass(frozen=True)
-class Curvature:
-    """Positive curvature magnitude; the ball radius is 1/sqrt(c)."""
-
-    c: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ValueError(f"curvature must be positive and finite, got {self.c}")
-
-    @property
-    def radius(self) -> float:
-        return 1.0 / math.sqrt(self.c)
+def _check_curvature(c: float) -> None:
+    """Raise ``ValueError`` unless ``c`` is a positive, finite curvature."""
+    if not (c > 0 and math.isfinite(c)):
+        raise ValueError(f"curvature must be positive and finite, got {c}")
 
 
 @dataclass(frozen=True, eq=False)
 class BallPoint:
-    """A validated point of the curvature-c ball."""
+    """A validated point of the ball of curvature ``c``, whose radius is 1/sqrt(c)."""
 
     coords: np.ndarray
-    curvature: Curvature
+    c: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_curvature(self.c)
         coords = np.asarray(self.coords, dtype=np.float64)
         object.__setattr__(self, "coords", coords)
-        limit = (1.0 - PROJECTION_MARGIN) * self.curvature.radius
+        limit = (1.0 - PROJECTION_MARGIN) / math.sqrt(self.c)
         if np.linalg.norm(coords) > limit * (1.0 + 1e-12):
             raise ValueError("point lies outside the ball margin")
-
-    @property
-    def c(self) -> float:
-        return self.curvature.c
 
     def _check_compatible(self, other: "BallPoint") -> None:
         if self.coords.shape != other.coords.shape:
             raise ValueError("dimension mismatch between ball points")
-        if self.curvature.c != other.curvature.c:
+        if self.c != other.c:
             raise ValueError("curvature mismatch between ball points")
 
 
@@ -211,24 +199,22 @@ def _distance_grad(g: np.ndarray, x, y, c, diff, x2, y2, a, b, den, n, u,
 # Public operations on validated points
 # ---------------------------------------------------------------------------
 
-def project_to_ball(v: np.ndarray, c: float | Curvature = 1.0) -> BallPoint:
+def project_to_ball(v: np.ndarray, c: float = 1.0) -> BallPoint:
     """Rescale any vector into the ball margin; interior points pass through."""
-    curv = c if isinstance(c, Curvature) else Curvature(c)
-    return BallPoint(_radial(np.asarray(v, dtype=np.float64), curv.c,
-                             _project_scale)[0], curv)
+    _check_curvature(c)   # before the map, whose sqrt(c) a bad c would break
+    return BallPoint(_radial(np.asarray(v, dtype=np.float64), c, _project_scale)[0], c)
 
 
 def mobius_add(x: BallPoint, y: BallPoint) -> BallPoint:
     """Mobius addition x (+)_c y, projected back to the ball margin."""
     x._check_compatible(y)
-    return BallPoint(_mobius_add_parts(x.coords, y.coords, x.c)[0], x.curvature)
+    return BallPoint(_mobius_add_parts(x.coords, y.coords, x.c)[0], x.c)
 
 
-def exp_origin(v: np.ndarray, c: float | Curvature = 1.0) -> BallPoint:
+def exp_origin(v: np.ndarray, c: float = 1.0) -> BallPoint:
     """Exponential map at the origin: tanh(sqrt(c)||v||) * v / (sqrt(c)||v||)."""
-    curv = c if isinstance(c, Curvature) else Curvature(c)
-    return BallPoint(_radial(np.asarray(v, dtype=np.float64), curv.c,
-                             _exp_scale)[0], curv)
+    _check_curvature(c)
+    return BallPoint(_radial(np.asarray(v, dtype=np.float64), c, _exp_scale)[0], c)
 
 
 def log_origin(y: BallPoint) -> np.ndarray:

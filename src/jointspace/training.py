@@ -32,6 +32,7 @@ from .objectives import (COMPARISON_MODES, FermiDiracParams, LossWeights,
 
 __all__ = [
     "MAX_MODEL_SIZE",
+    "MAX_IDENTITY_ELEMENTS",
     "TrainingDiverged",
     "TrainConfig",
     "RunReport",
@@ -53,6 +54,9 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 # Largest ``layers``, ``hidden`` and ``q_dim`` a config may ask for: a larger
 # value fails here, by name, not in numpy's allocation or a float overflow.
 MAX_MODEL_SIZE = 2**16
+# Largest element count n * n of the one-hot ``identity_features`` (512 MiB of
+# float64, so n <= 8192): a graph of more nodes needs features of its own.
+MAX_IDENTITY_ELEMENTS = 2**26
 
 
 class TrainingDiverged(RuntimeError):
@@ -255,11 +259,16 @@ def identity_features(n: int) -> np.ndarray:
     """One-hot fallback features for graphs without node attributes.
 
     They are ``n`` wide, the model's input width, so ``n`` is bounded by
-    ``MAX_MODEL_SIZE`` as every layer width is; a larger graph needs features.
+    ``MAX_MODEL_SIZE`` as every layer width is, and their ``n * n`` elements
+    by ``MAX_IDENTITY_ELEMENTS``; a larger graph needs features.
     """
     if n > MAX_MODEL_SIZE:
         raise ValueError(f"identity features of {n} nodes would be {n} wide, beyond "
                          f"MAX_MODEL_SIZE ({MAX_MODEL_SIZE}): give node features instead")
+    if n * n > MAX_IDENTITY_ELEMENTS:
+        raise ValueError(f"identity features of {n} nodes would hold {n * n} elements, "
+                         f"beyond MAX_IDENTITY_ELEMENTS ({MAX_IDENTITY_ELEMENTS}): "
+                         "give node features (--features) instead")
     return np.eye(n)
 
 
@@ -269,8 +278,9 @@ def mu_profile(g: WeightedGraph, k: int, mode: str = "inf",
 
     The cache file is written to a temporary file in the same directory and
     renamed into place, so a reader never sees a half-written profile.  A
-    cached profile that does not hold one value for each node 0..n-1 of
-    ``g`` raises ``ValueError`` naming the file.
+    cached profile of another ``k`` or ``mode``, or one that does not hold
+    one value for each node 0..n-1 of ``g``, raises ``ValueError`` naming
+    the file.
     """
     cache_path = None
     if cache_dir is not None:
@@ -280,6 +290,10 @@ def mu_profile(g: WeightedGraph, k: int, mode: str = "inf",
                 profile = profile_from_json(cache_path.read_text())
             except ValueError as exc:
                 raise ValueError(f"profile cache {cache_path}: {exc}") from exc
+            if (profile.k, profile.mode) != (k, mode):
+                raise ValueError(f"profile cache {cache_path}: holds k={profile.k} "
+                                 f"mode={profile.mode!r}, but k={k} mode={mode!r} "
+                                 "was asked for")
             if len(profile.per_node) != g.num_nodes:
                 raise ValueError(f"profile cache {cache_path}: {len(profile.per_node)} "
                                  f"values for a graph of {g.num_nodes} nodes")
@@ -392,7 +406,7 @@ class _Best:
 
 
 def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
-    """Train one model; returns a RunReport, or ``(report, model, split)``.
+    """Train one model; returns a RunReport, or ``(report, model)``.
 
     The geometric profile is computed once up front.  Validation is checked
     every epoch; training stops ``patience`` epochs after the last strict
@@ -444,15 +458,12 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
         out_dim = cfg.hidden
         msg_graph = _lp_message_graph(g, split)
         fd_params = FermiDiracParams(cfg.fermi_r, cfg.fermi_t)
-        pos = {part: g.edge_index[np.asarray(getattr(split, part), dtype=np.int64)]
-               for part in ("train", "val", "test")}
-        neg = {part: np.asarray(getattr(split, f"{part}_neg"), dtype=np.int64)
-               for part in ("val", "test")}
+        pos = {part: g.edge_index[getattr(split, part)] for part in ("train", "val", "test")}
+        neg = {"val": split.val_neg, "test": split.test_neg}
 
         def task_loss(z, rng):
-            neg_pairs = np.asarray(
-                sample_non_edges(g, len(pos["train"]), rng), dtype=np.int64)
-            return lp_loss(z, pos["train"], neg_pairs, fd_params)
+            return lp_loss(z, pos["train"], sample_non_edges(g, len(pos["train"]), rng),
+                           fd_params)
 
         def score(z, part):
             pairs = (pos[part], neg[part])
@@ -526,7 +537,7 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
         wall_time=time.monotonic() - t_start,
     )
     if return_model:
-        return report, model, split
+        return report, model
     return report
 
 
@@ -535,7 +546,7 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
 # ---------------------------------------------------------------------------
 
 def _beta_diagnostics(beta_samples, mu: np.ndarray) -> tuple[float, float]:
-    betas = np.asarray(beta_samples[:2] if len(beta_samples) >= 2 else beta_samples)
+    betas = np.asarray(beta_samples[:2])
     avg = betas.mean(axis=0)
     w2_unif = wasserstein_1d(avg, unif_reference(avg.size), 2.0)
     w2_mu = wasserstein_1d(avg, mu, 2.0)

@@ -352,6 +352,18 @@ class TestTraining:
         assert ("identity features of 4 nodes would be 4 wide, beyond "
                 "MAX_MODEL_SIZE (3)") in capsys.readouterr().err
 
+    def test_train_lp_without_features_beyond_identity_elements_exit_2(
+            self, tmp_path, capsys, monkeypatch):
+        # The one-hot of 4 nodes holds 16 elements; a bound lowered to 15 is
+        # checked before np.eye, so the unbounded case is never allocated.
+        monkeypatch.setattr(training, "MAX_IDENTITY_ELEMENTS", 15)
+        edges = tmp_path / "g.edges"
+        edges.write_text("0 1\n1 2\n2 3\n")
+        assert main(["train-lp", "--graph", str(edges), "--max-epochs", "1"]) == 2
+        assert ("identity features of 4 nodes would hold 16 elements, beyond "
+                "MAX_IDENTITY_ELEMENTS (15): give node features (--features) "
+                "instead") in capsys.readouterr().err
+
     @pytest.mark.parametrize("which, rows, fault", [
         ("features", 2, "f.csv: 2 rows, but the graph has 4 nodes"),
         ("labels", 3, "l.csv: 3 rows, but the graph has 4 nodes")],

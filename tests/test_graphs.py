@@ -451,8 +451,13 @@ class TestSplits:
         s1 = split_nodes(g, (0.6, 0.2, 0.2), seed=11)
         s2 = split_nodes(g, (0.6, 0.2, 0.2), seed=11)
         assert (len(s1.train), len(s1.val), len(s1.test)) == (6, 2, 2)
-        assert s1 == s2
-        assert split_nodes(g, (0.6, 0.2, 0.2), seed=12) != s1
+        for part in ("train", "val", "test"):
+            a, b = getattr(s1, part), getattr(s2, part)
+            assert a.dtype == np.int64 and not a.flags.writeable
+            assert np.array_equal(a, b)
+        s3 = split_nodes(g, (0.6, 0.2, 0.2), seed=12)
+        assert not np.array_equal(np.concatenate([s3.train, s3.val, s3.test]),
+                                  np.concatenate([s1.train, s1.val, s1.test]))
 
     def test_split_disjoint_exhaustive(self):
         g = generate_lattice(4, 5)
@@ -472,7 +477,9 @@ class TestSplits:
         g = generate_lattice(3, 4)
         s = split_edges(g, (0.85, 0.05, 0.10), seed=2)
         present = {(u, v) for u, v, _ in g.edges}
-        for u, v in s.val_neg + s.test_neg:
+        for neg in (s.val_neg, s.test_neg):
+            assert neg.dtype == np.int64 and not neg.flags.writeable
+        for u, v in np.concatenate([s.val_neg, s.test_neg]).tolist():
             assert (min(u, v), max(u, v)) not in present
 
     def test_degenerate_fractions_rejected(self):
@@ -496,14 +503,16 @@ class TestSplits:
                 key = (min(u, v), max(u, v))
                 if u != v and key not in present and key not in ref:
                     ref.append(key)
-            assert sample_non_edges(g, 25, rng) == tuple(ref)
+            out = sample_non_edges(g, 25, rng)
+            assert out.dtype == np.int64 and not out.flags.writeable
+            assert np.array_equal(out, ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert g.edge_keys == frozenset((u, v) for u, v, _ in g.edges)
 
     def test_non_edge_sampler_output_pinned_on_sparse_graph(self):
         g = random_connected_graph(np.random.default_rng(4), 12, 0.2)  # 19 of 66 pairs
-        assert sample_non_edges(g, 8, np.random.default_rng(21)) == (
-            (3, 9), (1, 4), (3, 7), (2, 5), (8, 11), (2, 10), (8, 9), (6, 11))
+        assert np.array_equal(sample_non_edges(g, 8, np.random.default_rng(21)), [
+            (3, 9), (1, 4), (3, 7), (2, 5), (8, 11), (2, 10), (8, 9), (6, 11)])
 
     def test_non_edge_sampler_on_near_complete_graph(self):
         n = 40
@@ -512,10 +521,11 @@ class TestSplits:
                                    if (u, v) not in missing))
         for count in (0, 9, len(missing)):
             out = sample_non_edges(g, count, np.random.default_rng(count))
-            assert len(out) == count and len(set(out)) == count
-            assert set(out) <= missing
-        assert sample_non_edges(g, 9, np.random.default_rng(3)) == sample_non_edges(
-            g, 9, np.random.default_rng(3))
+            pairs = set(map(tuple, out.tolist()))
+            assert out.shape == (count, 2) and len(pairs) == count
+            assert pairs <= missing
+        assert np.array_equal(sample_non_edges(g, 9, np.random.default_rng(3)),
+                              sample_non_edges(g, 9, np.random.default_rng(3)))
 
     def test_non_edge_sampler_exhaustion(self):
         g = cycle_graph(4)  # 2 non-edges only

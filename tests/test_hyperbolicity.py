@@ -389,9 +389,11 @@ class TestLocalProfile:
 
     @pytest.mark.parametrize("mode", ["inf", "one"])
     @pytest.mark.parametrize("weights", ["half", "float"])
-    def test_batched_equals_per_ball(self, weights, mode):
+    def test_batched_equals_per_ball(self, weights, mode, monkeypatch):
         # A 30x30 lattice glued to tree(3, 5): tree and non-tree balls, and 671
-        # balls of 13 nodes, more than one stack holds.
+        # balls of 13 nodes, more than one stack holds.  A lowered sample
+        # count keeps the sampled balls cheap.
+        monkeypatch.setattr(hyperbolicity, "DEFAULT_NUM_SAMPLES", 200)
         rng = np.random.default_rng(41)
         lattice = generate_lattice(30, 30)
         drawn = (rng.choice([0.5, 1.0, 1.5, 2.0, 2.5], size=lattice.num_edges)
@@ -400,8 +402,7 @@ class TestLocalProfile:
             (u, v, float(w)) for (u, v, _), w in zip(lattice.edges, drawn)))
         g = generate_combined(lattice, generate_tree(3, 5), (417, 0))
         exact_limit, num_samples, seed = 8, 200, 3
-        prof = local_profile(g, 2, mode, exact_limit=exact_limit,
-                             num_samples=num_samples, seed=seed)
+        prof = local_profile(g, 2, mode, exact_limit=exact_limit, seed=seed)
         sizes = []
         for v in range(g.num_nodes):
             sub, _ = k_hop_subgraph(g, v, 2)
@@ -421,13 +422,13 @@ class TestLocalProfile:
         assert sizes.count(13) * 13 * 13 > 2 * hyperbolicity._STACK_ELEMENTS
         assert any(prof.per_node[v] == 0.0 and sizes[v] >= 4 for v in range(900, 1264))
 
-    def test_sampled_seed_beyond_int64(self):
+    def test_sampled_seed_beyond_int64(self, monkeypatch):
         # With an np.int64 center the derived seed is an np.int64, which the
         # sampler's 0xFFFFFFFFFFFFFFFF mask overflows at any seed; 2**40 keeps
         # the derived seeds large as well.
+        monkeypatch.setattr(hyperbolicity, "DEFAULT_NUM_SAMPLES", 200)
         g, seed, num_samples, exact_limit = generate_lattice(6, 6), 2**40, 200, 8
-        prof = local_profile(g, 2, "one", exact_limit=exact_limit,
-                             num_samples=num_samples, seed=seed)
+        prof = local_profile(g, 2, "one", exact_limit=exact_limit, seed=seed)
         sampled = 0
         for v in range(g.num_nodes):
             sub, _ = k_hop_subgraph(g, v, 2)

@@ -42,18 +42,17 @@ class TestDifferentiableBallOps:
         rng = np.random.default_rng(0)
         x = ball_rows(rng, 6, 4, c)
         y = ball_rows(rng, 6, 4, c)
-        curv = pc.Curvature(c)
         def rows(f):
             return np.stack([f(i) for i in range(6)])
-        add_np = rows(lambda i: pc.mobius_add(pc.BallPoint(x[i], curv),
-                                              pc.BallPoint(y[i], curv)).coords)
+        add_np = rows(lambda i: pc.mobius_add(pc.BallPoint(x[i], c),
+                                              pc.BallPoint(y[i], c)).coords)
         assert np.allclose(d_mobius_add(x, y, c).value, add_np, atol=1e-14)
         exp_np = rows(lambda i: pc.exp_origin(x[i], c).coords)
         assert np.allclose(d_exp_origin(x, c).value, exp_np, atol=1e-14)
-        log_np = rows(lambda i: pc.log_origin(pc.BallPoint(x[i], curv)))
+        log_np = rows(lambda i: pc.log_origin(pc.BallPoint(x[i], c)))
         assert np.allclose(d_log_origin(x, c).value, log_np, atol=1e-14)
-        dist_np = np.array([pc.hyp_distance(pc.BallPoint(x[i], curv),
-                                            pc.BallPoint(y[i], curv))
+        dist_np = np.array([pc.hyp_distance(pc.BallPoint(x[i], c),
+                                            pc.BallPoint(y[i], c))
                             for i in range(6)])
         assert np.allclose(pair_distance(x, y, c).value, dist_np, atol=1e-12)
 
@@ -263,7 +262,7 @@ class TestAttentionIndex:
     def test_graph_and_index_are_freed_together(self):
         g = synthetic_nc_graph()
         model = JointSpaceGNN(g.features.shape[1], 4, 2, seed=0)
-        out = model.forward(g, dropout=0.5, rng=np.random.default_rng(0),
+        out = model.forward(g, g.features, dropout=0.5, rng=np.random.default_rng(0),
                             training=True)[0]
         ad.backward(ad.sum_(out.z))             # keeps offsets on the index
         refs = [weakref.ref(g), weakref.ref(g.attention_index[0].flat(4))]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointspace.poincare import (PROJECTION_MARGIN, BallPoint, Curvature,
+from jointspace.poincare import (PROJECTION_MARGIN, BallPoint,
                                  d_edge_distance, d_exp_origin, d_log_origin,
                                  exp_origin, hyp_distance, log_origin,
                                  mobius_add, project_to_ball)
@@ -19,17 +19,21 @@ def rand_point(rng, dim, c=1.0, max_scaled_norm=0.95) -> BallPoint:
 
 class TestCurvature:
     def test_radius(self):
-        assert Curvature(4.0).radius == 0.5
+        # At c = 4 the radius is 0.5: the margin point is inside, 0.5 is not.
+        BallPoint(np.array([0.5 * (1.0 - PROJECTION_MARGIN), 0.0]), 4.0)
+        with pytest.raises(ValueError, match="outside the ball margin"):
+            BallPoint(np.array([0.5, 0.0]), 4.0)
 
     def test_positive_required(self):
-        with pytest.raises(ValueError):
-            Curvature(0.0)
-        with pytest.raises(ValueError):
-            Curvature(-1.0)
+        for make in (BallPoint, project_to_ball, exp_origin):
+            for c in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError,
+                                   match="curvature must be positive and finite"):
+                    make(np.zeros(2), c)
 
     def test_ball_point_invariant(self):
         with pytest.raises(ValueError):
-            BallPoint(np.array([1.5, 0.0]), Curvature(1.0))
+            BallPoint(np.array([1.5, 0.0]), 1.0)
 
 
 class TestMobiusAdd:
@@ -234,8 +238,7 @@ class TestDistanceOracle:
         if kind == "near_margin":
             assert all(u > 0.999 for u, _ in oracle[len(x) // 2:])
         ref = np.array([float(d) for _, d in oracle])
-        curv = Curvature(c)
-        points = np.array([hyp_distance(BallPoint(a, curv), BallPoint(b, curv))
+        points = np.array([hyp_distance(BallPoint(a, c), BallPoint(b, c))
                            for a, b in zip(x, y)])
         n = len(x)
         rows = d_edge_distance(np.vstack([x, y]), np.arange(n, 2 * n), np.arange(n),

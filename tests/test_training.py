@@ -265,7 +265,8 @@ class TestTrainLoop:
     def test_test_metric_from_restored_checkpoint(self, tmp_path):
         g = synthetic_nc_graph(seed=1)
         cfg = quick_cfg(seed=1, max_epochs=25, patience=25)
-        rep, model, split = train(g, cfg, return_model=True)
+        rep, model = train(g, cfg, return_model=True)
+        split = split_nodes(g, cfg.fractions, cfg.seed)
         # serialize, reload into a fresh model, re-evaluate the test metric
         ck = tmp_path / "ck.json"
         ck.write_text(save_params_json(model.state_dict()))
@@ -282,11 +283,11 @@ class TestTrainLoop:
         g = synthetic_lp_tree(depth=4, seed=5)
         cfg = quick_cfg(task="lp", seed=4, max_epochs=100, patience=2,
                         dropout=dropout)
-        rep, model, _ = train(g, cfg, return_model=True)
+        rep, model = train(g, cfg, return_model=True)
         assert 1 < rep.epoch_of_best < rep.epochs_run < cfg.max_epochs
         # A run capped at the best epoch ends there, scored by its own eval
         # forward, and must restore the same parameters.
-        capped, capped_model, _ = train(
+        capped, capped_model = train(
             g, replace(cfg, max_epochs=rep.epoch_of_best), return_model=True)
         assert capped.epochs_run == capped.epoch_of_best == rep.epoch_of_best
         state, capped_state = model.state_dict(), capped_model.state_dict()
@@ -295,14 +296,21 @@ class TestTrainLoop:
                 == (rep.best_val_metric, rep.test_metric, rep.beta_samples))
 
     @pytest.mark.parametrize("task", ["nc", "lp"])
-    def test_returned_split_is_the_seeded_default(self, task):
+    def test_split_is_the_seeded_default(self, task, monkeypatch):
         # message_graph and the report command assume this split.
         g = synthetic_nc_graph(seed=1) if task == "nc" else synthetic_lp_tree(seed=1)
         cfg = quick_cfg(task=task, seed=1, max_epochs=1)
-        _, _, split = train(g, cfg, return_model=True)
         make = split_nodes if task == "nc" else split_edges
-        assert split == make(g, cfg.fractions, cfg.seed)
+        calls = []
+
+        def recording(graph, fractions, seed):
+            calls.append((graph, fractions, seed))
+            return make(graph, fractions, seed)
+        monkeypatch.setattr(training, make.__name__, recording)
+        train(g, cfg)
+        assert calls == [(g, cfg.fractions, cfg.seed)]
         if task == "lp":
+            split = make(g, cfg.fractions, cfg.seed)
             assert message_graph(g, cfg).edges == tuple(g.edges[i] for i in split.train)
 
     def test_report_round_trip(self):
@@ -438,6 +446,17 @@ class TestProfileCache:
         path.write_text(json.dumps(obj))
         with pytest.raises(ValueError, match=rf"{path.name}: {g.num_nodes - 1} values "
                            rf"for a graph of {g.num_nodes} nodes"):
+            mu_profile(g, 2, "inf", cache_dir=str(tmp_path))
+
+    def test_cache_of_other_k_or_mode_rejected(self, tmp_path):
+        # A k=1 "one" profile under the k=2 "inf" file name is named, not used.
+        from jointspace.graphs import graph_hash
+        from jointspace.hyperbolicity import local_profile, profile_to_json
+        g = synthetic_nc_graph(seed=0)
+        path = tmp_path / f"{graph_hash(g)}_k2_inf.json"
+        path.write_text(profile_to_json(local_profile(g, 1, "one")))
+        with pytest.raises(ValueError, match=rf"{path.name}: holds k=1 mode='one', "
+                           r"but k=2 mode='inf' was asked for"):
             mu_profile(g, 2, "inf", cache_dir=str(tmp_path))
 
     def test_cache_keyed_by_k(self, tmp_path):
