@@ -22,7 +22,6 @@ from .hyperbolicity import (
     delta_inf,
     delta_one_exact,
     delta_one_sampled,
-    four_point_tau,
     histogram,
     local_profile,
 )
@@ -47,7 +46,6 @@ from .poincare import (
 from .training import (
     RunReport,
     TrainConfig,
-    analyze_hyperbolicities,
     evaluate_lp,
     evaluate_nc,
     run_seeds,

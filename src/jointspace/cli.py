@@ -16,10 +16,9 @@ from .graphs import (_read_lines, generate_combined, generate_lattice,
                      load_labels_csv, save_edge_list)
 from .hyperbolicity import DELTA_MODES, histogram, local_profile, profile_to_json
 from .layers import save_params_json
-from .objectives import COMPARISON_MODES, normalize_delta
+from .objectives import COMPARISON_MODES
 from .training import (RunReport, TrainConfig, TrainingDiverged,
-                       analyze_hyperbolicities, identity_features,
-                       message_graph, mu_profile, train)
+                       identity_features, train)
 
 
 # The TrainConfig fields the scalar training flags set; --omega-nu sets omega_nu.
@@ -134,15 +133,9 @@ def _cmd_variants(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    g = _load_graph(args)
+    # train computed the diagnostics against the run's own profile and stored them.
     report = _read_record(RunReport, args.run)
-    # Compare against the profile the run aligned to: its k, its delta mode
-    # and, for link prediction, its training-edge message graph.
-    cfg = TrainConfig.from_json(json.dumps(report.config))
-    profile = mu_profile(message_graph(g, cfg), cfg.k, cfg.delta_mode)
-    mu = normalize_delta(profile)
-    w2_unif, w2_mu = analyze_hyperbolicities(report, mu)
-    _emit({"w2_nu_unif": w2_unif, "w2_nu_mu": w2_mu,
+    _emit({"w2_nu_unif": report.w2_nu_unif, "w2_nu_mu": report.w2_nu_mu,
            "epoch_of_best": report.epoch_of_best,
            "test_metric": report.test_metric}, args.out)
     return 0
@@ -227,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                    variants={m: {"comparison_mode": m} for m in COMPARISON_MODES})
 
     p = sub.add_parser("report", help="learned-hyperbolicity diagnostics of a run")
-    _add_graph_args(p)
     p.add_argument("--run", required=True, help="RunReport JSON file")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_report)

@@ -38,7 +38,6 @@ __all__ = [
     "ExactLimitExceeded",
     "HyperbolicityProfile",
     "Histogram",
-    "four_point_tau",
     "is_tree_metric",
     "delta_inf",
     "delta_one_exact",
@@ -67,7 +66,7 @@ MAX_HISTOGRAM_BINS = 10**6
 
 
 class CrossComponentError(ValueError):
-    """Raised when a quadruple spans more than one connected component."""
+    """Raised when a metric spans more than one connected component."""
 
 
 class ExactLimitExceeded(ValueError):
@@ -163,23 +162,8 @@ class Histogram:
 
 
 # ---------------------------------------------------------------------------
-# Quadruple defect
+# Shared metric helpers
 # ---------------------------------------------------------------------------
-
-def four_point_tau(dm: DistanceMatrix, x: int, y: int, z: int, t: int) -> float:
-    """Four-point defect of one ordered quadruple (repeats allowed)."""
-    ids = [x, y, z, t]
-    d = dm.d
-    apart = np.argwhere(~np.isfinite(d[np.ix_(ids, ids)]))
-    if apart.size:
-        i, j = apart[0]
-        raise CrossComponentError(
-            f"nodes {ids[i]} and {ids[j]} lie in different components")
-    s1 = d[x, y] + d[z, t]
-    s2 = d[x, z] + d[y, t]
-    s3 = d[z, y] + d[x, t]
-    return max(0.0, (s1 - max(s2, s3)) / 2.0)
-
 
 def _require_connected(dm: DistanceMatrix) -> None:
     if not dm.connected:

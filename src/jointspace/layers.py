@@ -26,6 +26,7 @@ from .autodiff import DiffValue
 from .graphs import WeightedGraph
 
 __all__ = [
+    "MAX_PARAMETERS",
     "GATParams",
     "HGATParams",
     "FusionParams",
@@ -40,6 +41,10 @@ __all__ = [
     "save_params_json",
     "load_params_json",
 ]
+
+# Largest parameter count of a ``JointSpaceGNN`` (512 MiB of float64): each
+# width may be within its own bound while their products are not.
+MAX_PARAMETERS = 2**26
 
 # ---------------------------------------------------------------------------
 # Parameter containers and initialization
@@ -109,6 +114,12 @@ def init_layer_params(rng: np.random.Generator, in_dim: int, out_dim: int,
         q=DiffValue(_glorot(rng, (q_dim,))),
     )
     return LayerParams(gat=gat, hgat=hgat, fusion=fusion)
+
+
+def _parameter_count(dims: list[int], q_dim: int) -> int:
+    """Elements ``init_layer_params`` draws for the layers dims[i] -> dims[i + 1]."""
+    return sum(2 * d_out * d_in + (5 + q_dim) * d_out + 2 * q_dim
+               for d_in, d_out in zip(dims, dims[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +259,13 @@ class JointSpaceGNN:
                  trainable_curvature: bool = False, seed: int = 0):
         if num_layers < 1:
             raise ValueError("num_layers must be >= 1")
-        rng = np.random.default_rng(seed)
         dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
+        count = _parameter_count(dims, q_dim)
+        if count > MAX_PARAMETERS:
+            raise ValueError(f"a model of layer widths {dims} and q_dim {q_dim} has "
+                             f"{count} parameters, beyond MAX_PARAMETERS "
+                             f"({MAX_PARAMETERS})")
+        rng = np.random.default_rng(seed)
         self.layers = [
             init_layer_params(rng, dims[i], dims[i + 1], q_dim, curvature,
                               trainable_curvature)

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import (EdgeSplitSpec, WeightedGraph, graph_hash,
-                     sample_non_edges, split_edges, split_nodes)
+from .graphs import (WeightedGraph, graph_hash, sample_non_edges, split_edges,
+                     split_nodes)
 from .hyperbolicity import (DELTA_MODES, HyperbolicityProfile, local_profile,
                             profile_from_json, profile_to_json)
 from .layers import JointSpaceGNN
@@ -39,12 +39,10 @@ __all__ = [
     "Adam",
     "identity_features",
     "mu_profile",
-    "message_graph",
     "train",
     "evaluate_nc",
     "evaluate_lp",
     "run_seeds",
-    "analyze_hyperbolicities",
     "synthetic_nc_graph",
     "synthetic_lp_tree",
 ]
@@ -224,6 +222,9 @@ class RunReport(_JsonRecord):
                              "in [0, 1]")
         if not isinstance(self.config, dict):
             raise ValueError(f"config must be an object, got {self.config!r}")
+        # The config must parse as a TrainConfig, which names a bad field; {} is
+        # the default config.
+        TrainConfig.from_json(json.dumps(self.config))
 
 
 class Adam:
@@ -372,20 +373,6 @@ def evaluate_lp(scores: np.ndarray, truth: np.ndarray) -> float:
 # Training
 # ---------------------------------------------------------------------------
 
-def _lp_message_graph(g: WeightedGraph, split: EdgeSplitSpec) -> WeightedGraph:
-    """Message passing for link prediction only sees training edges."""
-    train_edges = tuple(g.edges[i] for i in split.train)
-    return WeightedGraph(num_nodes=g.num_nodes, edges=train_edges,
-                         features=g.features, labels=g.labels)
-
-
-def message_graph(g: WeightedGraph, cfg: TrainConfig) -> WeightedGraph:
-    """The graph a run with the default split passes messages over and profiles."""
-    if cfg.task == "nc":
-        return g
-    return _lp_message_graph(g, split_edges(g, cfg.fractions, cfg.seed))
-
-
 @dataclass
 class _Best:
     """Best validation point so far and the parameters it was scored at."""
@@ -412,10 +399,10 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
     every epoch; training stops ``patience`` epochs after the last strict
     improvement or at ``max_epochs``, whichever is first, and the test metric
     is evaluated only at the restored best checkpoint.  One branch on the task
-    sets the seeded split of ``cfg.fractions`` (the one ``message_graph``
-    assumes), the message graph, the training task loss and ``score``,
-    which returns a part's metric and that same task loss on it; the loss
-    breaks ties in the validation metric.
+    sets the seeded split of ``cfg.fractions``, the message graph (for link
+    prediction, the training edges only), the training task loss and
+    ``score``, which returns a part's metric and that same task loss on it;
+    the loss breaks ties in the validation metric.
 
     Each epoch's validation scores the parameters its optimizer step wrote.
     At ``dropout == 0`` the next epoch's training forward runs at exactly
@@ -456,7 +443,9 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
     else:
         split = split_edges(g, cfg.fractions, cfg.seed)
         out_dim = cfg.hidden
-        msg_graph = _lp_message_graph(g, split)
+        msg_graph = WeightedGraph(num_nodes=g.num_nodes,
+                                  edges=tuple(g.edges[i] for i in split.train),
+                                  features=g.features, labels=g.labels)
         fd_params = FermiDiracParams(cfg.fermi_r, cfg.fermi_t)
         pos = {part: g.edge_index[getattr(split, part)] for part in ("train", "val", "test")}
         neg = {"val": split.val_neg, "test": split.test_neg}
@@ -542,30 +531,20 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Diagnostics, grids, seeds
+# Diagnostics and seeds
 # ---------------------------------------------------------------------------
 
 def _beta_diagnostics(beta_samples, mu: np.ndarray) -> tuple[float, float]:
-    betas = np.asarray(beta_samples[:2])
-    avg = betas.mean(axis=0)
-    w2_unif = wasserstein_1d(avg, unif_reference(avg.size), 2.0)
-    w2_mu = wasserstein_1d(avg, mu, 2.0)
-    return float(w2_unif), float(w2_mu)
-
-
-def analyze_hyperbolicities(report: RunReport, mu) -> tuple[float, float]:
     """Distance of the learned selection weights from uniform and from the profile.
 
     Per-node weights from the first two layers (all layers for shallower
     models) are averaged before comparing.
     """
-    if not report.beta_samples:
-        raise ValueError("report carries no beta record")
-    mu = np.asarray(mu, dtype=np.float64)
-    if len(report.beta_samples[0]) != mu.size:
-        raise ValueError(f"the run has {len(report.beta_samples[0])} nodes "
-                         f"but the graph has {mu.size}")
-    return _beta_diagnostics(report.beta_samples, mu)
+    betas = np.asarray(beta_samples[:2])
+    avg = betas.mean(axis=0)
+    w2_unif = wasserstein_1d(avg, unif_reference(avg.size), 2.0)
+    w2_mu = wasserstein_1d(avg, mu, 2.0)
+    return float(w2_unif), float(w2_mu)
 
 
 def run_seeds(g: WeightedGraph, cfg: TrainConfig, seeds: list[int]) -> dict:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from jointspace import cli, graphs, training
+from jointspace import cli, graphs, layers, training
 from jointspace.cli import main
 from jointspace.graphs import load_edge_list
 from jointspace.hyperbolicity import local_profile
@@ -364,6 +364,20 @@ class TestTraining:
                 "MAX_IDENTITY_ELEMENTS (15): give node features (--features) "
                 "instead") in capsys.readouterr().err
 
+    def test_train_nc_model_beyond_parameter_bound_exit_2(self, combined_files,
+                                                           capsys, monkeypatch):
+        # Each width is within MAX_MODEL_SIZE, but hidden 65536 over 3 layers
+        # once drew a 32 GiB weight; checked here against a lowered bound, so
+        # nothing large is allocated.
+        monkeypatch.setattr(layers, "MAX_PARAMETERS", 1000)
+        edges, feats, labels = combined_files
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--layers", "3", "--hidden", "64",
+                     "--max-epochs", "1"]) == 2
+        assert ("error: a model of layer widths [8, 64, 64, 2] and q_dim 16 has "
+                "12298 parameters, beyond MAX_PARAMETERS (1000)"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("which, rows, fault", [
         ("features", 2, "f.csv: 2 rows, but the graph has 4 nodes"),
         ("labels", 3, "l.csv: 3 rows, but the graph has 4 nodes")],
@@ -464,8 +478,7 @@ class TestAblateCompareReport:
               "--labels", str(labels), "--hidden", "8", "--max-epochs", "5",
               "--patience", "5", "--out", str(run_path)])
         out = tmp_path / "diag.json"
-        code = main(["report", "--graph", str(edges), "--run", str(run_path),
-                     "--out", str(out)])
+        code = main(["report", "--run", str(run_path), "--out", str(out)])
         assert code == 0
         diag = json.loads(out.read_text())
         assert set(diag) >= {"w2_nu_unif", "w2_nu_mu"}
@@ -474,8 +487,9 @@ class TestAblateCompareReport:
                              ids=["nc-k1", "lp"])
     def test_report_uses_the_runs_profile(self, tmp_path, combined_files, task,
                                           extra):
-        # k and delta mode come from the run's config; an lp run is profiled
-        # on its training-edge message graph, not on the full graph.
+        # train compared beta with the run's own profile (its k, delta mode
+        # and, for lp, training-edge message graph); report prints exactly
+        # the four values the run stored.
         edges, feats, labels = combined_files
         data = ["--features", str(feats)]
         if task == "nc":
@@ -485,25 +499,34 @@ class TestAblateCompareReport:
                      "--hidden", "8", "--max-epochs", "3", "--patience", "3",
                      "--out", str(run_path)]) == 0
         out = tmp_path / "diag.json"
-        assert main(["report", "--graph", str(edges), "--run", str(run_path),
-                     "--out", str(out)]) == 0
+        assert main(["report", "--run", str(run_path), "--out", str(out)]) == 0
         run = json.loads(run_path.read_text())
-        diag = json.loads(out.read_text())
-        assert diag["w2_nu_mu"] == pytest.approx(run["w2_nu_mu"], rel=1e-12, abs=0)
+        keys = ("w2_nu_unif", "w2_nu_mu", "epoch_of_best", "test_metric")
+        assert json.loads(out.read_text()) == {key: run[key] for key in keys}
 
-    def test_report_on_graph_of_other_size_exit_2(self, tmp_path, combined_files,
-                                                  capsys):
+    def test_report_takes_no_graph(self, tmp_path, combined_files):
+        edges, _, _ = combined_files
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--graph", str(edges), "--run", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("config,message", [
+        ({"lr": "x"}, "lr must be a finite number, got 'x'"),
+        ({"bogus": 1}, "unknown config keys: bogus"),
+        ({"k": 0}, "k must be positive")], ids=["string-lr", "unknown-key", "zero-k"])
+    def test_report_run_with_bad_config_exit_2(self, tmp_path, combined_files,
+                                               capsys, config, message):
         edges, feats, labels = combined_files
         run_path = tmp_path / "run.json"
         assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
                      "--labels", str(labels), "--hidden", "8", "--max-epochs", "2",
                      "--out", str(run_path)]) == 0
-        lattice = tmp_path / "lat.edges"
-        assert main(["generate", "lattice", "--rows", "4", "--cols", "4",
-                     "--out", str(lattice)]) == 0
+        run = json.loads(run_path.read_text())
+        run["config"].update(config)
+        run_path.write_text(json.dumps(run))
         capsys.readouterr()
-        assert main(["report", "--graph", str(lattice), "--run", str(run_path)]) == 2
-        assert "the run has 40 nodes but the graph has 16" in capsys.readouterr().err
+        assert main(["report", "--run", str(run_path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,present,message", [
         ("bogus", True, "unknown run report keys: bogus"),
@@ -522,7 +545,7 @@ class TestAblateCompareReport:
         else:
             del run[key]
         run_path.write_text(json.dumps(run))
-        assert main(["report", "--graph", str(edges), "--run", str(run_path)]) == 2
+        assert main(["report", "--run", str(run_path)]) == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit,message", [
@@ -545,12 +568,11 @@ class TestAblateCompareReport:
         edit(run)
         run_path.write_text(json.dumps(run))
         capsys.readouterr()
-        assert main(["report", "--graph", str(edges), "--run", str(run_path)]) == 2
+        assert main(["report", "--run", str(run_path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
-    def test_report_run_not_json_exit_2(self, tmp_path, combined_files, capsys):
-        edges, _, _ = combined_files
+    def test_report_run_not_json_exit_2(self, tmp_path, capsys):
         run_path = tmp_path / "run.json"
         run_path.write_text('{"best_val_metric": 1.0,')
-        assert main(["report", "--graph", str(edges), "--run", str(run_path)]) == 2
+        assert main(["report", "--run", str(run_path)]) == 2
         assert "run.json: not JSON" in capsys.readouterr().err

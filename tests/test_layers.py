@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from jointspace import autodiff as ad
+from jointspace import layers
 from jointspace import poincare as pc
 from jointspace.graphs import WeightedGraph, generate_tree
 from jointspace.layers import (JointSpaceGNN, _attention_logits,
-                               fusion_forward, gat_forward, hgat_forward,
+                               _parameter_count, fusion_forward, gat_forward, hgat_forward,
                                init_layer_params, load_params_json,
                                save_params_json)
 from jointspace.poincare import (PROJECTION_MARGIN, d_edge_distance, d_exp_origin,
@@ -527,6 +528,24 @@ class TestStack:
         assert len(record) == depth
         for r in record:
             assert r.beta_r.shape == (7,)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_parameter_count_is_the_drawn_size(self, depth):
+        model = JointSpaceGNN(5, 6, 3, num_layers=depth, q_dim=4, seed=0)
+        dims = [5] + [6] * (depth - 1) + [3]
+        drawn = sum(v.size for v in model.state_dict().values())
+        assert _parameter_count(dims, 4) == drawn
+
+    def test_parameter_bound_checked_before_drawing(self, monkeypatch):
+        # 5 -> 6 -> 3 at q_dim 4 has 122 + 71 = 193 parameters.
+        monkeypatch.setattr(layers, "MAX_PARAMETERS", 193)
+        JointSpaceGNN(5, 6, 3, num_layers=2, q_dim=4)
+        monkeypatch.setattr(layers, "MAX_PARAMETERS", 192)
+        monkeypatch.setattr(layers, "init_layer_params", None)   # never reached
+        with pytest.raises(ValueError, match=r"a model of layer widths \[5, 6, 3\] "
+                           r"and q_dim 4 has 193 parameters, beyond MAX_PARAMETERS "
+                           r"\(192\)"):
+            JointSpaceGNN(5, 6, 3, num_layers=2, q_dim=4)
 
     def test_forward_deterministic_given_seed(self):
         g = generate_tree(2, 2)

@@ -1,6 +1,11 @@
 import math
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from jointspace.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +19,18 @@ def test_library_quick_start_runs_as_written(capsys):
     assert lines[0] == "(15, 0, 16, 0, 9)"
     numbers = [float(x) for x in lines[1].split()]
     assert len(numbers) == 3 and all(math.isfinite(x) for x in numbers)
+
+
+def test_command_lines_parse():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("jointspace ")]
+    assert len(lines) == 9
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")

@@ -13,9 +13,8 @@ from jointspace.graphs import generate_tree, split_edges, split_nodes
 from jointspace.layers import JointSpaceGNN, load_params_json, save_params_json
 from jointspace.objectives import normalize_delta, overall_loss
 from jointspace.training import (MAX_MODEL_SIZE, Adam, RunReport, TrainConfig,
-                                 analyze_hyperbolicities, evaluate_lp,
-                                 evaluate_nc, identity_features, message_graph,
-                                 mu_profile, run_seeds,
+                                 _beta_diagnostics, evaluate_lp, evaluate_nc,
+                                 identity_features, mu_profile, run_seeds,
                                  synthetic_lp_tree, synthetic_nc_graph, train)
 
 
@@ -297,21 +296,27 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("task", ["nc", "lp"])
     def test_split_is_the_seeded_default(self, task, monkeypatch):
-        # message_graph and the report command assume this split.
+        # An lp run profiles the split's training edges only; an nc run, the
+        # whole graph.
         g = synthetic_nc_graph(seed=1) if task == "nc" else synthetic_lp_tree(seed=1)
         cfg = quick_cfg(task=task, seed=1, max_epochs=1)
         make = split_nodes if task == "nc" else split_edges
-        calls = []
+        calls, profiled = [], []
 
         def recording(graph, fractions, seed):
             calls.append((graph, fractions, seed))
             return make(graph, fractions, seed)
+
+        def profiling(graph, *args):
+            profiled.append(graph)
+            return mu_profile(graph, *args)
         monkeypatch.setattr(training, make.__name__, recording)
+        monkeypatch.setattr(training, "mu_profile", profiling)
         train(g, cfg)
         assert calls == [(g, cfg.fractions, cfg.seed)]
-        if task == "lp":
-            split = make(g, cfg.fractions, cfg.seed)
-            assert message_graph(g, cfg).edges == tuple(g.edges[i] for i in split.train)
+        split = make(g, cfg.fractions, cfg.seed)
+        edges = g.edges if task == "nc" else tuple(g.edges[i] for i in split.train)
+        assert [(m.num_nodes, m.edges) for m in profiled] == [(g.num_nodes, edges)]
 
     def test_report_round_trip(self):
         g = synthetic_nc_graph(seed=2)
@@ -359,11 +364,14 @@ class TestTrainLoop:
         ("epoch_of_best", "1", "epoch_of_best must be an integer"),
         ("loss_trace", (1.0, math.nan), "loss_trace"),
         ("loss_trace", 1.0, "loss_trace"),
-        ("config", 5, "config must be an object")],
+        ("config", 5, "config must be an object"),
+        ("config", {"lr": "x"}, "lr must be a finite number, got 'x'"),
+        ("config", {"task": "nc", "bogus": 1}, "unknown config keys: bogus")],
         ids=["string-betas", "bare-number-betas", "ragged-betas", "nan-betas",
              "beta-above-one", "bool-beta", "string-test-metric", "bool-val-metric",
              "infinite-w2", "float-epochs", "string-epoch", "nan-loss",
-             "bare-number-loss", "number-config"])
+             "bare-number-loss", "number-config", "string-config-lr",
+             "unknown-config-key"])
     def test_report_rejects_bad_field(self, field, value, match):
         rep = RunReport(0.5, 0.75, 3, 4, (1.25, 0.5), ((0.25, 0.75), (0.5, 0.125)),
                         0.1, 0.2, {}, 1.5)
@@ -470,11 +478,7 @@ class TestAnalysis:
     def test_matching_beta_gives_zero_w2(self):
         g = synthetic_nc_graph(seed=0)
         mu = normalize_delta(mu_profile(g, 2, "inf"))
-        rep = RunReport(
-            best_val_metric=1.0, test_metric=1.0, epoch_of_best=1, epochs_run=1,
-            loss_trace=(0.0,), beta_samples=(tuple(mu), tuple(mu)),
-            w2_nu_unif=0.0, w2_nu_mu=0.0, config={}, wall_time=0.0)
-        w2_unif, w2_mu = analyze_hyperbolicities(rep, mu)
+        w2_unif, w2_mu = _beta_diagnostics((tuple(mu), tuple(mu)), mu)
         assert w2_mu == 0.0
         assert w2_unif > 0.0
 
@@ -482,11 +486,7 @@ class TestAnalysis:
         # all-0.5 weights: rank pairing against the m midpoints (i-0.5)/m
         n = 40
         beta = tuple([0.5] * n)
-        rep = RunReport(
-            best_val_metric=1.0, test_metric=1.0, epoch_of_best=1, epochs_run=1,
-            loss_trace=(0.0,), beta_samples=(beta, beta),
-            w2_nu_unif=0.0, w2_nu_mu=0.0, config={}, wall_time=0.0)
-        w2_unif, _ = analyze_hyperbolicities(rep, np.zeros(n))
+        w2_unif, _ = _beta_diagnostics((beta, beta), np.zeros(n))
         midpoints = (np.arange(1, n + 1) - 0.5) / n
         expected = math.sqrt(np.mean((0.5 - midpoints) ** 2))
         assert w2_unif == pytest.approx(expected, abs=1e-12)
@@ -494,22 +494,11 @@ class TestAnalysis:
 
     def test_first_two_layers_averaged(self):
         mu = np.array([0.0, 1.0])
-        rep = RunReport(
-            best_val_metric=1.0, test_metric=1.0, epoch_of_best=1, epochs_run=1,
-            loss_trace=(0.0,),
-            beta_samples=((0.0, 0.0), (1.0, 1.0), (0.25, 0.75)),
-            w2_nu_unif=0.0, w2_nu_mu=0.0, config={}, wall_time=0.0)
+        beta_samples = ((0.0, 0.0), (1.0, 1.0), (0.25, 0.75))
         # layers 1-2 average to (0.5, 0.5); the third layer must be ignored.
         # Rank pairing against mu = (0, 1) gives gaps of 0.5 -> W2 = 0.5.
-        _, w2_mu = analyze_hyperbolicities(rep, mu)
+        _, w2_mu = _beta_diagnostics(beta_samples, mu)
         assert w2_mu == pytest.approx(0.5, abs=1e-12)
-
-    def test_missing_record_rejected(self):
-        rep = RunReport(best_val_metric=0, test_metric=0, epoch_of_best=0,
-                        epochs_run=0, loss_trace=(), beta_samples=(),
-                        w2_nu_unif=0, w2_nu_mu=0, config={}, wall_time=0)
-        with pytest.raises(ValueError):
-            analyze_hyperbolicities(rep, np.zeros(3))
 
 
 class TestRunners:
