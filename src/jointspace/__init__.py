@@ -27,7 +27,6 @@ from .hyperbolicity import (
 )
 from .layers import JointSpaceGNN
 from .objectives import (
-    FermiDiracParams,
     LossWeights,
     fermi_dirac_prob,
     non_uniformity_loss,

@@ -44,8 +44,7 @@ def _load_graph(args, default_identity_features: bool = False) -> "WeightedGraph
         # The CSVs are keyed by the original ids, which the remap does not reach.
         raise ValueError(f"--remap-ids cannot be combined with {' or '.join(csvs)}: "
                          "only the edge list is remapped")
-    g = load_edge_list(args.graph, weighted=not args.unweighted,
-                       remap_ids=args.remap_ids)
+    g = load_edge_list(args.graph, remap_ids=args.remap_ids)
     for name, load in (("features", load_features_csv), ("labels", load_labels_csv)):
         path = getattr(args, name, None)
         if path:
@@ -60,12 +59,14 @@ def _load_graph(args, default_identity_features: bool = False) -> "WeightedGraph
 
 
 def _read_record(cls, path: str):
-    """``cls.from_json`` of the file; bytes or text it cannot decode name the file."""
+    """``cls.from_json`` of the file; every fault it raises names the file."""
     text = "".join(_read_lines(path))
     try:
         return cls.from_json(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{Path(path).name}: not JSON ({exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"{Path(path).name}: {exc}") from exc
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -147,8 +148,6 @@ def _cmd_report(args) -> int:
 
 def _add_graph_args(p: argparse.ArgumentParser, with_data: bool = False) -> None:
     p.add_argument("--graph", required=True, help="edge-list file")
-    p.add_argument("--unweighted", action="store_true",
-                   help="reject weight columns; all weights 1")
     p.add_argument("--remap-ids", dest="remap_ids", action="store_true",
                    help="remap sparse edge-list node ids to 0..n-1 "
                         "(not with --features or --labels)")

@@ -243,8 +243,7 @@ class EdgeSplitSpec(SplitSpec):
 # Ingestion
 # ---------------------------------------------------------------------------
 
-def load_edge_list(path: str | Path, weighted: bool = True,
-                   remap_ids: bool = False) -> WeightedGraph:
+def load_edge_list(path: str | Path, remap_ids: bool = False) -> WeightedGraph:
     """Parse a whitespace-separated edge list (``u v`` or ``u v w`` per line).
 
     Lines starting with ``#`` and blank lines are skipped.  Missing weights
@@ -261,9 +260,6 @@ def load_edge_list(path: str | Path, weighted: bool = True,
         if len(parts) not in (2, 3):
             raise EdgeListParseError(
                 f"{path.name}:{lineno}: expected 'u v [w]', got {stripped!r}")
-        if len(parts) == 3 and not weighted:
-            raise EdgeListParseError(
-                f"{path.name}:{lineno}: weight column present in unweighted mode")
         try:
             u, v = int(parts[0]), int(parts[1])
             w = float(parts[2]) if len(parts) == 3 else 1.0

@@ -20,7 +20,6 @@ from .hyperbolicity import HyperbolicityProfile
 
 __all__ = [
     "LossWeights",
-    "FermiDiracParams",
     "COMPARISON_MODES",
     "wasserstein_1d",
     "unif_reference",
@@ -33,6 +32,9 @@ __all__ = [
 ]
 
 COMPARISON_MODES = ("distribution", "pairwise", "mean")
+
+# Fermi-Dirac edge decoder P(edge) = 1 / (exp((d - FERMI_R) / FERMI_T) + 1).
+FERMI_R, FERMI_T = 2.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -50,18 +52,6 @@ class LossWeights:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if not (math.isfinite(self.p) and self.p >= 1):
             raise ValueError(f"Wasserstein order p must be finite and >= 1, got {self.p}")
-
-
-@dataclass(frozen=True)
-class FermiDiracParams:
-    """Edge-probability decoder parameters: P(edge) = 1 / (exp((d - r)/t) + 1)."""
-
-    r: float = 2.0
-    t: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.r <= 0 or self.t <= 0:
-            raise ValueError("Fermi-Dirac parameters r and t must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +149,9 @@ def cross_entropy_nc(logits, labels, mask) -> DiffValue:
     return ad.neg(ad.mean_(ad.sum_(ad.mul(log_probs, onehot), axis=1)))
 
 
-def fermi_dirac_prob(d, p: FermiDiracParams) -> np.ndarray:
+def fermi_dirac_prob(d) -> np.ndarray:
     """Edge probability of each distance, strictly decreasing in it, in (0, 1)."""
-    return ad._logistic((p.r - np.asarray(d, dtype=np.float64)) / p.t)
+    return ad._logistic((FERMI_R - np.asarray(d, dtype=np.float64)) / FERMI_T)
 
 
 def _pair_distances(z: DiffValue, pairs: np.ndarray) -> DiffValue:
@@ -169,11 +159,11 @@ def _pair_distances(z: DiffValue, pairs: np.ndarray) -> DiffValue:
     return ad.reshape(ad.vector_norm(diff), (pairs.shape[0],))
 
 
-def lp_loss(z, pos_edges, neg_edges, p: FermiDiracParams) -> DiffValue:
+def lp_loss(z, pos_edges, neg_edges) -> DiffValue:
     """Binary cross-entropy of the decoder over positive and negative pairs.
 
-    Written with softplus so saturated probabilities stay finite:
-    -log P = softplus((d - r)/t) and -log (1 - P) = softplus(-(d - r)/t).
+    Written with softplus so saturated probabilities stay finite, with
+    x = (d - FERMI_R) / FERMI_T: -log P = softplus(x), -log (1 - P) = softplus(-x).
     Distances are Euclidean on the fused output embeddings.
     """
     z = ad.as_diff(z)
@@ -181,8 +171,8 @@ def lp_loss(z, pos_edges, neg_edges, p: FermiDiracParams) -> DiffValue:
     neg = np.asarray(neg_edges, dtype=np.int64)
     if pos.size == 0 or neg.size == 0:
         raise ValueError("both edge sets must be non-empty")
-    x_pos = ad.mul(ad.sub(_pair_distances(z, pos), p.r), 1.0 / p.t)
-    x_neg = ad.mul(ad.sub(_pair_distances(z, neg), p.r), 1.0 / p.t)
+    x_pos = ad.mul(ad.sub(_pair_distances(z, pos), FERMI_R), 1.0 / FERMI_T)
+    x_neg = ad.mul(ad.sub(_pair_distances(z, neg), FERMI_R), 1.0 / FERMI_T)
     terms = ad.concat([ad.softplus(x_pos), ad.softplus(ad.neg(x_neg))])
     return ad.mean_(terms)
 

@@ -25,14 +25,15 @@ from .graphs import (WeightedGraph, graph_hash, sample_non_edges, split_edges,
 from .hyperbolicity import (DELTA_MODES, HyperbolicityProfile, local_profile,
                             profile_from_json, profile_to_json)
 from .layers import JointSpaceGNN
-from .objectives import (COMPARISON_MODES, FermiDiracParams, LossWeights,
-                         _pair_distances, cross_entropy_nc, fermi_dirac_prob,
-                         lp_loss, normalize_delta, overall_loss,
-                         unif_reference, wasserstein_1d)
+from .objectives import (COMPARISON_MODES, LossWeights, _pair_distances,
+                         cross_entropy_nc, fermi_dirac_prob, lp_loss,
+                         normalize_delta, overall_loss, unif_reference,
+                         wasserstein_1d)
 
 __all__ = [
     "MAX_MODEL_SIZE",
     "MAX_IDENTITY_ELEMENTS",
+    "MAX_ACTIVATION_ELEMENTS",
     "TrainingDiverged",
     "TrainConfig",
     "RunReport",
@@ -55,6 +56,9 @@ MAX_MODEL_SIZE = 2**16
 # Largest element count n * n of the one-hot ``identity_features`` (512 MiB of
 # float64, so n <= 8192): a graph of more nodes needs features of its own.
 MAX_IDENTITY_ELEMENTS = 2**26
+# Largest activation array a layer may need (512 MiB of float64): E x width
+# over the message graph's E attention edges, and n x q_dim in the fusion.
+MAX_ACTIVATION_ELEMENTS = 2**26
 
 
 class TrainingDiverged(RuntimeError):
@@ -116,7 +120,6 @@ class TrainConfig(_JsonRecord):
     dropout: float = 0.0
     omega_nu: float = 0.1
     omega_was: float = 0.1
-    p: float = 2.0                        # Wasserstein order
     k: int = 2                            # hop radius for the geometric profile
     q_dim: int = 16
     curvature: float = 1.0
@@ -126,10 +129,7 @@ class TrainConfig(_JsonRecord):
     seed: int = 0
     split_fractions: tuple[float, float, float] | None = None
     comparison_mode: str = "distribution"  # "distribution" | "pairwise" | "mean"
-    fermi_r: float = 2.0
-    fermi_t: float = 1.0
     metric: str = "accuracy"              # "accuracy" | "f1" (nc); lp uses AUC
-    f1_average: str = "micro"
     delta_mode: str = "inf"
     weight_decay: float = 0.0
     cache_dir: str | None = None
@@ -154,7 +154,6 @@ class TrainConfig(_JsonRecord):
         for name, choices in (("task", ("nc", "lp")),
                               ("comparison_mode", COMPARISON_MODES),
                               ("metric", ("accuracy", "f1")),
-                              ("f1_average", ("micro", "macro")),
                               ("delta_mode", DELTA_MODES)):
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {', '.join(choices)}; "
@@ -162,7 +161,7 @@ class TrainConfig(_JsonRecord):
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must be in [0, 1)")
         for name in ("layers", "hidden", "lr", "k", "q_dim", "curvature",
-                     "patience", "max_epochs", "fermi_r", "fermi_t"):
+                     "patience", "max_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("layers", "hidden", "q_dim"):
@@ -171,12 +170,9 @@ class TrainConfig(_JsonRecord):
                                  f"got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.omega_nu < 0 or self.omega_was < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
-        if not self.p >= 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        for name in ("omega_nu", "omega_was", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     @property
     def fractions(self) -> tuple[float, float, float]:
@@ -259,13 +255,10 @@ class Adam:
 def identity_features(n: int) -> np.ndarray:
     """One-hot fallback features for graphs without node attributes.
 
-    They are ``n`` wide, the model's input width, so ``n`` is bounded by
-    ``MAX_MODEL_SIZE`` as every layer width is, and their ``n * n`` elements
-    by ``MAX_IDENTITY_ELEMENTS``; a larger graph needs features.
+    Their ``n * n`` elements are bounded by ``MAX_IDENTITY_ELEMENTS``, which
+    also keeps their width ``n`` below ``MAX_MODEL_SIZE``; a larger graph
+    needs features.
     """
-    if n > MAX_MODEL_SIZE:
-        raise ValueError(f"identity features of {n} nodes would be {n} wide, beyond "
-                         f"MAX_MODEL_SIZE ({MAX_MODEL_SIZE}): give node features instead")
     if n * n > MAX_IDENTITY_ELEMENTS:
         raise ValueError(f"identity features of {n} nodes would hold {n * n} elements, "
                          f"beyond MAX_IDENTITY_ELEMENTS ({MAX_IDENTITY_ELEMENTS}): "
@@ -319,35 +312,27 @@ def mu_profile(g: WeightedGraph, k: int, mode: str = "inf",
 # ---------------------------------------------------------------------------
 
 def evaluate_nc(logits: np.ndarray, labels: np.ndarray, mask,
-                metric: str = "accuracy", f1_average: str = "micro") -> float:
+                metric: str = "accuracy") -> float:
     """Accuracy or F1 over the masked nodes.
 
-    F1 is the binary positive-class score for 2 classes; otherwise averaged
-    per ``f1_average`` ("micro" or "macro").
+    F1 is the binary positive-class score for 2 classes; otherwise it is
+    micro-averaged, which for single-label predictions equals accuracy.
     """
+    if metric not in ("accuracy", "f1"):
+        raise ValueError("metric must be 'accuracy' or 'f1'")
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("mask must be non-empty")
     preds = np.argmax(np.asarray(logits), axis=1)[mask]
     truth = np.asarray(labels)[mask]
-    if metric == "accuracy":
-        return float(np.mean(preds == truth))
-    if metric != "f1":
-        raise ValueError("metric must be 'accuracy' or 'f1'")
-    classes = np.unique(np.asarray(labels))
-    if classes.size == 2:
-        return _binary_f1(preds, truth, positive=int(classes.max()))
-    if f1_average == "micro":
-        return float(np.mean(preds == truth))   # single-label micro-F1 is accuracy
-    scores = [_binary_f1(preds, truth, positive=int(c)) for c in classes]
-    return float(np.mean(scores))
-
-
-def _binary_f1(preds: np.ndarray, truth: np.ndarray, positive: int) -> float:
-    tp = float(np.sum((preds == positive) & (truth == positive)))
-    fp = float(np.sum((preds == positive) & (truth != positive)))
-    fn = float(np.sum((preds != positive) & (truth == positive)))
-    return 2.0 * tp / max(2.0 * tp + fp + fn, 1e-12)
+    classes = np.unique(np.asarray(labels)) if metric == "f1" else ()
+    if len(classes) == 2:
+        positive = int(classes.max())
+        tp = float(np.sum((preds == positive) & (truth == positive)))
+        fp = float(np.sum((preds == positive) & (truth != positive)))
+        fn = float(np.sum((preds != positive) & (truth == positive)))
+        return 2.0 * tp / max(2.0 * tp + fp + fn, 1e-12)
+    return float(np.mean(preds == truth))
 
 
 def evaluate_lp(scores: np.ndarray, truth: np.ndarray) -> float:
@@ -395,7 +380,9 @@ class _Best:
 def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
     """Train one model; returns a RunReport, or ``(report, model)``.
 
-    The geometric profile is computed once up front.  Validation is checked
+    A run whose layer activations would exceed ``MAX_ACTIVATION_ELEMENTS`` is
+    rejected before anything large is built.  The geometric profile is
+    computed once up front.  Validation is checked
     every epoch; training stops ``patience`` epochs after the last strict
     improvement or at ``max_epochs``, whichever is first, and the test metric
     is evaluated only at the restored best checkpoint.  One branch on the task
@@ -438,7 +425,7 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
 
         def score(z, part):
             mask = getattr(split, part)
-            return (evaluate_nc(z.value, labels, mask, cfg.metric, cfg.f1_average),
+            return (evaluate_nc(z.value, labels, mask, cfg.metric),
                     float(cross_entropy_nc(z, labels, mask).value))
     else:
         split = split_edges(g, cfg.fractions, cfg.seed)
@@ -446,25 +433,31 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
         msg_graph = WeightedGraph(num_nodes=g.num_nodes,
                                   edges=tuple(g.edges[i] for i in split.train),
                                   features=g.features, labels=g.labels)
-        fd_params = FermiDiracParams(cfg.fermi_r, cfg.fermi_t)
         pos = {part: g.edge_index[getattr(split, part)] for part in ("train", "val", "test")}
         neg = {"val": split.val_neg, "test": split.test_neg}
 
         def task_loss(z, rng):
-            return lp_loss(z, pos["train"], sample_non_edges(g, len(pos["train"]), rng),
-                           fd_params)
+            return lp_loss(z, pos["train"], sample_non_edges(g, len(pos["train"]), rng))
 
         def score(z, part):
             pairs = (pos[part], neg[part])
-            probs = [fermi_dirac_prob(_pair_distances(z, e).value, fd_params)
-                     for e in pairs]
+            probs = [fermi_dirac_prob(_pair_distances(z, e).value) for e in pairs]
             truth = np.concatenate([np.ones(len(pairs[0])), np.zeros(len(pairs[1]))])
             return (evaluate_lp(np.concatenate(probs), truth),
-                    float(lp_loss(z, *pairs, fd_params).value))
+                    float(lp_loss(z, *pairs).value))
 
+    # Attention runs over both directions of each edge plus a self loop per node.
+    num_attention = 2 * msg_graph.num_edges + msg_graph.num_nodes
+    width = max(features.shape[1], cfg.hidden, out_dim)
+    if max(num_attention * width, g.num_nodes * cfg.q_dim) > MAX_ACTIVATION_ELEMENTS:
+        raise ValueError(
+            f"a layer over {num_attention} attention edges at width {width} "
+            f"({num_attention * width} elements) and {g.num_nodes} nodes at q_dim "
+            f"{cfg.q_dim} ({g.num_nodes * cfg.q_dim} elements) is beyond "
+            f"MAX_ACTIVATION_ELEMENTS ({MAX_ACTIVATION_ELEMENTS})")
     profile = mu_profile(msg_graph, cfg.k, cfg.delta_mode, cfg.cache_dir)
     mu = normalize_delta(profile)
-    weights = LossWeights(cfg.omega_nu, cfg.omega_was, cfg.p)
+    weights = LossWeights(cfg.omega_nu, cfg.omega_was)
 
     model = JointSpaceGNN(
         in_dim=features.shape[1], hidden_dim=cfg.hidden, out_dim=out_dim,

@@ -265,11 +265,11 @@ class TestTraining:
         ('{"hidden": 8.5}', "hidden"), ('{"layers": true}', "layers"),
         ('{"split_fractions": [0.25, 0.25, 0.25, 0.25]}', "split_fractions"),
         ('{"lr": NaN}', "lr"), ('{"curvature": Infinity}', "curvature"),
-        ('{"weight_decay": NaN}', "weight_decay"), ('{"fermi_t": NaN}', "fermi_t"),
-        ('{"p": Infinity}', "p"), ('{"q_dim": 1%s}' % ("0" * 400), "q_dim"),
+        ('{"weight_decay": NaN}', "weight_decay"),
+        ('{"q_dim": 1%s}' % ("0" * 400), "q_dim"),
         ('{"hidden": 100000000000000000000}', "hidden"), ('{"seed": -1}', "seed")],
         ids=["float-hidden", "bool-layers", "four-fractions", "nan-lr",
-             "infinite-curvature", "nan-weight-decay", "nan-fermi-t", "infinite-p",
+             "infinite-curvature", "nan-weight-decay",
              "401-digit-q-dim", "huge-hidden", "negative-seed"])
     def test_train_nc_wrong_typed_config_exit_2(self, tmp_path, combined_files,
                                                 capsys, text, field):
@@ -279,7 +279,7 @@ class TestTraining:
         assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
                      "--labels", str(labels), "--config", str(cfg_path),
                      "--max-epochs", "2"]) == 2
-        assert f"error: {field} must be" in capsys.readouterr().err
+        assert f"error: cfg.json: {field} must be" in capsys.readouterr().err
 
     def test_train_nc_nan_lr_flag_exit_2(self, combined_files, capsys):
         edges, feats, labels = combined_files
@@ -341,17 +341,6 @@ class TestTraining:
         rep = json.loads(report_path.read_text())
         assert 0.0 <= rep["test_metric"] <= 1.0
 
-    def test_train_lp_without_features_beyond_model_size_exit_2(self, tmp_path,
-                                                                 capsys, monkeypatch):
-        # Id 999999 once sized a 7.28 TiB one-hot; checked here against a
-        # lowered bound, so nothing large is allocated.
-        monkeypatch.setattr(training, "MAX_MODEL_SIZE", 3)
-        edges = tmp_path / "g.edges"
-        edges.write_text("0 1\n1 2\n2 3\n")
-        assert main(["train-lp", "--graph", str(edges), "--max-epochs", "1"]) == 2
-        assert ("identity features of 4 nodes would be 4 wide, beyond "
-                "MAX_MODEL_SIZE (3)") in capsys.readouterr().err
-
     def test_train_lp_without_features_beyond_identity_elements_exit_2(
             self, tmp_path, capsys, monkeypatch):
         # The one-hot of 4 nodes holds 16 elements; a bound lowered to 15 is
@@ -363,6 +352,37 @@ class TestTraining:
         assert ("identity features of 4 nodes would hold 16 elements, beyond "
                 "MAX_IDENTITY_ELEMENTS (15): give node features (--features) "
                 "instead") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_features,config,message", [
+        (False, {}, "150 attention edges at width 40 (6000 elements) and 40 nodes "
+                    "at q_dim 16 (640 elements)"),
+        (True, {"q_dim": 200}, "150 attention edges at width 16 (2400 elements) "
+                               "and 40 nodes at q_dim 200 (8000 elements)")],
+        ids=["identity-features", "q-dim"])
+    def test_train_nc_activations_beyond_bound_exit_2(
+            self, tmp_path, combined_files, capsys, monkeypatch, with_features,
+            config, message):
+        # A featureless 64x64 lattice once gathered (17804, 4096) float64 rows
+        # in the first layer; checked here against a lowered bound, before the
+        # profile or the model, so nothing large is allocated.
+        monkeypatch.setattr(training, "MAX_ACTIVATION_ELEMENTS", 5999)
+        monkeypatch.setattr(training, "mu_profile", None)
+        edges, feats, labels = combined_files
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = ["train-nc", "--graph", str(edges), "--labels", str(labels),
+                "--config", str(cfg_path), "--max-epochs", "1"]
+        assert main(argv + ["--features", str(feats)] * with_features) == 2
+        assert capsys.readouterr().err == (
+            f"error: a layer over {message} is beyond MAX_ACTIVATION_ELEMENTS "
+            "(5999)\n")
+
+    def test_train_nc_activations_at_bound_run(self, combined_files, monkeypatch):
+        # The bound is inclusive: identity features need 150 x 40 = 6000.
+        monkeypatch.setattr(training, "MAX_ACTIVATION_ELEMENTS", 6000)
+        edges, _, labels = combined_files
+        assert main(["train-nc", "--graph", str(edges), "--labels", str(labels),
+                     "--max-epochs", "1"]) == 0
 
     def test_train_nc_model_beyond_parameter_bound_exit_2(self, combined_files,
                                                            capsys, monkeypatch):
@@ -526,7 +546,30 @@ class TestAblateCompareReport:
         run_path.write_text(json.dumps(run))
         capsys.readouterr()
         assert main(["report", "--run", str(run_path)]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: run.json: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--run"])
+    def test_file_naming_removed_config_keys_exit_2(self, tmp_path, combined_files,
+                                                    capsys, flag):
+        # A run file written while TrainConfig had these fields holds all four.
+        edges, feats, labels = combined_files
+        removed = {"p": 2.0, "fermi_r": 2.0, "fermi_t": 1.0, "f1_average": "micro"}
+        train_nc = ["train-nc", "--graph", str(edges), "--features", str(feats),
+                    "--labels", str(labels), "--hidden", "8", "--max-epochs", "2"]
+        old = tmp_path / "old.json"
+        if flag == "--config":
+            old.write_text(json.dumps(removed))
+            argv = train_nc + ["--config", str(old)]
+        else:
+            assert main(train_nc + ["--out", str(old)]) == 0
+            run = json.loads(old.read_text())
+            run["config"].update(removed)
+            old.write_text(json.dumps(run))
+            argv = ["report", "--run", str(old)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("error: old.json: unknown config keys: "
+                                           "f1_average, fermi_r, fermi_t, p\n")
 
     @pytest.mark.parametrize("key,present,message", [
         ("bogus", True, "unknown run report keys: bogus"),
@@ -569,7 +612,7 @@ class TestAblateCompareReport:
         run_path.write_text(json.dumps(run))
         capsys.readouterr()
         assert main(["report", "--run", str(run_path)]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: run.json: {message}" in capsys.readouterr().err
 
     def test_report_run_not_json_exit_2(self, tmp_path, capsys):
         run_path = tmp_path / "run.json"

@@ -100,12 +100,6 @@ class TestEdgeList:
         with pytest.raises(EdgeListParseError, match=":2"):
             load_edge_list(f)
 
-    def test_weight_column_rejected_in_unweighted_mode(self, tmp_path):
-        f = tmp_path / "g.edges"
-        f.write_text("0 1 2.0\n")
-        with pytest.raises(EdgeListParseError):
-            load_edge_list(f, weighted=False)
-
     def test_huge_node_id_names_file_and_line(self, tmp_path):
         p = tmp_path / "huge.edges"
         p.write_text("0 1\n1 99999999999\n")
@@ -188,14 +182,28 @@ class TestEdgeList:
          r"data.csv:2: non-finite value -inf"),
         (load_labels_csv, f"node_id,label\n0,1\n1,{10**30}\n",
          r"data.csv:3: label 10{30} is outside int64"),
+        (load_features_csv, "node_id,f0\n\n",
+         r"data.csv: expected header plus data rows"),
     ], ids=["short-label", "non-int-label", "non-float-feature", "short-feature",
-            "non-int-id", "nan-feature", "inf-feature", "beyond-int64-label"])
+            "non-int-id", "nan-feature", "inf-feature", "beyond-int64-label",
+            "header-only"])
     def test_csv_bad_row_names_file_line_and_fault(self, tmp_path, loader, text,
                                                    fault):
         path = tmp_path / "data.csv"
         path.write_text(text)
         with pytest.raises(EdgeListParseError, match=fault):
             loader(path)
+
+
+    @pytest.mark.parametrize("text, fault", [
+        ("0 1\n1 two\n", r"g.edges:2: invalid literal for int\(\) with base 10: 'two'"),
+        ("# comment only\n\n", r"g.edges: no edges found")],
+        ids=["non-int-id", "no-edges"])
+    def test_edge_list_fault_names_file(self, tmp_path, text, fault):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        with pytest.raises(EdgeListParseError, match=fault):
+            load_edge_list(path)
 
 
 class TestShortestPaths:
@@ -541,3 +549,29 @@ def test_graph_hash_stability():
     g3 = path_graph(4, [1.0, 1.0, 2.0])
     assert graph_hash(g1) == graph_hash(g2)
     assert graph_hash(g1) != graph_hash(g3)
+
+
+@pytest.mark.parametrize("make, error, fault", [
+    (lambda: WeightedGraph(0, ()), GraphValidationError, "at least one node"),
+    (lambda: WeightedGraph(2, ((0, 1, 1.0),), features=np.zeros((3, 2))),
+     GraphValidationError, r"features must be \(num_nodes, dim\)"),
+    (lambda: WeightedGraph(2, ((0, 1, 1.0),), labels=np.zeros((2, 1))),
+     GraphValidationError, "labels must have one entry per node"),
+    (lambda: path_graph(3).scaled(0), GraphValidationError,
+     "scale factor must be positive"),
+    (lambda: k_hop_subgraph(path_graph(3), 3, 1), GraphValidationError,
+     "node 3 out of range"),
+    (lambda: k_hop_subgraph(path_graph(3), 0, -1), GraphValidationError,
+     "hop count must be >= 0"),
+    (lambda: generate_tree(0, 2), GraphValidationError, "branching must be >= 1"),
+    (lambda: generate_tree(2, -1), GraphValidationError, "depth must be >= 0"),
+    (lambda: generate_combined(generate_lattice(2, 2), generate_tree(2, 1), (0, 3)),
+     GraphValidationError, "glue node 3 not in second graph"),
+    (lambda: split_nodes(generate_lattice(2, 5), (0.5, 0.25, 0.5), seed=0),
+     SplitError, "fractions must sum to 1")],
+    ids=["no-nodes", "feature-shape", "label-shape", "zero-scale", "hop-center",
+         "negative-hops", "zero-branching", "negative-depth", "tree-glue",
+         "fraction-sum"])
+def test_bad_argument_rejected_by_name(make, error, fault):
+    with pytest.raises(error, match=fault):
+        make()

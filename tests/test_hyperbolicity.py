@@ -173,6 +173,10 @@ class TestTreeMetricCertificate:
         g = path_graph(6, [0.5, 2.0, 1.25, 0.75, 3.0])
         assert is_tree_metric(shortest_paths(g))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_nodes_certify(self, n):
+        assert is_tree_metric(shortest_paths(path_graph(n)))
+
 
 class TestDeltaOne:
     def test_tree_zero(self):
@@ -411,6 +415,8 @@ class TestLocalProfile:
             assert prof.per_node[1] == vals[1] and len(prof.per_node) == len(vals)
             with pytest.raises(KeyError):
                 prof.per_node[-1]
+            with pytest.raises(KeyError, match="'0'"):
+                prof.per_node["0"]
 
     def test_small_subgraph_zero(self):
         # k=1 balls on a 3-path have fewer than 4 vertices
@@ -504,3 +510,11 @@ class TestDistributions:
             with pytest.raises(ValueError, match=f"bin_width {width} needs more than "
                                                  f"{MAX_HISTOGRAM_BINS} bins"):
                 histogram(values, width)
+
+
+@pytest.mark.parametrize("k, mode, fault", [
+    (0, "inf", "k must be >= 1"),
+    (2, "sup", "mode must be 'inf' or 'one', got 'sup'")], ids=["zero-k", "unknown-mode"])
+def test_local_profile_rejects_bad_argument(k, mode, fault):
+    with pytest.raises(ValueError, match=fault):
+        local_profile(path_graph(4), k, mode)

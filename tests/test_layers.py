@@ -547,6 +547,15 @@ class TestStack:
                            r"\(192\)"):
             JointSpaceGNN(5, 6, 3, num_layers=2, q_dim=4)
 
+    @pytest.mark.parametrize("make, fault", [
+        (lambda: layers.joint_space_forward(np.zeros((3, 2)), generate_tree(2, 1), []),
+         "need at least one layer"),
+        (lambda: JointSpaceGNN(5, 6, 3, num_layers=0), "num_layers must be >= 1")],
+        ids=["forward", "model"])
+    def test_no_layers_rejected(self, make, fault):
+        with pytest.raises(ValueError, match=fault):
+            make()
+
     def test_forward_deterministic_given_seed(self):
         g = generate_tree(2, 2)
         rng = np.random.default_rng(11)

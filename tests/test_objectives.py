@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from jointspace import autodiff as ad
 from jointspace.autodiff import DiffValue
 from jointspace.hyperbolicity import HyperbolicityProfile
-from jointspace.objectives import (FermiDiracParams, LossWeights,
-                                   cross_entropy_nc, fermi_dirac_prob, lp_loss,
+from jointspace.objectives import (LossWeights, cross_entropy_nc,
+                                   fermi_dirac_prob, lp_loss,
                                    non_uniformity_loss, normalize_delta,
                                    overall_loss, unif_reference, wasserstein_1d)
 
@@ -180,46 +180,37 @@ class TestCrossEntropy:
 
 class TestFermiDirac:
     def test_half_at_r(self):
-        assert fermi_dirac_prob(2.0, FermiDiracParams(2.0, 1.0)) == pytest.approx(0.5)
+        assert fermi_dirac_prob(2.0) == pytest.approx(0.5)
 
     def test_far_limit(self):
-        assert fermi_dirac_prob(500.0, FermiDiracParams(2.0, 1.0)) < 1e-100
+        assert fermi_dirac_prob(500.0) < 1e-100
 
     def test_hand_value(self):
-        p = fermi_dirac_prob(0.0, FermiDiracParams(2.0, 1.0))
+        p = fermi_dirac_prob(0.0)
         assert p == pytest.approx(1.0 / (math.exp(-2.0) + 1.0))
 
     def test_monotone_decreasing(self):
         grid = np.linspace(0.0, 20.0, 200)
-        vals = fermi_dirac_prob(grid, FermiDiracParams(2.0, 1.0))
+        vals = fermi_dirac_prob(grid)
         assert np.all(np.diff(vals) < 0)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            FermiDiracParams(r=0.0, t=1.0)
-        with pytest.raises(ValueError):
-            FermiDiracParams(r=1.0, t=-1.0)
 
 
 class TestLpLoss:
     def test_all_pairs_at_r_gives_ln2(self):
         z = DiffValue(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-        loss = lp_loss(z, np.array([[0, 1]]), np.array([[0, 2]]),
-                       FermiDiracParams(2.0, 1.0))
+        loss = lp_loss(z, np.array([[0, 1]]), np.array([[0, 2]]))
         assert float(loss.value) == pytest.approx(math.log(2.0))
 
     def test_good_embedding_low_loss(self):
         z = DiffValue(np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 0.0]]))
-        loss = lp_loss(z, np.array([[0, 1]]), np.array([[0, 2]]),
-                       FermiDiracParams(2.0, 1.0))
+        loss = lp_loss(z, np.array([[0, 1]]), np.array([[0, 2]]))
         expected = -0.5 * (math.log(1.0 / (math.exp(-2.0) + 1.0)))
         assert float(loss.value) == pytest.approx(expected, abs=1e-8)
 
     def test_empty_sets_rejected(self):
         z = DiffValue(np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            lp_loss(z, np.zeros((0, 2), dtype=int), np.array([[0, 1]]),
-                    FermiDiracParams())
+            lp_loss(z, np.zeros((0, 2), dtype=int), np.array([[0, 1]]))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(4)
@@ -227,7 +218,7 @@ class TestLpLoss:
         pos = np.array([[0, 1], [2, 3]])
         neg = np.array([[0, 5], [1, 4]])
         err = ad.finite_diff_check(
-            lambda: lp_loss(z, pos, neg, FermiDiracParams()), [z])
+            lambda: lp_loss(z, pos, neg), [z])
         assert err < 1e-5
 
 
@@ -296,3 +287,14 @@ class TestOverallLoss:
         for p in (math.nan, math.inf):
             with pytest.raises(ValueError, match="p must be finite"):
                 LossWeights(0.0, 1.0, p=p)
+
+
+@pytest.mark.parametrize("call, fault", [
+    (lambda: wasserstein_1d(DiffValue(np.zeros((2, 2))), np.zeros(4)),
+     "differentiable path expects a non-empty flat vector"),
+    (lambda: normalize_delta(HyperbolicityProfile({}, 2, "inf")), "profile is empty"),
+    (lambda: overall_loss(DiffValue(0.0), [], np.zeros(3), LossWeights()),
+     "beta record is empty")], ids=["2d-wasserstein", "empty-profile", "empty-record"])
+def test_empty_or_misshapen_input_rejected(call, fault):
+    with pytest.raises(ValueError, match=fault):
+        call()

@@ -1,11 +1,14 @@
+import json
 import math
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from jointspace.cli import build_parser
+from jointspace.training import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +37,13 @@ def test_command_lines_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command line does not parse: {line}")
+
+
+def test_config_keys_table_is_the_train_config():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, re.MULTILINE)
+    assert [key for key, _ in rows] == [f.name for f in fields(TrainConfig)]
+    for key, default in rows:
+        value, expected = json.loads(default), getattr(TrainConfig(), key)
+        assert (value, type(value)) == (expected, type(expected)), key

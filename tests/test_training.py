@@ -29,7 +29,7 @@ class TestConfig:
     def test_defaults_match_protocol(self):
         cfg = TrainConfig()
         assert cfg.hidden == 16 and cfg.patience == 100 and cfg.max_epochs == 1000
-        assert cfg.k == 2 and cfg.p == 2.0
+        assert cfg.k == 2
 
     def test_fraction_defaults_by_task(self):
         assert TrainConfig(task="nc").fractions == (0.6, 0.2, 0.2)
@@ -58,15 +58,15 @@ class TestConfig:
         TrainConfig(layers=MAX_MODEL_SIZE, hidden=MAX_MODEL_SIZE, q_dim=MAX_MODEL_SIZE)
 
     @pytest.mark.parametrize("field,value", [
-        ("delta_mode", "sup"), ("metric", "auc"), ("f1_average", "weighted"),
-        ("p", 0.5), ("weight_decay", -1.0), ("hidden", 8.5), ("layers", True),
+        ("delta_mode", "sup"), ("metric", "auc"), ("omega_nu", -0.5),
+        ("omega_was", -0.5), ("weight_decay", -1.0), ("hidden", 8.5), ("layers", True),
         ("seed", 1.0), ("lr", "0.01"), ("trainable_curvature", 1),
         ("split_fractions", (0.25, 0.25, 0.25, 0.25)),
         ("split_fractions", (0.5, 0.25, "0.25")), ("split_fractions", (0.5, 0.5, True)),
         ("split_fractions", [0.5, 0.25, 0.25]), ("cache_dir", 5),
         ("lr", math.nan), ("lr", math.inf), ("curvature", math.inf),
-        ("fermi_r", math.inf), ("fermi_t", math.nan), ("weight_decay", math.nan),
-        ("omega_nu", math.inf), ("omega_was", math.nan), ("p", math.inf),
+        ("k", 0), ("dropout", 1.0), ("weight_decay", math.nan),
+        ("omega_nu", math.inf), ("omega_was", math.nan), ("max_epochs", 0),
         ("split_fractions", (0.6, math.nan, 0.2)),
         ("split_fractions", (math.inf, 0.2, 0.2)),
         pytest.param("curvature", 10**400, id="curvature-int-beyond-float"),
@@ -105,13 +105,8 @@ class TestMetrics:
         logits = rng.normal(size=(20, 4))
         labels = rng.integers(0, 4, size=20)
         mask = np.arange(20)
-        assert evaluate_nc(logits, labels, mask, "f1", "micro") == \
+        assert evaluate_nc(logits, labels, mask, "f1") == \
             pytest.approx(evaluate_nc(logits, labels, mask, "accuracy"))
-
-    def test_f1_macro(self):
-        logits = np.array([[3.0, 0, 0], [0, 3.0, 0], [0, 0, 3.0]])
-        labels = np.array([0, 1, 2])
-        assert evaluate_nc(logits, labels, [0, 1, 2], "f1", "macro") == 1.0
 
     def test_auc_perfect_and_ties(self):
         assert evaluate_lp(np.array([0.9, 0.2, 0.6]), np.array([1, 0, 1])) == 1.0
@@ -510,3 +505,15 @@ class TestRunners:
         tests = [r.test_metric for r in summary["reports"]]
         assert summary["test_mean"] == pytest.approx(np.mean(tests))
         assert summary["test_std"] == pytest.approx(np.std(tests, ddof=1))
+
+
+@pytest.mark.parametrize("call, fault", [
+    (lambda: evaluate_nc(np.zeros((3, 2)), np.array([0, 1, 0]), []),
+     "mask must be non-empty"),
+    (lambda: evaluate_nc(np.zeros((3, 2)), np.array([0, 1, 0]), [0], "auc"),
+     "metric must be 'accuracy' or 'f1'"),
+    (lambda: run_seeds(synthetic_nc_graph(), TrainConfig(), []),
+     "need at least one seed")], ids=["empty-mask", "unknown-metric", "no-seeds"])
+def test_empty_or_unknown_argument_rejected(call, fault):
+    with pytest.raises(ValueError, match=fault):
+        call()
