@@ -17,8 +17,7 @@ from .graphs import (_read_lines, generate_combined, generate_lattice,
 from .hyperbolicity import DELTA_MODES, histogram, local_profile, profile_to_json
 from .layers import save_params_json
 from .objectives import COMPARISON_MODES
-from .training import (RunReport, TrainConfig, TrainingDiverged,
-                       identity_features, train)
+from .training import RunReport, TrainConfig, TrainingDiverged, train
 
 
 # The TrainConfig fields the scalar training flags set; --omega-nu sets omega_nu.
@@ -38,7 +37,7 @@ def _emit(obj: dict | str, out: str | None) -> None:
         print(text)
 
 
-def _load_graph(args, default_identity_features: bool = False) -> "WeightedGraph":
+def _load_graph(args) -> "WeightedGraph":
     csvs = [f"--{name}" for name in ("features", "labels") if getattr(args, name, None)]
     if args.remap_ids and csvs:
         # The CSVs are keyed by the original ids, which the remap does not reach.
@@ -53,8 +52,6 @@ def _load_graph(args, default_identity_features: bool = False) -> "WeightedGraph
                 raise ValueError(f"{Path(path).name}: {len(rows)} rows, but the graph "
                                  f"has {g.num_nodes} nodes")
             g = replace(g, **{name: rows})
-    if g.features is None and default_identity_features:
-        g = g.with_features(identity_features(g.num_nodes))
     return g
 
 
@@ -104,7 +101,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    g = _load_graph(args, default_identity_features=True)
+    g = _load_graph(args)
     result = train(g, _config_from_args(args), return_model=bool(args.checkpoint))
     if args.checkpoint:
         report, model = result
@@ -116,7 +113,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_variants(args) -> int:
-    g = _load_graph(args, default_identity_features=True)
+    g = _load_graph(args)
     base = _config_from_args(args)
     table = {}
     for name, overrides in args.variants.items():

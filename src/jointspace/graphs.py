@@ -53,7 +53,7 @@ class GraphValidationError(ValueError):
 
 
 class EdgeListParseError(ValueError):
-    """Raised for malformed edge-list input; carries the offending line number."""
+    """Raised for faulty input files; names the file and any offending line."""
 
 
 class SplitError(ValueError):
@@ -99,8 +99,9 @@ class WeightedGraph:
                 raise GraphValidationError(f"self-loop at node {u}")
             if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
                 raise GraphValidationError(f"edge ({u},{v}) outside node range")
-            if w <= 0 or not math.isfinite(w):
-                raise GraphValidationError(f"edge ({u},{v}) has nonpositive weight {w}")
+            if not (0 < w < math.inf):
+                raise GraphValidationError(f"edge ({u},{v}) has weight {w}; "
+                                           "weights must be finite and positive")
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise GraphValidationError(f"duplicate edge ({u},{v})")
@@ -249,6 +250,7 @@ def load_edge_list(path: str | Path, remap_ids: bool = False) -> WeightedGraph:
     Lines starting with ``#`` and blank lines are skipped.  Missing weights
     default to 1.  Node ids must be dense ``0..n-1`` unless ``remap_ids`` is
     set, in which case arbitrary integer ids are remapped in sorted order.
+    A graph fault (a self-loop, a duplicate edge, a bad weight) names the file.
     """
     path = Path(path)
     raw_edges: list[tuple[int, int, float]] = []
@@ -282,7 +284,10 @@ def load_edge_list(path: str | Path, remap_ids: bool = False) -> WeightedGraph:
         num_nodes = len(ids)
     else:
         num_nodes = ids[-1] + 1
-    return WeightedGraph(num_nodes=num_nodes, edges=tuple(raw_edges))
+    try:
+        return WeightedGraph(num_nodes=num_nodes, edges=tuple(raw_edges))
+    except GraphValidationError as exc:
+        raise EdgeListParseError(f"{path.name}: {exc}") from exc
 
 
 def _read_lines(path: str | Path) -> list[str]:
@@ -428,21 +433,18 @@ def k_hop_subgraph(g: WeightedGraph, v: int, k: int) -> tuple[WeightedGraph, tup
     """Induced subgraph on nodes within ``k`` edge hops of ``v``.
 
     Hops are counted by edge count even on weighted graphs; weights only shape
-    the metric.  Returns the subgraph plus the old-id table indexed by new id
-    (ascending old ids).  This is ``_k_hop_balls`` on one center: after the
-    graph's cached ``csr``, the cost depends on the ball, not on the whole
-    graph.
+    the metric.  Returns the subgraph (edges only, no features or labels) plus
+    the old-id table indexed by new id (ascending old ids).  This is
+    ``_k_hop_balls`` on one center: after the graph's cached ``csr``, the cost
+    depends on the ball, not on the whole graph.
     """
     if not (0 <= v < g.num_nodes):
         raise GraphValidationError(f"node {v} out of range")
     if k < 0:
         raise GraphValidationError("hop count must be >= 0")
     _, keep, (_, a, b, w) = _k_hop_balls(g, np.array([v]), k)
-    feats = g.features[keep] if g.features is not None else None
-    labs = g.labels[keep] if g.labels is not None else None
     sub = WeightedGraph(num_nodes=keep.size,
-                        edges=tuple(zip(a.tolist(), b.tolist(), w.tolist())),
-                        features=feats, labels=labs)
+                        edges=tuple(zip(a.tolist(), b.tolist(), w.tolist())))
     return sub, tuple(keep.tolist())
 
 

@@ -127,7 +127,8 @@ class HyperbolicityProfile:
 
     ``per_node`` may be given as any mapping whose keys are exactly the node
     ids 0..n-1; it is stored as a read-only mapping over one float64 array,
-    which ``values_by_node`` returns without copying.
+    which ``values_by_node`` returns without copying.  ``k`` is an int >= 1,
+    not a bool.
     """
 
     per_node: Mapping[int, float]
@@ -137,6 +138,8 @@ class HyperbolicityProfile:
     def __post_init__(self) -> None:
         if self.mode not in DELTA_MODES:
             raise ValueError(f"mode must be 'inf' or 'one', got {self.mode!r}")
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         values = _node_array(self.per_node)
         if not (np.isfinite(values) & (values >= 0)).all():
             raise ValueError("hyperbolicity values must be finite and nonnegative")
@@ -530,13 +533,21 @@ def profile_to_json(profile: HyperbolicityProfile) -> str:
 
 
 def profile_from_json(text: str) -> HyperbolicityProfile:
-    """Read ``profile_to_json`` output; any other shape raises ``ValueError``."""
+    """Read ``profile_to_json`` output; any other shape raises ``ValueError``.
+
+    Nothing is coerced: ``k`` must be an int, each node id written as
+    ``str(int)`` writes it, and each node value an int or float.
+    """
     obj = json.loads(text)
     if not isinstance(obj, dict) or not isinstance(obj.get("delta"), dict):
         raise ValueError("profile JSON must be an object whose 'delta' is an object")
+    for v, x in obj["delta"].items():
+        if not (v.isdecimal() and str(int(v)) == v):
+            raise ValueError(f"profile JSON: {v!r} is not a node id")
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"profile JSON: node {v} has value {x!r}, not a number")
     try:
         per_node = {int(v): float(x) for v, x in obj["delta"].items()}
-        k = int(obj.get("k"))
-    except (TypeError, OverflowError) as exc:
+        return HyperbolicityProfile(per_node=per_node, k=obj.get("k"), mode=obj.get("mode"))
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"profile JSON: {exc}") from exc
-    return HyperbolicityProfile(per_node=per_node, k=k, mode=obj.get("mode"))

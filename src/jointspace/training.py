@@ -32,13 +32,11 @@ from .objectives import (COMPARISON_MODES, LossWeights, _pair_distances,
 
 __all__ = [
     "MAX_MODEL_SIZE",
-    "MAX_IDENTITY_ELEMENTS",
     "MAX_ACTIVATION_ELEMENTS",
     "TrainingDiverged",
     "TrainConfig",
     "RunReport",
     "Adam",
-    "identity_features",
     "mu_profile",
     "train",
     "evaluate_nc",
@@ -53,9 +51,6 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 # Largest ``layers``, ``hidden`` and ``q_dim`` a config may ask for: a larger
 # value fails here, by name, not in numpy's allocation or a float overflow.
 MAX_MODEL_SIZE = 2**16
-# Largest element count n * n of the one-hot ``identity_features`` (512 MiB of
-# float64, so n <= 8192): a graph of more nodes needs features of its own.
-MAX_IDENTITY_ELEMENTS = 2**26
 # Largest activation array a layer may need (512 MiB of float64): E x width
 # over the message graph's E attention edges, and n x q_dim in the fusion.
 MAX_ACTIVATION_ELEMENTS = 2**26
@@ -249,22 +244,8 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# Inputs and the cached geometric profile
+# The cached geometric profile
 # ---------------------------------------------------------------------------
-
-def identity_features(n: int) -> np.ndarray:
-    """One-hot fallback features for graphs without node attributes.
-
-    Their ``n * n`` elements are bounded by ``MAX_IDENTITY_ELEMENTS``, which
-    also keeps their width ``n`` below ``MAX_MODEL_SIZE``; a larger graph
-    needs features.
-    """
-    if n * n > MAX_IDENTITY_ELEMENTS:
-        raise ValueError(f"identity features of {n} nodes would hold {n * n} elements, "
-                         f"beyond MAX_IDENTITY_ELEMENTS ({MAX_IDENTITY_ELEMENTS}): "
-                         "give node features (--features) instead")
-    return np.eye(n)
-
 
 def mu_profile(g: WeightedGraph, k: int, mode: str = "inf",
                cache_dir: str | None = None) -> HyperbolicityProfile:
@@ -380,9 +361,11 @@ class _Best:
 def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
     """Train one model; returns a RunReport, or ``(report, model)``.
 
-    A run whose layer activations would exceed ``MAX_ACTIVATION_ELEMENTS`` is
-    rejected before anything large is built.  The geometric profile is
-    computed once up front.  Validation is checked
+    A graph without features trains on the n-wide one-hot ``np.eye(n)``.  A
+    run whose layer activations would exceed ``MAX_ACTIVATION_ELEMENTS`` is
+    rejected before anything large is built: the one-hot, the model or the
+    profile.  The geometric profile is computed once, after the model, so
+    the model's parameter bound is also checked first.  Validation is checked
     every epoch; training stops ``patience`` epochs after the last strict
     improvement or at ``max_epochs``, whichever is first, and the test metric
     is evaluated only at the restored best checkpoint.  One branch on the task
@@ -399,10 +382,6 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
     forward gives both the test metric and the recorded selection weights.
     """
     t_start = time.monotonic()
-    if g.features is None:
-        raise ValueError("graph has no node features; attach some or use "
-                         "identity_features(n) for a one-hot fallback")
-    features = g.features
     if cfg.task == "nc":
         if g.labels is None:
             raise ValueError("node classification requires labels on the graph")
@@ -431,8 +410,7 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
         split = split_edges(g, cfg.fractions, cfg.seed)
         out_dim = cfg.hidden
         msg_graph = WeightedGraph(num_nodes=g.num_nodes,
-                                  edges=tuple(g.edges[i] for i in split.train),
-                                  features=g.features, labels=g.labels)
+                                  edges=tuple(g.edges[i] for i in split.train))
         pos = {part: g.edge_index[getattr(split, part)] for part in ("train", "val", "test")}
         neg = {"val": split.val_neg, "test": split.test_neg}
 
@@ -448,21 +426,22 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
 
     # Attention runs over both directions of each edge plus a self loop per node.
     num_attention = 2 * msg_graph.num_edges + msg_graph.num_nodes
-    width = max(features.shape[1], cfg.hidden, out_dim)
+    in_dim = g.num_nodes if g.features is None else g.features.shape[1]
+    width = max(in_dim, cfg.hidden, out_dim)
     if max(num_attention * width, g.num_nodes * cfg.q_dim) > MAX_ACTIVATION_ELEMENTS:
         raise ValueError(
             f"a layer over {num_attention} attention edges at width {width} "
             f"({num_attention * width} elements) and {g.num_nodes} nodes at q_dim "
             f"{cfg.q_dim} ({g.num_nodes * cfg.q_dim} elements) is beyond "
             f"MAX_ACTIVATION_ELEMENTS ({MAX_ACTIVATION_ELEMENTS})")
+    features = np.eye(g.num_nodes) if g.features is None else g.features
+    model = JointSpaceGNN(
+        in_dim=in_dim, hidden_dim=cfg.hidden, out_dim=out_dim,
+        num_layers=cfg.layers, q_dim=cfg.q_dim, curvature=cfg.curvature,
+        trainable_curvature=cfg.trainable_curvature, seed=cfg.seed)
     profile = mu_profile(msg_graph, cfg.k, cfg.delta_mode, cfg.cache_dir)
     mu = normalize_delta(profile)
     weights = LossWeights(cfg.omega_nu, cfg.omega_was)
-
-    model = JointSpaceGNN(
-        in_dim=features.shape[1], hidden_dim=cfg.hidden, out_dim=out_dim,
-        num_layers=cfg.layers, q_dim=cfg.q_dim, curvature=cfg.curvature,
-        trainable_curvature=cfg.trainable_curvature, seed=cfg.seed)
     opt = Adam(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     forward_is_eval = cfg.dropout == 0.0

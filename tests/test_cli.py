@@ -10,6 +10,10 @@ from jointspace.hyperbolicity import local_profile
 from jointspace.training import synthetic_nc_graph, train
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("reached a step the run should have stopped before")
+
+
 @pytest.fixture
 def combined_files(tmp_path):
     """Edge list + feature/label CSVs for the synthetic two-class task."""
@@ -303,7 +307,14 @@ class TestTraining:
         bad = [(json.dumps(renamed), "no value for node 3, unexpected node 999"),
                ("[1, 2]", "profile JSON"), ("3", "profile JSON"),
                (json.dumps({**good, "k": None}), "profile JSON"),
-               (json.dumps({**good, "delta": [1, 2]}), "profile JSON")]
+               (json.dumps({**good, "delta": [1, 2]}), "profile JSON"),
+               (json.dumps({**good, "k": 2.9}), "k must be an integer >= 1, got 2.9"),
+               (json.dumps({**good, "k": "2"}), "k must be an integer >= 1, got '2'"),
+               (json.dumps({**good, "k": True}), "k must be an integer >= 1, got True"),
+               (json.dumps({**good, "delta": {**good["delta"], "3": "3.5"}}),
+                "node 3 has value '3.5', not a number"),
+               (json.dumps({**good, "delta": {**good["delta"], "3": True}}),
+                "node 3 has value True, not a number")]
         for text, message in bad:
             path.write_text(text)
             capsys.readouterr()
@@ -341,18 +352,6 @@ class TestTraining:
         rep = json.loads(report_path.read_text())
         assert 0.0 <= rep["test_metric"] <= 1.0
 
-    def test_train_lp_without_features_beyond_identity_elements_exit_2(
-            self, tmp_path, capsys, monkeypatch):
-        # The one-hot of 4 nodes holds 16 elements; a bound lowered to 15 is
-        # checked before np.eye, so the unbounded case is never allocated.
-        monkeypatch.setattr(training, "MAX_IDENTITY_ELEMENTS", 15)
-        edges = tmp_path / "g.edges"
-        edges.write_text("0 1\n1 2\n2 3\n")
-        assert main(["train-lp", "--graph", str(edges), "--max-epochs", "1"]) == 2
-        assert ("identity features of 4 nodes would hold 16 elements, beyond "
-                "MAX_IDENTITY_ELEMENTS (15): give node features (--features) "
-                "instead") in capsys.readouterr().err
-
     @pytest.mark.parametrize("with_features,config,message", [
         (False, {}, "150 attention edges at width 40 (6000 elements) and 40 nodes "
                     "at q_dim 16 (640 elements)"),
@@ -364,9 +363,11 @@ class TestTraining:
             config, message):
         # A featureless 64x64 lattice once gathered (17804, 4096) float64 rows
         # in the first layer; checked here against a lowered bound, before the
-        # profile or the model, so nothing large is allocated.
+        # one-hot features, the profile or the model, so nothing large is
+        # allocated.
         monkeypatch.setattr(training, "MAX_ACTIVATION_ELEMENTS", 5999)
         monkeypatch.setattr(training, "mu_profile", None)
+        monkeypatch.setattr(np, "eye", _never_called)
         edges, feats, labels = combined_files
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -387,9 +388,10 @@ class TestTraining:
     def test_train_nc_model_beyond_parameter_bound_exit_2(self, combined_files,
                                                            capsys, monkeypatch):
         # Each width is within MAX_MODEL_SIZE, but hidden 65536 over 3 layers
-        # once drew a 32 GiB weight; checked here against a lowered bound, so
-        # nothing large is allocated.
+        # once drew a 32 GiB weight; checked here against a lowered bound,
+        # before the profile, so nothing large is allocated or computed.
         monkeypatch.setattr(layers, "MAX_PARAMETERS", 1000)
+        monkeypatch.setattr(training, "mu_profile", None)
         edges, feats, labels = combined_files
         assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
                      "--labels", str(labels), "--layers", "3", "--hidden", "64",

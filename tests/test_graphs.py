@@ -86,7 +86,7 @@ class TestEdgeList:
     def test_self_loop_rejected(self, tmp_path):
         f = tmp_path / "g.edges"
         f.write_text("0 0\n")
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(EdgeListParseError, match="g.edges: self-loop at node 0"):
             load_edge_list(f)
 
     def test_comments_and_blanks_skipped(self, tmp_path):
@@ -197,8 +197,17 @@ class TestEdgeList:
 
     @pytest.mark.parametrize("text, fault", [
         ("0 1\n1 two\n", r"g.edges:2: invalid literal for int\(\) with base 10: 'two'"),
-        ("# comment only\n\n", r"g.edges: no edges found")],
-        ids=["non-int-id", "no-edges"])
+        ("# comment only\n\n", r"g.edges: no edges found"),
+        ("0 1\n1 0 2\n", r"g.edges: duplicate edge \(1,0\)"),
+        ("0 1 -2\n", r"g.edges: edge \(0,1\) has weight -2.0; weights must be "
+                     "finite and positive"),
+        ("0 1 nan\n", r"g.edges: edge \(0,1\) has weight nan; weights must be "
+                      "finite and positive"),
+        ("0 1 inf\n", r"g.edges: edge \(0,1\) has weight inf; weights must be "
+                      "finite and positive"),
+        ("0 1 1e150\n1 2 1e150\n", r"g.edges: total edge weight 2e\+150 exceeds")],
+        ids=["non-int-id", "no-edges", "duplicate", "negative-weight",
+             "nan-weight", "inf-weight", "overweight"])
     def test_edge_list_fault_names_file(self, tmp_path, text, fault):
         path = tmp_path / "g.edges"
         path.write_text(text)
@@ -314,11 +323,6 @@ class TestKHopSubgraph:
                     keep = set(ids)
                     expected = {e for e in g.edges if e[0] in keep and e[1] in keep}
                     assert {(ids[a], ids[b], w) for a, b, w in sub.edges} == expected
-
-    def test_features_sliced(self):
-        g = path_graph(4).with_features(np.arange(8.0).reshape(4, 2))
-        sub, ids = k_hop_subgraph(g, 0, 1)
-        assert np.array_equal(sub.features, g.features[list(ids)])
 
 
 # Graphs for the ball tests: a hub with far more neighbors than any other node

@@ -477,9 +477,17 @@ class TestDistributions:
         '[1, 2]', '3', '{"k": null, "mode": "inf", "delta": {"0": 0.5}}',
         '{"k": 2, "mode": "inf", "delta": [1, 2]}',
         '{"k": 2, "mode": "inf", "delta": {"0": [0.5]}}',
-        '{"k": 2, "delta": {"0": 0.5}}', '{"k": 1e400, "mode": "inf", "delta": {}}'],
+        '{"k": 2, "delta": {"0": 0.5}}', '{"k": 1e400, "mode": "inf", "delta": {}}',
+        '{"k": 2.9, "mode": "inf", "delta": {"0": 0.5}}',
+        '{"k": "2", "mode": "inf", "delta": {"0": 0.5}}',
+        '{"k": true, "mode": "inf", "delta": {"0": 0.5}}',
+        '{"k": 2, "mode": "inf", "delta": {"0": "3.5"}}',
+        '{"k": 2, "mode": "inf", "delta": {"0": true}}',
+        '{"k": 2, "mode": "inf", "delta": {"00": 0.5}}',
+        '{"k": 2, "mode": "inf", "delta": {"0": 0.5, " 1": 0.5}}'],
         ids=["list", "number", "null-k", "list-delta", "list-value", "no-mode",
-             "infinite-k"])
+             "infinite-k", "fractional-k", "string-k", "bool-k", "string-value",
+             "bool-value", "padded-id", "spaced-id"])
     def test_profile_json_of_other_shapes_rejected(self, text):
         with pytest.raises(ValueError, match="profile JSON|mode"):
             profile_from_json(text)

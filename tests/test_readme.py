@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import pkgutil
 import re
 import shlex
 from dataclasses import fields
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import jointspace
 from jointspace.cli import build_parser
 from jointspace.training import TrainConfig
 
@@ -47,3 +50,15 @@ def test_config_keys_table_is_the_train_config():
     for key, default in rows:
         value, expected = json.loads(default), getattr(TrainConfig(), key)
         assert (value, type(value)) == (expected, type(expected)), key
+
+
+def test_library_names_resolve():
+    # Every backticked `module.NAME` whose module is one of the package's.
+    text = README.read_text(encoding="utf-8")
+    modules = {m.name for m in pkgutil.iter_modules(jointspace.__path__)}
+    cited = [(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)`", text)
+             if module in modules]
+    assert cited
+    missing = [f"{module}.{name}" for module, name in cited
+               if not hasattr(importlib.import_module(f"jointspace.{module}"), name)]
+    assert not missing, f"README cites names that do not exist: {missing}"

@@ -14,7 +14,7 @@ from jointspace.layers import JointSpaceGNN, load_params_json, save_params_json
 from jointspace.objectives import normalize_delta, overall_loss
 from jointspace.training import (MAX_MODEL_SIZE, Adam, RunReport, TrainConfig,
                                  _beta_diagnostics, evaluate_lp, evaluate_nc,
-                                 identity_features, mu_profile, run_seeds,
+                                 mu_profile, run_seeds,
                                  synthetic_lp_tree, synthetic_nc_graph, train)
 
 
@@ -157,7 +157,6 @@ class TestTrainLoop:
 
     def test_missing_labels_rejected(self):
         g = generate_tree(2, 3)
-        g = g.with_features(identity_features(g.num_nodes))
         with pytest.raises(ValueError, match="labels"):
             train(g, quick_cfg())
 
@@ -180,16 +179,23 @@ class TestTrainLoop:
                                              "must be below MAX_MODEL_SIZE"):
             train(g.with_labels(labels), quick_cfg(max_epochs=2, patience=2))
 
-    def test_missing_features_rejected(self):
-        g = generate_tree(2, 3).with_labels(
-            np.array([0] + [1] * 14, dtype=np.int64))
-        with pytest.raises(ValueError, match="features"):
-            train(g, quick_cfg(max_epochs=5, patience=5))
+    @pytest.mark.parametrize("task", ["nc", "lp"])
+    def test_featureless_graph_trains_on_one_hot(self, task):
+        if task == "nc":
+            g = generate_tree(2, 3).with_labels(
+                np.array([0] + [1] * 14, dtype=np.int64))
+        else:
+            g = generate_tree(2, 4)
+        cfg = quick_cfg(task=task, max_epochs=8, patience=8)
+        bare = asdict(train(g, cfg))
+        one_hot = asdict(train(g.with_features(np.eye(g.num_nodes)), cfg))
+        del bare["wall_time"], one_hot["wall_time"]
+        assert bare == one_hot
 
     def test_identity_features_work(self):
         g = generate_tree(2, 3).with_labels(
             np.array([0] + [1] * 14, dtype=np.int64))
-        g = g.with_features(identity_features(g.num_nodes))
+        g = g.with_features(np.eye(g.num_nodes))
         rep = train(g, quick_cfg(max_epochs=5, patience=5,
                                  split_fractions=(0.5, 0.25, 0.25)))
         assert rep.epochs_run == 5
