@@ -8,13 +8,13 @@ populates ``grad`` on every reachable node exactly once.
 
 The engine is deliberately small: its primitives are plain functions (a
 ``DiffValue`` has no operator overloads), exactly what the attention layers
-and loss terms need.  Arithmetic and shape: ``add``, ``sub``, ``neg``,
-``mul``, ``matmul``, ``transpose``, ``concat``, ``reshape``.  Indexing:
-``gather_rows``, and ``attend``, the one node in which both attention
-branches end.  Elementwise: ``tanh``, ``exp``, ``log``, ``abs_``,
-``pow_const``, ``sigmoid``, ``softplus``.  Reductions: ``sum_``, ``mean_``,
-``vector_norm``.  The ball operations are their own fused nodes in
-``poincare``.
+and the composite loss need.  Arithmetic and shape: ``add``, ``sub``,
+``mul``, ``matmul``, ``transpose``, ``reshape``.  Indexing: ``gather_rows``,
+and ``attend``, the one node in which both attention branches end.
+Elementwise: ``tanh``, ``sigmoid``.  Reduction: ``mean_``.  The ball
+operations are fused nodes in ``poincare``, and each loss term is one fused
+node in ``objectives``: a numpy forward and a closed-form VJP, built as a
+``DiffValue`` directly.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ __all__ = [
     "as_diff",
     "backward",
     "finite_diff_check",
-    "add", "sub", "mul", "neg", "matmul", "transpose",
-    "concat", "reshape", "RowIndex", "as_row_index", "gather_rows", "attend",
-    "tanh", "exp", "log", "abs_", "pow_const", "sigmoid", "softplus",
-    "sum_", "mean_", "vector_norm",
+    "add", "sub", "mul", "matmul", "transpose", "reshape",
+    "RowIndex", "as_row_index", "gather_rows", "attend",
+    "tanh", "sigmoid", "mean_",
 ]
 
 Array = np.ndarray
@@ -93,11 +92,6 @@ def sub(a, b) -> DiffValue:
     return DiffValue(out, (a, b), vjp)
 
 
-def neg(a) -> DiffValue:
-    a = as_diff(a)
-    return DiffValue(-a.value, (a,), lambda g: (-g,))
-
-
 def mul(a, b) -> DiffValue:
     a, b = as_diff(a), as_diff(b)
     out = a.value * b.value
@@ -118,16 +112,6 @@ def matmul(a, b) -> DiffValue:
 def transpose(a) -> DiffValue:
     a = as_diff(a)
     return DiffValue(a.value.T, (a,), lambda g: (g.T,))
-
-
-def concat(parts: Sequence) -> DiffValue:
-    """Join ``parts`` along the first axis; backward slices the rows apart."""
-    parts = [as_diff(p) for p in parts]
-    out = np.concatenate([p.value for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.value.shape[0] for p in parts])
-    def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-    return DiffValue(out, tuple(parts), vjp)
 
 
 def reshape(a, shape: tuple[int, ...]) -> DiffValue:
@@ -252,34 +236,6 @@ def tanh(a) -> DiffValue:
     return DiffValue(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def exp(a) -> DiffValue:
-    a = as_diff(a)
-    out = np.exp(a.value)
-    return DiffValue(out, (a,), lambda g: (g * out,))
-
-
-def log(a) -> DiffValue:
-    a = as_diff(a)
-    return DiffValue(np.log(a.value), (a,), lambda g: (g / a.value,))
-
-
-def abs_(a) -> DiffValue:
-    a = as_diff(a)
-    return DiffValue(np.abs(a.value), (a,), lambda g: (g * np.sign(a.value),))
-
-
-def pow_const(a, p: float) -> DiffValue:
-    """a ** p for constant p; domain a >= 0 when p is non-integer."""
-    a = as_diff(a)
-    out = np.power(a.value, p)
-    def vjp(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = p * np.power(a.value, p - 1.0)
-        d = np.where(np.isfinite(d), d, 0.0)
-        return (g * d,)
-    return DiffValue(out, (a,), vjp)
-
-
 def _logistic(x) -> Array:
     """1 / (1 + exp(-x)) from one ``exp`` of -|x|, so it never overflows."""
     e = np.exp(-np.abs(x))
@@ -293,39 +249,15 @@ def sigmoid(a) -> DiffValue:
     return DiffValue(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def softplus(a) -> DiffValue:
-    """log(1 + exp(x)) computed stably; gradient is the logistic function."""
-    a = as_diff(a)
-    x = a.value
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return DiffValue(out, (a,), lambda g: (g * _logistic(x),))
-
-
 # ---------------------------------------------------------------------------
-# Reductions
+# Reduction
 # ---------------------------------------------------------------------------
-
-def sum_(a, axis: int | None = None, keepdims: bool = False) -> DiffValue:
-    a = as_diff(a)
-    out = a.value.sum(axis=axis, keepdims=keepdims)
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.value.shape).astype(np.float64),)
-    return DiffValue(out, (a,), vjp)
-
 
 def mean_(a) -> DiffValue:
-    """Mean over all elements."""
+    """Mean over all elements, as ``a.sum() * (1 / size)``."""
     a = as_diff(a)
-    return mul(sum_(a), 1.0 / a.value.size)
-
-
-def vector_norm(a) -> DiffValue:
-    """Euclidean norm of each row, kept as a column; subgradient 0 at zero rows."""
-    a = as_diff(a)
-    out = np.sqrt(np.sum(a.value * a.value, axis=-1, keepdims=True))
-    return DiffValue(out, (a,), lambda g: (g * a.value / np.maximum(out, 1e-15),))
+    inv = 1.0 / a.value.size
+    return DiffValue(a.value.sum() * inv, (a,), lambda g: (np.full(a.value.shape, g * inv),))
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +287,10 @@ def backward(loss: DiffValue) -> None:
 
     Gradient buffers are made lazily: a node's first contribution is kept as
     is and later ones are added out of place, because some VJPs return views
-    of their input (``reshape``, ``transpose``, ``concat``).  So every VJP
-    returns, per parent, ``None`` or an array of exactly that parent's shape,
-    and gradients may share memory: read them, never write into them.  A node
-    nothing flows into runs no VJP and ends with zeros.
+    of their input (``reshape``, ``transpose``) or one array for two parents.
+    So every VJP returns, per parent, ``None`` or an array of exactly that
+    parent's shape, and gradients may share memory: read them, never write
+    into them.  A node nothing flows into runs no VJP and ends with zeros.
     """
     if loss.value.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.value.shape}")

@@ -1,10 +1,12 @@
 """Loss terms, decoders and the composite training objective.
 
-The alignment term compares the model's per-node selection weights against
-the normalized geometric profile with a 1-D p-Wasserstein distance computed
-by rank-pairing sorted samples; the sort permutation is treated as constant
-by the backward pass.  A non-uniformity term pushes each node's selection
-weight pair away from (0.5, 0.5).
+Each loss term is one tape node: its forward is the term's numpy formula and
+its VJP is closed-form.  The alignment term compares the model's per-node
+selection weights against the normalized geometric profile with a 1-D
+p-Wasserstein distance computed by rank-pairing sorted samples; the sort
+permutation is treated as constant by the backward pass, and the run's
+diagnostics read the same formula as a float.  A non-uniformity term pushes
+each node's selection weight pair away from (0.5, 0.5).
 """
 
 from __future__ import annotations
@@ -62,38 +64,47 @@ def wasserstein_1d(a, b, p: float = 2.0):
     """p-Wasserstein distance between two 1-D sample lists of equal length.
 
     The lists are paired by rank after sorting, which realizes the optimal
-    coupling between equal-size empirical distributions.  Lists of unequal
-    length raise ``ValueError`` naming both sizes.
+    coupling between equal-size empirical distributions.  Each list must be a
+    non-empty flat vector, and lists of unequal length raise ``ValueError``
+    naming both sizes.
 
-    If ``a`` is a DiffValue the result is differentiable in ``a``: the sort
-    permutation is fixed (stable, so ties break by index) and the p-th root
-    takes subgradient 0 when the distance is exactly zero.
+    A float for an array ``a``; for a DiffValue ``a``, the same value as one
+    tape node differentiable in ``a``: the sort permutation is fixed (stable,
+    so ties break by index) and the p-th root takes subgradient 0 when the
+    distance is exactly zero.
     """
-    if isinstance(a, DiffValue):
-        return _wasserstein_diff(a, b, p)
-    a = np.asarray(a, dtype=np.float64)
+    on_tape = isinstance(a, DiffValue)
+    x = a.value if on_tape else np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("sample lists must be non-empty")
-    if a.size != b.size:
-        raise ValueError(f"need equal sample counts, got {a.size} and {b.size}")
-    diffs = np.abs(np.sort(a) - np.sort(b))
-    return float(np.mean(diffs ** p) ** (1.0 / p))
+    for name, v in (("a", x), ("b", b)):
+        if v.ndim != 1 or v.size == 0:
+            who = "differentiable path expects" if on_tape else "wasserstein_1d expects"
+            raise ValueError(f"{who} a non-empty flat vector as {name}, got shape {v.shape}")
+    if x.size != b.size:
+        raise ValueError(f"need equal sample counts, got {x.size} and {b.size}")
+    perm = np.argsort(x, kind="stable")
+    gap = np.take(x, perm) - np.sort(b)
+    dist = np.abs(gap)
+    inv = 1.0 / x.size
+    mean_pow = np.power(dist, p).sum() * inv
+    value = np.power(mean_pow, 1.0 / p)
+    if not on_tape:
+        return float(value)
+
+    def vjp(g):
+        if mean_pow == 0.0:
+            return (np.zeros(x.size),)
+        g_pow = g * _power_slope(mean_pow, 1.0 / p) * inv
+        g_gap = g_pow * _power_slope(dist, p) * np.sign(gap)
+        return (ad._scatter_rows(g_gap, perm, x.size),)
+    return DiffValue(value, (a,), vjp)
 
 
-def _wasserstein_diff(a: DiffValue, b, p: float) -> DiffValue:
-    if a.value.ndim != 1 or a.value.size == 0:
-        raise ValueError("differentiable path expects a non-empty flat vector")
-    b_sorted = np.sort(np.asarray(b, dtype=np.float64))
-    if b_sorted.size != a.value.size:
-        raise ValueError(f"need equal sample counts, got {a.value.size} and {b_sorted.size}")
-    perm = np.argsort(a.value, kind="stable")
-    a_sorted = ad.gather_rows(a, perm)
-    mean_pow = ad.mean_(ad.pow_const(ad.abs_(ad.sub(a_sorted, b_sorted)), p))
-    if float(mean_pow.value) == 0.0:
-        # Identical sorted lists: the distance is 0 and we take subgradient 0.
-        return ad.mul(mean_pow, 0.0)
-    return ad.pow_const(mean_pow, 1.0 / p)
+def _power_slope(x, e: float):
+    """The slope e * x**(e - 1) of x**e, taken as 0 where it is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = e * np.power(x, e - 1.0)
+    return np.where(np.isfinite(slope), slope, 0.0)
 
 
 def unif_reference(m: int) -> np.ndarray:
@@ -125,28 +136,65 @@ def normalize_delta(profile: HyperbolicityProfile) -> np.ndarray:
 # Loss terms
 # ---------------------------------------------------------------------------
 
+def _ids(x, what: str, bound: int, shape: tuple[int | None, ...]) -> np.ndarray:
+    """``x`` as int64, once it is an integer array of ``shape`` (``None``: any
+    length) whose entries lie in [0, ``bound``); else ``ValueError`` naming the fault."""
+    a = np.asarray(x)
+    if (a.dtype.kind not in "iu" or a.ndim != len(shape)
+            or any(want not in (None, got) for want, got in zip(shape, a.shape))):
+        raise ValueError(f"{what} must be an integer array of shape "
+                         f"{str(shape).replace('None', 'm')}, got {a.dtype} of shape {a.shape}")
+    if a.min() < 0 or a.max() >= bound:
+        at = tuple(int(i) for i in np.argwhere((a < 0) | (a >= bound))[0])
+        raise ValueError(f"{what}[{', '.join(map(str, at))}] = {a[at]} is "
+                         f"outside [0, {bound})")
+    return a.astype(np.int64, copy=False)
+
+
 def non_uniformity_loss(beta_r, beta_d) -> DiffValue:
-    """Negative mean of (beta_r^2 + beta_d^2); in [-1, -0.5], minimized at 0/1."""
+    """Negative mean of (beta_r^2 + beta_d^2); in [-1, -0.5], minimized at 0/1.
+
+    Each weight is a parent twice, once per factor of its square, and takes
+    the two halves of its gradient as two values, as from a product node.
+    """
     beta_r, beta_d = ad.as_diff(beta_r), ad.as_diff(beta_d)
-    return ad.neg(ad.mean_(ad.add(ad.mul(beta_r, beta_r), ad.mul(beta_d, beta_d))))
+    r, d = beta_r.value, beta_d.value
+    squares = r * r + d * d
+    inv = 1.0 / squares.size
+
+    def vjp(g):
+        scale = -g * inv
+        half_r, half_d = scale * r, scale * d
+        return half_r, half_r, half_d, half_d
+    return DiffValue(-(squares.sum() * inv), (beta_r, beta_r, beta_d, beta_d), vjp)
 
 
 def cross_entropy_nc(logits, labels, mask) -> DiffValue:
-    """Mean negative log-softmax probability of the true class over a node mask."""
+    """Mean negative log-softmax probability of the true class over a node mask.
+
+    ``mask`` holds node ids (rows of ``logits``) and ``labels`` one class id
+    (column of ``logits``) per node.
+    """
     logits = ad.as_diff(logits)
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
+    n, num_classes = logits.shape
+    if np.asarray(mask).size == 0:
         raise ValueError("mask must be non-empty")
-    labels = np.asarray(labels, dtype=np.int64)[mask]
-    num_classes = logits.shape[1]
-    picked = ad.gather_rows(logits, mask)
-    shift = picked.value.max(axis=1, keepdims=True)  # constant, cancels in grad
-    centered = ad.sub(picked, shift)
-    lse = ad.log(ad.sum_(ad.exp(centered), axis=1, keepdims=True))
-    log_probs = ad.sub(centered, lse)
-    onehot = np.zeros((mask.size, num_classes))
-    onehot[np.arange(mask.size), labels] = 1.0
-    return ad.neg(ad.mean_(ad.sum_(ad.mul(log_probs, onehot), axis=1)))
+    mask = _ids(mask, "mask", n, (None,))
+    labels = _ids(labels, "labels", num_classes, (n,))[mask]
+    rows = np.arange(mask.size)
+    picked = np.take(logits.value, mask, axis=0)
+    centered = picked - picked.max(axis=1, keepdims=True)
+    ex = np.exp(centered)
+    total = ex.sum(axis=1, keepdims=True)
+    log_probs = centered[rows, labels] - np.log(total)[:, 0]
+    inv = 1.0 / mask.size
+
+    def vjp(g):
+        g_true = -g * inv
+        g_rows = (-g_true / total) * ex
+        g_rows[rows, labels] += g_true
+        return (ad._scatter_rows(g_rows, mask, n),)
+    return DiffValue(-(log_probs.sum() * inv), (logits,), vjp)
 
 
 def fermi_dirac_prob(d) -> np.ndarray:
@@ -154,9 +202,15 @@ def fermi_dirac_prob(d) -> np.ndarray:
     return ad._logistic((FERMI_R - np.asarray(d, dtype=np.float64)) / FERMI_T)
 
 
-def _pair_distances(z: DiffValue, pairs: np.ndarray) -> DiffValue:
-    diff = ad.sub(ad.gather_rows(z, pairs[:, 0]), ad.gather_rows(z, pairs[:, 1]))
-    return ad.reshape(ad.vector_norm(diff), (pairs.shape[0],))
+def _pair_distances(z: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row differences ``z[u] - z[v]`` of the pairs (u, v) and their Euclidean norms."""
+    diff = np.take(z, pairs[:, 0], axis=0) - np.take(z, pairs[:, 1], axis=0)
+    return diff, np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) without overflow; its slope is the logistic function."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def lp_loss(z, pos_edges, neg_edges) -> DiffValue:
@@ -164,17 +218,33 @@ def lp_loss(z, pos_edges, neg_edges) -> DiffValue:
 
     Written with softplus so saturated probabilities stay finite, with
     x = (d - FERMI_R) / FERMI_T: -log P = softplus(x), -log (1 - P) = softplus(-x).
-    Distances are Euclidean on the fused output embeddings.
+    Distances are Euclidean on the fused output embeddings; a pair at
+    distance 0 takes subgradient 0.  Each edge set is an ``(m, 2)`` integer
+    array of node ids.
     """
     z = ad.as_diff(z)
-    pos = np.asarray(pos_edges, dtype=np.int64)
-    neg = np.asarray(neg_edges, dtype=np.int64)
-    if pos.size == 0 or neg.size == 0:
+    n = z.shape[0]
+    if np.asarray(pos_edges).size == 0 or np.asarray(neg_edges).size == 0:
         raise ValueError("both edge sets must be non-empty")
-    x_pos = ad.mul(ad.sub(_pair_distances(z, pos), FERMI_R), 1.0 / FERMI_T)
-    x_neg = ad.mul(ad.sub(_pair_distances(z, neg), FERMI_R), 1.0 / FERMI_T)
-    terms = ad.concat([ad.softplus(x_pos), ad.softplus(ad.neg(x_neg))])
-    return ad.mean_(terms)
+    sets = []     # per edge set: pairs, row differences, distances, sign, softplus input
+    for what, edges, sign in (("positive pairs", pos_edges, 1.0),
+                              ("negative pairs", neg_edges, -1.0)):
+        pairs = _ids(edges, what, n, (None, 2))
+        diff, d = _pair_distances(z.value, pairs)
+        sets.append((pairs, diff, d, sign, sign * ((d - FERMI_R) * (1.0 / FERMI_T))))
+    terms = np.concatenate([_softplus(x) for *_, x in sets])
+    inv = 1.0 / terms.size
+
+    def vjp(g):
+        grad = None
+        for pairs, diff, d, sign, x in sets:
+            g_d = sign * ((g * inv) * ad._logistic(x)) * (1.0 / FERMI_T)
+            g_diff = g_d[:, None] * diff / np.maximum(d, 1e-15)[:, None]
+            for end, g_end in ((pairs[:, 0], g_diff), (pairs[:, 1], -g_diff)):
+                part = ad._scatter_rows(g_end, end, n)
+                grad = part if grad is None else grad + part
+        return (grad,)
+    return DiffValue(terms.sum() * inv, (z,), vjp)
 
 
 def overall_loss(task: DiffValue,

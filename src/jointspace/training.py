@@ -419,7 +419,7 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
 
         def score(z, part):
             pairs = (pos[part], neg[part])
-            probs = [fermi_dirac_prob(_pair_distances(z, e).value) for e in pairs]
+            probs = [fermi_dirac_prob(_pair_distances(z.value, e)[1]) for e in pairs]
             truth = np.concatenate([np.ones(len(pairs[0])), np.zeros(len(pairs[1]))])
             return (evaluate_lp(np.concatenate(probs), truth),
                     float(lp_loss(z, *pairs).value))

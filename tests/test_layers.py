@@ -32,9 +32,13 @@ def ball_rows(rng, n, dim, c=1.0, scale=0.3):
 
 def pair_distance(x, y, c):
     """Distance between rows ``x[i]`` and ``y[i]``: ``d_edge_distance`` over the
-    stacked rows, with edges from each ``y`` row to its ``x`` row."""
+    rows of ``x`` stacked on those of ``y`` (a node whose VJP splits the rows
+    back), with edges from each ``y`` row to its ``x`` row."""
+    x, y = ad.as_diff(x), ad.as_diff(y)
     n = x.shape[0]
-    return d_edge_distance(ad.concat([x, y]), np.arange(n, 2 * n), np.arange(n), c)
+    xy = ad.DiffValue(np.concatenate([x.value, y.value]), (x, y),
+                      lambda g: (g[:n], g[n:]))
+    return d_edge_distance(xy, np.arange(n, 2 * n), np.arange(n), c)
 
 
 class TestDifferentiableBallOps:
@@ -66,7 +70,7 @@ class TestDifferentiableBallOps:
         curv = ad.DiffValue(1.5)
         dist = pair_distance(x, y, curv)
         assert np.all(dist.value == 0.0)
-        ad.backward(ad.sum_(dist))
+        ad.backward(ad.mean_(dist))
         assert np.all(x.grad == 0.0) and np.all(y.grad == 0.0) and curv.grad == 0.0
 
     def test_gradients_through_ball_ops(self):
@@ -79,7 +83,7 @@ class TestDifferentiableBallOps:
             s = d_mobius_add(d_exp_origin(x, 1.0), d_exp_origin(y, 1.0), 1.0)
             t = d_log_origin(s, 1.0)
             d = pair_distance(d_exp_origin(x, 1.0), d_exp_origin(y, 1.0), 1.0)
-            return ad.add(ad.sum_(ad.mul(t, wts)), ad.sum_(d))
+            return ad.add(ad.mean_(ad.mul(t, wts)), ad.mean_(d))
 
         assert ad.finite_diff_check(loss_fn, [x, y]) < 1e-5
 
@@ -125,7 +129,7 @@ class TestDifferentiableBallOps:
                 w_out = rng.normal(size=op(*leaves, curv).shape)
 
                 def op_loss():
-                    return ad.sum_(ad.mul(op(*leaves, curv), w_out))
+                    return ad.mean_(ad.mul(op(*leaves, curv), w_out))
 
                 # h = 1e-5 leaves an O((h / 1e-3)^2) truncation error of about
                 # 5e-5 on the close pair; h = 1e-6 brings it to about 5e-7.
@@ -162,14 +166,16 @@ class TestEdgeDistance:
         w = rng.normal(size=src.idx.shape)
         x, curv = ad.DiffValue(x0.copy()), ad.DiffValue(c)
         dist = d_edge_distance(x, src, dst, curv)
-        ad.backward(ad.sum_(ad.mul(dist, w)))
+        ad.backward(ad.mean_(ad.mul(dist, w)))
         value, g_x, g_c = dist.value, x.grad, curv.grad
         # The reference: the row kernel on the gathered endpoint rows, and its
-        # row gradients summed into each endpoint with np.add.at.
+        # row gradients, at the weights the mean gives them, summed into each
+        # endpoint with np.add.at.
         xd, xs = x0[dst.idx], x0[src.idx]
         ref_value, parts = pc._distance_parts(xd, xs, c, pc._sq_norm(xd),
                                               pc._sq_norm(xs))
-        g_dst, g_src, ref_g_c = pc._distance_grad(w[:, None], *parts)
+        g_rows = (1.0 / w.size) * w
+        g_dst, g_src, ref_g_c = pc._distance_grad(g_rows[:, None], *parts)
         into_dst, into_src = np.zeros_like(x0), np.zeros_like(x0)
         np.add.at(into_dst, dst.idx, g_dst)
         np.add.at(into_src, src.idx, g_src)
@@ -191,7 +197,7 @@ class TestEdgeDistance:
         w = rng.normal(size=src.shape)
 
         def loss_fn():
-            return ad.sum_(ad.mul(d_edge_distance(x, src, dst, curv), w))
+            return ad.mean_(ad.mul(d_edge_distance(x, src, dst, curv), w))
 
         assert ad.finite_diff_check(loss_fn, [x, curv]) < 1e-5
 
@@ -265,7 +271,7 @@ class TestAttentionIndex:
         model = JointSpaceGNN(g.features.shape[1], 4, 2, seed=0)
         out = model.forward(g, g.features, dropout=0.5, rng=np.random.default_rng(0),
                             training=True)[0]
-        ad.backward(ad.sum_(out.z))             # keeps offsets on the index
+        ad.backward(ad.mean_(out.z))            # keeps offsets on the index
         refs = [weakref.ref(g), weakref.ref(g.attention_index[0].flat(4))]
         del g, out
         gc.collect()
@@ -399,7 +405,7 @@ class TestHGATLayer:
 
         def loss_fn():
             t, b = hgat_forward(x, g, p)
-            return ad.add(ad.sum_(ad.mul(t, wts)), ad.sum_(ad.mul(b, wts)))
+            return ad.add(ad.mean_(ad.mul(t, wts)), ad.mean_(ad.mul(b, wts)))
 
         assert ad.finite_diff_check(loss_fn, [p.W, p.b, p.a, p.curvature]) < 1e-4
 
@@ -500,7 +506,7 @@ class TestFusion:
 
         def loss_fn():
             out = fusion_forward(z_r, z_d, p)
-            return ad.add(ad.sum_(ad.mul(out.z, wts)), ad.mean_(out.beta_r))
+            return ad.add(ad.mean_(ad.mul(out.z, wts)), ad.mean_(out.beta_r))
 
         assert ad.finite_diff_check(loss_fn, [p.M, p.b, p.q]) < 1e-4
 
@@ -606,7 +612,7 @@ class TestStack:
 
         def loss_fn():
             out, record = model.forward(g, feats)
-            total = ad.sum_(ad.mul(out.z, wts))
+            total = ad.mean_(ad.mul(out.z, wts))
             for r in record:
                 total = ad.add(total, ad.mean_(ad.mul(r.beta_r, r.beta_r)))
             return total

@@ -18,6 +18,18 @@ from conftest import exhaustive_coupling_wasserstein
 floats_list = st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=6)
 
 
+def tape_nodes(out) -> int:
+    """Nodes with a VJP reachable from ``out``: what a term adds to the tape."""
+    seen, stack, count = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._vjp is not None
+            stack.extend(node._parents)
+    return count
+
+
 class TestWasserstein:
     def test_identical_lists_zero(self):
         assert wasserstein_1d([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], 2) == 0.0
@@ -84,6 +96,48 @@ class TestWasserstein:
             assert float(diff.value) == pytest.approx(wasserstein_1d(a, b, 2.0),
                                                       abs=1e-14)
 
+    @pytest.mark.parametrize("a, b, arg", [
+        ([[0.0, 3.0], [1.0, 2.0]], [[0.0, 1.0], [2.0, 3.0]], "a"),
+        ([[0.0, 1.0]], [0.0, 1.0], "a"),
+        ([0.0, 1.0], [[0.0], [1.0]], "b"),
+        (2.0, [2.0], "a")], ids=["both-2d", "2d-a", "2d-b", "scalar-a"])
+    def test_non_flat_input_rejected(self, a, b, arg):
+        # Sorting a 2-D list sorts its rows: both-2d once read 1.2247, though
+        # its four samples are the same.
+        with pytest.raises(ValueError, match=f"wasserstein_1d expects a non-empty "
+                                             f"flat vector as {arg}, got shape"):
+            wasserstein_1d(a, b, 2.0)
+
+    def test_differentiable_path_names_non_flat_argument(self):
+        with pytest.raises(ValueError, match="differentiable path expects a "
+                                             "non-empty flat vector as b"):
+            wasserstein_1d(DiffValue(np.zeros(4)), np.zeros((2, 2)), 2.0)
+
+    def test_float_equals_tape_node_bitwise(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 5, 40, 221):
+            for p in (1.0, 2.0, 3.0):
+                a, b = rng.uniform(size=n), rng.uniform(size=n)
+                node = wasserstein_1d(DiffValue(a), b, p)
+                assert tape_nodes(node) == 1
+                assert wasserstein_1d(a, b, p).hex() == float(node.value).hex()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("case", ["distinct", "tied", "identical"])
+    def test_tape_node_gradcheck(self, p, case):
+        rng = np.random.default_rng(7)
+        a, b = rng.uniform(size=7), rng.uniform(size=7)
+        if case == "tied":
+            # a's tie at 0.5 meets b's tie at 0.6, where the distance is
+            # differentiable, and b's tie at 0.1 meets two distinct samples.
+            a = np.array([0.5, 0.2, 0.9, 0.5, 0.7, 0.35, 0.05])
+            b = np.array([0.6, 0.1, 0.75, 0.4, 0.1, 0.8, 0.6])
+        if case == "identical":
+            a = rng.permutation(b)
+        x = DiffValue(a)
+        err = ad.finite_diff_check(lambda: wasserstein_1d(x, b, p), [x])
+        assert err < 1e-5
+
     def test_zero_distance_subgradient(self):
         a = DiffValue(np.array([0.1, 0.2]))
         w = wasserstein_1d(a, np.array([0.2, 0.1]), 2.0)
@@ -137,6 +191,13 @@ class TestNonUniformity:
                                             DiffValue(1.0 - beta)).value)
             assert -1.0 - 1e-12 <= val <= -0.5 + 1e-12
 
+    def test_gradcheck_in_both_weights(self):
+        rng = np.random.default_rng(8)
+        br, bd = DiffValue(rng.uniform(size=6)), DiffValue(rng.uniform(size=6))
+        node = non_uniformity_loss(br, bd)
+        assert tape_nodes(node) == 1
+        assert ad.finite_diff_check(lambda: non_uniformity_loss(br, bd), [br, bd]) < 1e-5
+
     def test_gradient_formula_after_substitution(self):
         beta = DiffValue(np.array([0.3, 0.5, 0.9]))
         loss = non_uniformity_loss(beta, ad.sub(1.0, beta))
@@ -173,9 +234,28 @@ class TestCrossEntropy:
         logits = DiffValue(rng.normal(size=(5, 3)))
         labels = np.array([0, 1, 2, 0, 1])
         mask = np.array([0, 2, 3])
+        assert tape_nodes(cross_entropy_nc(logits, labels, mask)) == 1
         err = ad.finite_diff_check(
             lambda: cross_entropy_nc(logits, labels, mask), [logits])
         assert err < 1e-5
+
+    @pytest.mark.parametrize("labels, mask, fault", [
+        ([0, 1, -1], [0, 2], r"labels\[2\] = -1 is outside \[0, 2\)"),
+        ([0, 1, 2], [0, 2], r"labels\[2\] = 2 is outside \[0, 2\)"),
+        ([0, 1, 1], [0, -1], r"mask\[1\] = -1 is outside \[0, 3\)"),
+        ([0, 1, 1], [0, 3], r"mask\[1\] = 3 is outside \[0, 3\)"),
+        ([0, 1, 1], [0.0, 1.0], r"mask must be an integer array of shape \(m,\), "
+                                r"got float64 of shape \(2,\)"),
+        ([0, 1, 1], [True, False, True], "mask must be an integer array"),
+        ([0, 1, 1], [[0, 1]], r"mask must be an integer array of shape \(m,\)"),
+        ([0, 1], [0, 1], r"labels must be an integer array of shape \(3,\)")],
+        ids=["negative-label", "label-beyond-classes", "negative-mask-id",
+             "mask-id-beyond-nodes", "float-mask", "bool-mask", "2d-mask",
+             "short-labels"])
+    def test_bad_index_rejected(self, labels, mask, fault):
+        logits = DiffValue(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=fault):
+            cross_entropy_nc(logits, np.array(labels), np.array(mask))
 
 
 class TestFermiDirac:
@@ -220,6 +300,46 @@ class TestLpLoss:
         err = ad.finite_diff_check(
             lambda: lp_loss(z, pos, neg), [z])
         assert err < 1e-5
+
+    def test_gradcheck_with_shared_endpoints(self):
+        # Node 0 ends pairs in both sets and on both sides; (1, 2) is both a
+        # positive and a negative pair, and (3, 1) repeats as a negative.
+        rng = np.random.default_rng(9)
+        z = DiffValue(rng.normal(size=(5, 3)))
+        pos = np.array([[0, 1], [1, 2], [2, 0], [0, 3]])
+        neg = np.array([[4, 0], [1, 2], [3, 1], [3, 1]])
+        assert tape_nodes(lp_loss(z, pos, neg)) == 1
+        assert ad.finite_diff_check(lambda: lp_loss(z, pos, neg), [z]) < 1e-5
+
+    def test_coincident_pair_has_zero_gradient(self):
+        # Distance 0 takes subgradient 0, so only the other pair moves z.
+        z = DiffValue(np.array([[0.5, 0.5], [0.5, 0.5], [3.0, 0.0]]))
+        ad.backward(lp_loss(z, np.array([[0, 1]]), np.array([[1, 2]])))
+        assert np.isfinite(z.grad).all() and np.all(z.grad[0] == 0.0)
+        assert np.any(z.grad[1] != 0.0) and np.any(z.grad[2] != 0.0)
+
+    def test_saturated_pairs_stay_finite(self):
+        # Both pairs at distance 802: softplus(800) is 800 and softplus(-800)
+        # is 0, with no overflow, and the gradients stay finite.
+        z = DiffValue(np.array([[0.0, 0.0], [802.0, 0.0], [0.0, 802.0]]))
+        loss = lp_loss(z, np.array([[0, 1]]), np.array([[0, 2]]))
+        assert float(loss.value) == 400.0
+        ad.backward(loss)
+        assert np.isfinite(z.grad).all()
+
+    @pytest.mark.parametrize("pos, neg, fault", [
+        ([[0, 1, 2]], [[0, 2]], r"positive pairs must be an integer array of shape "
+                                r"\(m, 2\), got int64 of shape \(1, 3\)"),
+        ([[0, -1]], [[0, 2]], r"positive pairs\[0, 1\] = -1 is outside \[0, 3\)"),
+        ([[0, 1]], [[3, 2]], r"negative pairs\[0, 0\] = 3 is outside \[0, 3\)"),
+        ([[0.5, 1.0]], [[0, 2]], "positive pairs must be an integer array of shape "
+                                 r"\(m, 2\), got float64"),
+        ([[0, 1]], [0, 2], r"negative pairs must be an integer array of shape \(m, 2\)")],
+        ids=["three-columns", "negative-id", "id-beyond-nodes", "float-ids", "flat-pairs"])
+    def test_bad_index_rejected(self, pos, neg, fault):
+        z = DiffValue(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=fault):
+            lp_loss(z, np.array(pos), np.array(neg))
 
 
 class TestOverallLoss:

@@ -133,7 +133,7 @@ class TestAdam:
         x = ad.DiffValue(np.array([5.0, -3.0]))
         opt = Adam([x], lr=0.1)
         for _ in range(300):
-            loss = ad.sum_(ad.mul(x, x))
+            loss = ad.mean_(ad.mul(x, x))
             ad.backward(loss)
             opt.step()
         assert np.abs(x.value).max() < 1e-2
@@ -141,7 +141,7 @@ class TestAdam:
     def test_weight_decay_shrinks(self):
         x = ad.DiffValue(np.array([1.0]))
         opt = Adam([x], lr=0.01, weight_decay=1.0)
-        loss = ad.sum_(ad.mul(x, 0.0))
+        loss = ad.mean_(ad.mul(x, 0.0))
         ad.backward(loss)
         opt.step()
         assert x.value[0] < 1.0
