@@ -182,11 +182,6 @@ class WeightedGraph:
         return (RowIndex(np.concatenate([u, v, loops])),
                 RowIndex(np.concatenate([v, u, loops])))
 
-    @cached_property
-    def edge_keys(self) -> frozenset[tuple[int, int]]:
-        """The ``(u, v)`` endpoint pairs of ``edges``, as a set for membership tests."""
-        return frozenset((u, v) for u, v, _ in self.edges)
-
     def with_features(self, features: np.ndarray) -> "WeightedGraph":
         return replace(self, features=features)
 
@@ -643,25 +638,30 @@ def split_edges(g: WeightedGraph, fractions: tuple[float, float, float],
 def sample_non_edges(g: WeightedGraph, count: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Uniform rejection sample of ``count`` distinct non-edges (u < v), in draw
-    order, as a read-only ``(count, 2)`` int64 array."""
+    order, as a read-only ``(count, 2)`` int64 array.
+
+    Each round draws the endpoints of as many pairs as remain in one
+    ``rng.integers`` call, the stream that many scalar draws would give, and
+    keeps, in draw order, each pair that is no loop, no edge and not kept
+    before.  A round keeps at most the pairs that remain, so the sample ends
+    on the draw, and leaves ``rng`` in the state, that a pair-by-pair loop
+    would.
+    """
     n = g.num_nodes
-    present = g.edge_keys
-    max_non = n * (n - 1) // 2 - len(present)
+    u, v = g.edge_index.T
+    present = u * n + v                    # edges are stored with u < v
+    max_non = n * (n - 1) // 2 - present.size
     if count > max_non:
         raise SplitError(f"requested {count} non-edges but only {max_non} exist")
-    chosen: set[tuple[int, int]] = set()
-    out: list[tuple[int, int]] = []
-    while len(out) < count:
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in present or key in chosen:
-            continue
-        chosen.add(key)
-        out.append(key)
-    pairs = np.array(out, dtype=np.int64).reshape(-1, 2)
+    keys = np.empty(0, dtype=np.int64)     # kept pairs as lo * n + hi, in draw order
+    while keys.size < count:
+        ends = np.sort(rng.integers(n, size=(count - keys.size, 2)), axis=1)
+        drawn = ends[:, 0] * n + ends[:, 1]
+        drawn = drawn[(ends[:, 0] != ends[:, 1])
+                      & ~np.isin(drawn, np.concatenate([present, keys]))]
+        _, first = np.unique(drawn, return_index=True)
+        keys = np.concatenate([keys, drawn[np.sort(first)]])
+    pairs = np.stack([keys // n, keys % n], axis=1)
     pairs.setflags(write=False)
     return pairs
 

@@ -178,7 +178,7 @@ def hgat_forward(z, g: WeightedGraph, p: HGATParams, *,
     exp_0(t) with t = W z; messages are exp_0(t) (+) exp_0(b).  Each attention
     logit is the GAT logit of t, read from per-node scores, times the
     closed-form geodesic distance between the endpoints exp_0(z), one
-    ``d_edge_distance`` node over the graph's cached attention index.
+    ``d_edge_distance`` node over the graph's attention edges.
     Returns (tangent-space output, ball messages).
     """
     c = p.curvature
@@ -190,7 +190,7 @@ def hgat_forward(z, g: WeightedGraph, p: HGATParams, *,
     m = pc.d_mobius_add(pc.d_exp_origin(t, c), bias_ball, c)
 
     logits = _attention_logits(t, p.a, src, dst)
-    dist = pc.d_edge_distance(x, src, dst, c)
+    dist = pc.d_edge_distance(x, g, c)
     mask = _dropout_mask(src.idx.shape, dropout, rng, training)
     tangent = ad.attend(ad.mul(logits, dist), pc.d_log_origin(m, c), src, dst,
                         g.num_nodes, mask)

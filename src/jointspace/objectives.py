@@ -52,8 +52,13 @@ class LossWeights:
             v = getattr(self, name)
             if v < 0 or not math.isfinite(v):
                 raise ValueError(f"{name} must be finite and nonnegative")
-        if not (math.isfinite(self.p) and self.p >= 1):
-            raise ValueError(f"Wasserstein order p must be finite and >= 1, got {self.p}")
+        _check_order(self.p)
+
+
+def _check_order(p: float) -> None:
+    """Raise ``ValueError`` unless ``p`` is a Wasserstein order: finite and >= 1."""
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"Wasserstein order p must be finite and >= 1, got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -66,13 +71,14 @@ def wasserstein_1d(a, b, p: float = 2.0):
     The lists are paired by rank after sorting, which realizes the optimal
     coupling between equal-size empirical distributions.  Each list must be a
     non-empty flat vector, and lists of unequal length raise ``ValueError``
-    naming both sizes.
+    naming both sizes.  ``p`` must be finite and at least 1.
 
     A float for an array ``a``; for a DiffValue ``a``, the same value as one
     tape node differentiable in ``a``: the sort permutation is fixed (stable,
     so ties break by index) and the p-th root takes subgradient 0 when the
     distance is exactly zero.
     """
+    _check_order(p)
     on_tape = isinstance(a, DiffValue)
     x = a.value if on_tape else np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

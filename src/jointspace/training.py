@@ -25,7 +25,7 @@ from .graphs import (WeightedGraph, graph_hash, sample_non_edges, split_edges,
 from .hyperbolicity import (DELTA_MODES, HyperbolicityProfile, local_profile,
                             profile_from_json, profile_to_json)
 from .layers import JointSpaceGNN
-from .objectives import (COMPARISON_MODES, LossWeights, _pair_distances,
+from .objectives import (COMPARISON_MODES, LossWeights, _ids, _pair_distances,
                          cross_entropy_nc, fermi_dirac_prob, lp_loss,
                          normalize_delta, overall_loss, unif_reference,
                          wasserstein_1d)
@@ -296,15 +296,19 @@ def evaluate_nc(logits: np.ndarray, labels: np.ndarray, mask,
                 metric: str = "accuracy") -> float:
     """Accuracy or F1 over the masked nodes.
 
+    ``mask`` must be a non-empty integer vector of row ids of ``logits``, or
+    a ``ValueError`` names the fault, as in ``objectives.cross_entropy_nc``.
+
     F1 is the binary positive-class score for 2 classes; otherwise it is
     micro-averaged, which for single-label predictions equals accuracy.
     """
     if metric not in ("accuracy", "f1"):
         raise ValueError("metric must be 'accuracy' or 'f1'")
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
+    if np.asarray(mask).size == 0:
         raise ValueError("mask must be non-empty")
-    preds = np.argmax(np.asarray(logits), axis=1)[mask]
+    logits = np.asarray(logits)
+    mask = _ids(mask, "mask", logits.shape[0], (None,))
+    preds = np.argmax(logits, axis=1)[mask]
     truth = np.asarray(labels)[mask]
     classes = np.unique(np.asarray(labels)) if metric == "f1" else ()
     if len(classes) == 2:

@@ -457,6 +457,19 @@ class TestGenerators:
                 make()
 
 
+def scalar_non_edges(g, count, rng):
+    """Reference sampler: draw u and then v, one scalar at a time, and keep
+    (min, max) unless it is a loop, an edge or already kept."""
+    present = {(u, v) for u, v, _ in g.edges}
+    out: list[tuple[int, int]] = []
+    while len(out) < count:
+        u, v = int(rng.integers(g.num_nodes)), int(rng.integers(g.num_nodes))
+        key = (min(u, v), max(u, v))
+        if u != v and key not in present and key not in out:
+            out.append(key)
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+
 class TestSplits:
     def test_node_split_counts_and_determinism(self):
         g = generate_lattice(2, 5)  # 10 nodes
@@ -507,19 +520,37 @@ class TestSplits:
     def test_non_edge_sampler_matches_rebuilt_edge_set(self):
         g = random_connected_graph(np.random.default_rng(4), 30, 0.15)
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        for _ in range(3):           # later calls reuse the cached key set
-            present = {(u, v) for u, v, _ in g.edges}
-            ref: list[tuple[int, int]] = []
-            while len(ref) < 25:
-                u, v = int(ref_rng.integers(30)), int(ref_rng.integers(30))
-                key = (min(u, v), max(u, v))
-                if u != v and key not in present and key not in ref:
-                    ref.append(key)
+        for _ in range(3):           # later calls continue the same stream
             out = sample_non_edges(g, 25, rng)
             assert out.dtype == np.int64 and not out.flags.writeable
-            assert np.array_equal(out, ref)
+            assert np.array_equal(out, scalar_non_edges(g, 25, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert g.edge_keys == frozenset((u, v) for u, v, _ in g.edges)
+
+    @pytest.mark.parametrize("n", [2, 5, 12, 40])
+    def test_non_edge_sampler_equals_scalar_loop_over_seeds(self, n):
+        # Vector rounds draw the stream of the scalar loop and keep pairs in
+        # draw order: same pairs, same rng state after, also through
+        # split_edges, on graphs from empty to near complete.
+        for seed in range(40):
+            r = np.random.default_rng(seed)
+            density = float(r.uniform(0.0, 0.95))
+            g = WeightedGraph(n, tuple((u, v, 1.0) for u in range(n)
+                                       for v in range(u + 1, n) if r.random() < density))
+            max_non = n * (n - 1) // 2 - g.num_edges
+            for count in sorted({0, min(1, max_non), max_non // 2, max_non}):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                out = sample_non_edges(g, count, rng)
+                assert out.shape == (count, 2)
+                assert np.array_equal(out, scalar_non_edges(g, count, ref_rng))
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if g.num_edges >= 4 and max_non >= g.num_edges // 2:   # splits exist
+                s = split_edges(g, (0.6, 0.2, 0.2), seed)
+                ref_rng = np.random.default_rng(seed)
+                assert np.array_equal(np.concatenate([s.train, s.val, s.test]),
+                                      ref_rng.permutation(g.num_edges))
+                assert np.array_equal(s.val_neg, scalar_non_edges(g, len(s.val), ref_rng))
+                assert np.array_equal(s.test_neg,
+                                      scalar_non_edges(g, len(s.test), ref_rng))
 
     def test_non_edge_sampler_output_pinned_on_sparse_graph(self):
         g = random_connected_graph(np.random.default_rng(4), 12, 0.2)  # 19 of 66 pairs

@@ -30,15 +30,20 @@ def ball_rows(rng, n, dim, c=1.0, scale=0.3):
     return pc._radial(rng.normal(size=(n, dim)) * scale, c, pc._project_scale)[0]
 
 
+def pair_graph(n):
+    """A graph on 2n nodes whose m = n edges join node i to node n + i."""
+    return WeightedGraph(2 * n, tuple((i, n + i, 1.0) for i in range(n)))
+
+
 def pair_distance(x, y, c):
     """Distance between rows ``x[i]`` and ``y[i]``: ``d_edge_distance`` over the
     rows of ``x`` stacked on those of ``y`` (a node whose VJP splits the rows
-    back), with edges from each ``y`` row to its ``x`` row."""
+    back), on ``pair_graph``, whose first n attention edges are the pairs."""
     x, y = ad.as_diff(x), ad.as_diff(y)
     n = x.shape[0]
     xy = ad.DiffValue(np.concatenate([x.value, y.value]), (x, y),
                       lambda g: (g[:n], g[n:]))
-    return d_edge_distance(xy, np.arange(n, 2 * n), np.arange(n), c)
+    return ad.gather_rows(d_edge_distance(xy, pair_graph(n), c), np.arange(n))
 
 
 class TestDifferentiableBallOps:
@@ -165,25 +170,43 @@ class TestEdgeDistance:
         src, dst = self.GRAPH.attention_index
         w = rng.normal(size=src.idx.shape)
         x, curv = ad.DiffValue(x0.copy()), ad.DiffValue(c)
-        dist = d_edge_distance(x, src, dst, curv)
+        dist = d_edge_distance(x, self.GRAPH, curv)
         ad.backward(ad.mean_(ad.mul(dist, w)))
         value, g_x, g_c = dist.value, x.grad, curv.grad
-        # The reference: the row kernel on the gathered endpoint rows, and its
-        # row gradients, at the weights the mean gives them, summed into each
-        # endpoint with np.add.at.
+        g_rows = (1.0 / w.size) * w
+        # The pair-form reference, bitwise: the row kernel once per undirected
+        # edge u < v (dst = v, src = u), its value written to both directions
+        # and +0.0 to the self loops; the row gradients at the sum of the two
+        # directions' weights, added into u and then v with np.add.at.
+        m = self.GRAPH.num_edges
+        u, v = self.GRAPH.edge_index.T
+        d, parts = pc._distance_parts(x0[v], x0[u], c, pc._sq_norm(x0[v]),
+                                      pc._sq_norm(x0[u]))
+        g_v, g_u, pair_g_c = pc._distance_grad((g_rows[:m] + g_rows[m:2 * m])[:, None],
+                                               *parts)
+        pair_g_x = np.zeros_like(x0)
+        np.add.at(pair_g_x, u, g_u)
+        np.add.at(pair_g_x, v, g_v)
+        pair_value = np.concatenate([d[:, 0], d[:, 0], np.zeros(self.GRAPH.num_nodes)])
+        assert np.array_equal(value, pair_value)
+        assert np.array_equal(g_x, pair_g_x) and np.array_equal(g_c, pair_g_c)
+        # The per-direction reference: the row kernel on the gathered endpoint
+        # rows of every attention edge, and its row gradients summed into each
+        # endpoint with np.add.at.  Its values are the op's bit for bit, self
+        # loops +0.0 included; its gradients agree to round-off.
         xd, xs = x0[dst.idx], x0[src.idx]
         ref_value, parts = pc._distance_parts(xd, xs, c, pc._sq_norm(xd),
                                               pc._sq_norm(xs))
-        g_rows = (1.0 / w.size) * w
         g_dst, g_src, ref_g_c = pc._distance_grad(g_rows[:, None], *parts)
         into_dst, into_src = np.zeros_like(x0), np.zeros_like(x0)
         np.add.at(into_dst, dst.idx, g_dst)
         np.add.at(into_src, src.idx, g_src)
         ref_g_x = into_src + into_dst
         assert np.array_equal(value, ref_value[:, 0])
-        assert np.array_equal(g_x, ref_g_x) and np.array_equal(g_c, ref_g_c)
+        np.testing.assert_allclose(g_x, ref_g_x, rtol=1e-12)
+        np.testing.assert_allclose(g_c, ref_g_c, rtol=1e-12)
         loops = src.idx == dst.idx
-        assert np.all(value[loops] == 0.0)
+        assert np.all(value[loops] == 0.0) and not np.any(np.signbit(value[loops]))
         clip = 2.0 * math.atanh(1.0 - PROJECTION_MARGIN) / math.sqrt(c)
         assert value[(src.idx == 4) & (dst.idx == 5)][0] == pytest.approx(clip, rel=1e-15)
         # Self loops and the clipped pair pass nothing; the path rows get some.
@@ -193,11 +216,10 @@ class TestEdgeDistance:
     def test_gradcheck_with_trainable_curvature(self, c):
         rng = np.random.default_rng(32)
         x, curv = ad.DiffValue(self.rows(rng, c)), ad.DiffValue(c)
-        src, dst = attention_arrays(self.GRAPH)
-        w = rng.normal(size=src.shape)
+        w = rng.normal(size=attention_arrays(self.GRAPH)[0].shape)
 
         def loss_fn():
-            return ad.mean_(ad.mul(d_edge_distance(x, src, dst, curv), w))
+            return ad.mean_(ad.mul(d_edge_distance(x, self.GRAPH, curv), w))
 
         assert ad.finite_diff_check(loss_fn, [x, curv]) < 1e-5
 

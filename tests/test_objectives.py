@@ -108,6 +108,15 @@ class TestWasserstein:
                                              f"flat vector as {arg}, got shape"):
             wasserstein_1d(a, b, 2.0)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, 0.5, math.nan, math.inf])
+    def test_order_outside_range_rejected(self, p):
+        # p = 0 once raised ZeroDivisionError, nan returned nan, and 0.5 and
+        # -1 returned numbers that are not a distance.
+        for a in ([0.0, 1.0], DiffValue(np.array([0.0, 1.0]))):
+            with pytest.raises(ValueError, match=f"^Wasserstein order p must be "
+                                                 f"finite and >= 1, got {p}$"):
+                wasserstein_1d(a, [0.5, 3.0], p)
+
     def test_differentiable_path_names_non_flat_argument(self):
         with pytest.raises(ValueError, match="differentiable path expects a "
                                              "non-empty flat vector as b"):

@@ -58,19 +58,40 @@ class TestConfig:
         TrainConfig(layers=MAX_MODEL_SIZE, hidden=MAX_MODEL_SIZE, q_dim=MAX_MODEL_SIZE)
 
     @pytest.mark.parametrize("field,value", [
-        ("delta_mode", "sup"), ("metric", "auc"), ("omega_nu", -0.5),
-        ("omega_was", -0.5), ("weight_decay", -1.0), ("hidden", 8.5), ("layers", True),
-        ("seed", 1.0), ("lr", "0.01"), ("trainable_curvature", 1),
-        ("split_fractions", (0.25, 0.25, 0.25, 0.25)),
-        ("split_fractions", (0.5, 0.25, "0.25")), ("split_fractions", (0.5, 0.5, True)),
-        ("split_fractions", [0.5, 0.25, 0.25]), ("cache_dir", 5),
-        ("lr", math.nan), ("lr", math.inf), ("curvature", math.inf),
-        ("k", 0), ("dropout", 1.0), ("weight_decay", math.nan),
-        ("omega_nu", math.inf), ("omega_was", math.nan), ("max_epochs", 0),
-        ("split_fractions", (0.6, math.nan, 0.2)),
-        ("split_fractions", (math.inf, 0.2, 0.2)),
+        pytest.param("delta_mode", "sup", id="delta_mode-sup"),
+        pytest.param("metric", "auc", id="metric-auc"),
+        pytest.param("omega_nu", -0.5, id="omega_nu--0.5"),
+        pytest.param("omega_was", -0.5, id="omega_was--0.5"),
+        pytest.param("weight_decay", -1.0, id="weight_decay--1.0"),
+        pytest.param("hidden", 8.5, id="hidden-8.5"),
+        pytest.param("layers", True, id="layers-True"),
+        pytest.param("seed", 1.0, id="seed-1.0"),
+        pytest.param("lr", "0.01", id="lr-0.01"),
+        pytest.param("trainable_curvature", 1, id="trainable_curvature-1"),
+        pytest.param("split_fractions", (0.25, 0.25, 0.25, 0.25),
+                     id="split_fractions-four-parts"),
+        pytest.param("split_fractions", (0.5, 0.25, "0.25"),
+                     id="split_fractions-string-part"),
+        pytest.param("split_fractions", (0.5, 0.5, True), id="split_fractions-bool-part"),
+        pytest.param("split_fractions", [0.5, 0.25, 0.25], id="split_fractions-list"),
+        pytest.param("cache_dir", 5, id="cache_dir-5"),
+        pytest.param("lr", math.nan, id="lr-nan"),
+        pytest.param("lr", math.inf, id="lr-inf"),
+        pytest.param("curvature", math.inf, id="curvature-inf"),
+        pytest.param("k", 0, id="k-0"),
+        pytest.param("dropout", 1.0, id="dropout-1.0"),
+        pytest.param("weight_decay", math.nan, id="weight_decay-nan"),
+        pytest.param("omega_nu", math.inf, id="omega_nu-inf"),
+        pytest.param("omega_was", math.nan, id="omega_was-nan"),
+        pytest.param("max_epochs", 0, id="max_epochs-0"),
+        pytest.param("split_fractions", (0.6, math.nan, 0.2),
+                     id="split_fractions-nan-part"),
+        pytest.param("split_fractions", (math.inf, 0.2, 0.2),
+                     id="split_fractions-inf-part"),
         pytest.param("curvature", 10**400, id="curvature-int-beyond-float"),
-        ("seed", -1), ("layers", MAX_MODEL_SIZE + 1), ("hidden", 10**20),
+        pytest.param("seed", -1, id="seed--1"),
+        pytest.param("layers", MAX_MODEL_SIZE + 1, id=f"layers-{MAX_MODEL_SIZE + 1}"),
+        pytest.param("hidden", 10**20, id=f"hidden-{10**20}"),
         pytest.param("q_dim", 10**400, id="q_dim-int-beyond-float")])
     def test_rejects_unknown_choice_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -93,6 +114,23 @@ class TestMetrics:
         labels = np.array([0, 1, 1])
         assert evaluate_nc(logits, labels, [0, 1, 2]) == pytest.approx(2 / 3)
         assert evaluate_nc(logits, labels, [0, 1]) == 1.0
+
+    @pytest.mark.parametrize("mask, fault", [
+        ([-1], r"mask\[0\] = -1 is outside \[0, 3\)"),
+        ([3], r"mask\[0\] = 3 is outside \[0, 3\)"),
+        ([0.7], "mask must be an integer array of shape"),
+        ([[0, 1]], "mask must be an integer array of shape")],
+        ids=["negative", "beyond-n", "float", "2d"])
+    def test_bad_mask_rejected(self, mask, fault):
+        # Read as int64, mask [-1] once scored the last node and [0.7] node 0:
+        # both returned 1.0 here.
+        logits = np.array([[0.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
+        labels = np.array([1, 0, 1])
+        for metric in ("accuracy", "f1"):
+            with pytest.raises(ValueError, match=fault):
+                evaluate_nc(logits, labels, mask, metric)
+        assert evaluate_nc(logits, labels, np.array([2, 0], dtype=np.int32)) == 1.0
+        assert evaluate_nc(logits, labels, [1, 1], "f1") == 0.0
 
     def test_f1_binary(self):
         logits = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
