@@ -9,12 +9,12 @@ populates ``grad`` on every reachable node exactly once.
 The engine is deliberately small: its primitives are plain functions (a
 ``DiffValue`` has no operator overloads), exactly what the attention layers
 and the composite loss need.  Arithmetic and shape: ``add``, ``sub``,
-``mul``, ``matmul``, ``transpose``, ``reshape``.  Indexing: ``gather_rows``,
-and ``attend``, the one node in which both attention branches end.
-Elementwise: ``tanh``, ``sigmoid``.  Reduction: ``mean_``.  The ball
-operations are fused nodes in ``poincare``, and each loss term is one fused
-node in ``objectives``: a numpy forward and a closed-form VJP, built as a
-``DiffValue`` directly.
+``mul``, ``reshape``.  Attention: ``attend``, the one node in which both
+attention branches end.  Reduction: ``mean_``.  Every other step is a fused
+node built as a ``DiffValue`` directly, with a numpy forward and a
+closed-form VJP: the ball operations in ``poincare``, each layer step
+(linear map, attention logits, selection weights, mix) in ``layers`` and
+each loss term in ``objectives``.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ __all__ = [
     "as_diff",
     "backward",
     "finite_diff_check",
-    "add", "sub", "mul", "matmul", "transpose", "reshape",
-    "RowIndex", "as_row_index", "gather_rows", "attend",
-    "tanh", "sigmoid", "mean_",
+    "add", "sub", "mul", "reshape",
+    "RowIndex", "as_row_index", "attend",
+    "mean_",
 ]
 
 Array = np.ndarray
@@ -72,6 +72,13 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad.reshape(shape)
 
 
+def _logistic(x) -> Array:
+    """1 / (1 + exp(-x)) from one ``exp`` of -|x|, so it never overflows."""
+    e = np.exp(-np.abs(x))
+    q = 1.0 + e
+    return np.where(x >= 0.0, 1.0 / q, e / q)
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic
 # ---------------------------------------------------------------------------
@@ -101,19 +108,6 @@ def mul(a, b) -> DiffValue:
     return DiffValue(out, (a, b), vjp)
 
 
-def matmul(a, b) -> DiffValue:
-    a, b = as_diff(a), as_diff(b)
-    out = a.value @ b.value
-    def vjp(g):
-        return g @ b.value.T, a.value.T @ g
-    return DiffValue(out, (a, b), vjp)
-
-
-def transpose(a) -> DiffValue:
-    a = as_diff(a)
-    return DiffValue(a.value.T, (a,), lambda g: (g.T,))
-
-
 def reshape(a, shape: tuple[int, ...]) -> DiffValue:
     a = as_diff(a)
     old = a.value.shape
@@ -132,8 +126,8 @@ class RowIndex:
     ``idx * width + column``.  Each is built on first use and kept; width 1
     is ``idx`` itself.  A graph's attention edges
     (``WeightedGraph.attention_index``) so build their offsets once, while a
-    plain array given to ``gather_rows``, ``attend`` or ``_scatter_rows`` is
-    wrapped afresh on each call.
+    plain array given to ``attend`` or ``_scatter_rows`` is wrapped afresh on
+    each call.
     """
 
     __slots__ = ("idx", "_flat")
@@ -176,20 +170,6 @@ def _scatter_rows(rows: Array, idx, n: int) -> Array:
     return out.reshape((n,) + tail)
 
 
-def gather_rows(a, idx) -> DiffValue:
-    """Select ``a[idx]`` along the first axis; backward scatter-adds.
-
-    ``idx`` is an index array or a ``RowIndex``, whose kept flat offsets the
-    backward scatter reuses.  Here and in ``attend``, ``np.take`` gathers the
-    rows: the same copy as ``a[idx]`` at about half its cost on (E, d) rows.
-    """
-    a = as_diff(a)
-    idx = as_row_index(idx)
-    out = np.take(a.value, idx.idx, axis=0)
-    return DiffValue(out, (a,),
-                     lambda g: (_scatter_rows(g, idx, a.value.shape[0]),))
-
-
 def attend(e, values, src, dst, num_segments: int,
            mask: Array | None = None) -> DiffValue:
     """Graph-attention aggregation of ``values`` along edges ``src -> dst``.
@@ -199,7 +179,9 @@ def attend(e, values, src, dst, num_segments: int,
     their sums per destination pass through ELU.  One node, parents
     ``(e, values)``, with a closed-form VJP.  ``src`` and ``dst`` are index
     arrays or ``RowIndex``es; the three scatter-adds, one forward and two in
-    the VJP, read the flat offsets a ``RowIndex`` keeps.
+    the VJP, read the flat offsets a ``RowIndex`` keeps.  ``np.take`` gathers
+    the source rows: the same copy as ``values[src]`` at about half its cost
+    on (E, d) rows.
     """
     e, values = as_diff(e), as_diff(values)
     src, dst = as_row_index(src), as_row_index(dst)
@@ -224,29 +206,6 @@ def attend(e, values, src, dst, num_segments: int,
         g_e = alpha * (g_alpha - dot[at_dst]) * np.where(x > 0.0, 1.0, LEAKY_SLOPE)
         return g_e, g_values
     return DiffValue(out, (e, values), vjp)
-
-
-# ---------------------------------------------------------------------------
-# Elementwise nonlinearities
-# ---------------------------------------------------------------------------
-
-def tanh(a) -> DiffValue:
-    a = as_diff(a)
-    out = np.tanh(a.value)
-    return DiffValue(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def _logistic(x) -> Array:
-    """1 / (1 + exp(-x)) from one ``exp`` of -|x|, so it never overflows."""
-    e = np.exp(-np.abs(x))
-    q = 1.0 + e
-    return np.where(x >= 0.0, 1.0 / q, e / q)
-
-
-def sigmoid(a) -> DiffValue:
-    a = as_diff(a)
-    out = _logistic(a.value)
-    return DiffValue(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +246,7 @@ def backward(loss: DiffValue) -> None:
 
     Gradient buffers are made lazily: a node's first contribution is kept as
     is and later ones are added out of place, because some VJPs return views
-    of their input (``reshape``, ``transpose``) or one array for two parents.
+    of their input (``reshape``) or one array for two parents.
     So every VJP returns, per parent, ``None`` or an array of exactly that
     parent's shape, and gradients may share memory: read them, never write
     into them.  A node nothing flows into runs no VJP and ends with zeros.

@@ -126,20 +126,33 @@ def _parameter_count(dims: list[int], q_dim: int) -> int:
 # Forward passes
 # ---------------------------------------------------------------------------
 
+def _linear(x, W) -> DiffValue:
+    """``x @ W.T`` as one node, whose VJP is ``g @ W`` and ``(x.T @ g).T``."""
+    x, W = ad.as_diff(x), ad.as_diff(W)
+    xv, Wv = x.value, W.value
+    return DiffValue(xv @ Wv.T, (x, W), lambda g: (g @ Wv, (xv.T @ g).T))
+
+
 def _attention_logits(h, a, src, dst) -> DiffValue:
     """Per-edge a^T [h_dst || h_src] as a flat vector, from per-node scores.
 
     The logit splits as a_1^T h_dst + a_2^T h_src, so each node is scored once,
-    ``h @ reshape(a, (2, d))^T`` of shape (n, 2), and each edge gathers one
-    scalar per endpoint from the flattened scores: 2 * dst and 2 * src + 1,
-    which a ``RowIndex`` keeps after their first use.
+    ``h @ A^T`` with ``A = a.reshape(2, d)``, and each edge reads one scalar per
+    endpoint from the flat scores at 2 * dst and 2 * src + 1, offsets that a
+    ``RowIndex`` keeps.  One node, parents ``(h, a)``; its VJP sums the edge
+    gradients into the scores with one ``np.bincount`` per endpoint.
     """
+    h, a = ad.as_diff(h), ad.as_diff(a)
     n, d = h.shape
-    src, dst = ad.as_row_index(src), ad.as_row_index(dst)
-    scores = ad.matmul(h, ad.transpose(ad.reshape(a, (2, d))))
-    flat = ad.reshape(scores, (2 * n,))
-    return ad.add(ad.gather_rows(flat, dst.flat(2, 0)),
-                  ad.gather_rows(flat, src.flat(2, 1)))
+    at_dst = ad.as_row_index(dst).flat(2, 0)
+    at_src = ad.as_row_index(src).flat(2, 1)
+    hv, A = h.value, a.value.reshape(2, d)
+    scores = (hv @ A.T).reshape(2 * n)
+    def vjp(g):
+        g_s = (np.bincount(at_dst, weights=g, minlength=2 * n)
+               + np.bincount(at_src, weights=g, minlength=2 * n)).reshape(n, 2)
+        return g_s @ A, (hv.T @ g_s).T.reshape(2 * d)
+    return DiffValue(np.take(scores, at_dst) + np.take(scores, at_src), (h, a), vjp)
 
 
 def _dropout_mask(shape: tuple[int, ...], dropout: float,
@@ -163,7 +176,7 @@ def gat_forward(features, g: WeightedGraph, p: GATParams, *,
     attention-weighted sum of transformed neighbor features.
     """
     src, dst = g.attention_index
-    h = ad.matmul(ad.as_diff(features), ad.transpose(p.W))
+    h = _linear(features, p.W)
     mask = _dropout_mask(src.idx.shape, dropout, rng, training)
     return ad.attend(_attention_logits(h, p.a, src, dst), h, src, dst,
                      g.num_nodes, mask)
@@ -185,7 +198,7 @@ def hgat_forward(z, g: WeightedGraph, p: HGATParams, *,
     src, dst = g.attention_index
     z = ad.as_diff(z)
     x = pc.d_exp_origin(z, c)
-    t = ad.matmul(z, ad.transpose(p.W))
+    t = _linear(z, p.W)
     bias_ball = pc.d_exp_origin(ad.reshape(p.b, (1, t.shape[1])), c)
     m = pc.d_mobius_add(pc.d_exp_origin(t, c), bias_ball, c)
 
@@ -197,28 +210,48 @@ def hgat_forward(z, g: WeightedGraph, p: HGATParams, *,
     return tangent, m
 
 
+def _selection(z_r, z_d, p: FusionParams) -> DiffValue:
+    """beta_r = logistic(w_r - w_d) with w = q^T tanh(M z + b) for each branch,
+    as one node with parents ``(z_r, z_d, M, b, q)`` and the chain's VJP."""
+    n = z_r.shape[0]
+    M, q = p.M.value, p.q.value.reshape(-1, 1)
+    zs = (z_r.value, z_d.value)
+    ts = [np.tanh(z @ M.T + p.b.value) for z in zs]
+    beta = ad._logistic((ts[0] @ q).reshape(n) - (ts[1] @ q).reshape(n))
+    def vjp(g):
+        g_w = (g * beta * (1.0 - beta)).reshape(n, 1)
+        grads = []
+        for g_col, z, t in zip((g_w, -g_w), zs, ts):
+            g_pre = (g_col @ q.T) * (1.0 - t * t)
+            grads.append((g_pre @ M, (z.T @ g_pre).T, g_pre.sum(axis=0), (t.T @ g_col).ravel()))
+        (g_zr, *g_r), (g_zd, *g_d) = grads
+        return (g_zr, g_zd, *(a + b for a, b in zip(g_r, g_d)))
+    return DiffValue(beta, (z_r, z_d, p.M, p.b, p.q), vjp)
+
+
+def _mix(beta_r, beta_d, z_r, z_d) -> DiffValue:
+    """beta_r * z_r + beta_d * z_d, row by row, as one node.  Its VJP keeps the
+    gradients of beta_r and beta_d apart: folding beta_d's into beta_r's here
+    would sum beta_r's gradient in another order than through beta_d's node."""
+    n = z_r.shape[0]
+    br, bd = beta_r.value.reshape(n, 1), beta_d.value.reshape(n, 1)
+    zr, zd = z_r.value, z_d.value
+    def vjp(g):
+        return (g * zr).sum(axis=1), (g * zd).sum(axis=1), g * br, g * bd
+    return DiffValue(br * zr + bd * zd, (beta_r, beta_d, z_r, z_d), vjp)
+
+
 def fusion_forward(z_r, z_d, p: FusionParams) -> LayerOutput:
-    """Per-node convex combination of the two branch embeddings.
+    """Per-node convex combination of the two branch embeddings, in three nodes.
 
     Both branches arrive in tangent space.  Scores w = q^T tanh(M z + b) are
-    computed for each; a two-way softmax yields the selection weights, so
-    beta_r + beta_d = 1 exactly.
+    computed for each; a two-way softmax yields the selection weight beta_r,
+    and beta_d = 1 - beta_r exactly.
     """
     z_r, z_d = ad.as_diff(z_r), ad.as_diff(z_d)
-    n, _ = z_r.shape
-    q_dim = p.q.shape[0]
-
-    def score(z):
-        t = ad.tanh(ad.add(ad.matmul(z, ad.transpose(p.M)), p.b))
-        return ad.reshape(ad.matmul(t, ad.reshape(p.q, (q_dim, 1))), (n,))
-
-    w_r = score(z_r)
-    w_d = score(z_d)
-    beta_r = ad.sigmoid(ad.sub(w_r, w_d))
+    beta_r = _selection(z_r, z_d, p)
     beta_d = ad.sub(1.0, beta_r)
-    z = ad.add(ad.mul(ad.reshape(beta_r, (n, 1)), z_r),
-               ad.mul(ad.reshape(beta_d, (n, 1)), z_d))
-    return LayerOutput(z=z, beta_r=beta_r, beta_d=beta_d)
+    return LayerOutput(z=_mix(beta_r, beta_d, z_r, z_d), beta_r=beta_r, beta_d=beta_d)
 
 
 def joint_space_forward(features, g: WeightedGraph, layers: list[LayerParams], *,

@@ -219,28 +219,35 @@ class RunReport(_JsonRecord):
 
 
 class Adam:
-    """Adaptive moment estimation over DiffValue leaves."""
+    """Adaptive moment estimation over DiffValue leaves, as one elementwise
+    update of flat vectors that join every parameter's moments, gradient and
+    value; each parameter is then bound to a fresh slice of the result."""
 
     def __init__(self, params: list[ad.DiffValue], lr: float = 0.01,
                  weight_decay: float = 0.0):
         self.params = list(params)
+        if not self.params:
+            raise ValueError("Adam needs at least one parameter")
         self.lr, self.weight_decay = lr, weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        sizes = [p.value.size for p in self.params]
+        self._splits = np.cumsum(sizes)[:-1]
+        self.m, self.v = np.zeros(sum(sizes)), np.zeros(sum(sizes))
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - _ADAM_BETA1 ** self.t
         b2c = 1.0 - _ADAM_BETA2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.value)
-            if self.weight_decay:
-                g = g + self.weight_decay * p.value
-            self.m[i] = _ADAM_BETA1 * self.m[i] + (1.0 - _ADAM_BETA1) * g
-            self.v[i] = _ADAM_BETA2 * self.v[i] + (1.0 - _ADAM_BETA2) * g * g
-            p.value = p.value - self.lr * (self.m[i] / b1c) / (
-                np.sqrt(self.v[i] / b2c) + _ADAM_EPS)
+        value = np.concatenate([p.value.ravel() for p in self.params])
+        g = np.concatenate([np.zeros(p.value.size) if p.grad is None else p.grad.ravel()
+                            for p in self.params])
+        if self.weight_decay:
+            g = g + self.weight_decay * value
+        self.m = _ADAM_BETA1 * self.m + (1.0 - _ADAM_BETA1) * g
+        self.v = _ADAM_BETA2 * self.v + (1.0 - _ADAM_BETA2) * g * g
+        value = value - self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + _ADAM_EPS)
+        for p, part in zip(self.params, np.split(value, self._splits)):
+            p.value = part.reshape(p.value.shape)
 
 
 # ---------------------------------------------------------------------------

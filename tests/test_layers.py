@@ -38,12 +38,15 @@ def pair_graph(n):
 def pair_distance(x, y, c):
     """Distance between rows ``x[i]`` and ``y[i]``: ``d_edge_distance`` over the
     rows of ``x`` stacked on those of ``y`` (a node whose VJP splits the rows
-    back), on ``pair_graph``, whose first n attention edges are the pairs."""
+    back), on ``pair_graph``, whose first n attention edges are the pairs (a
+    node whose VJP pads the other edges' gradients with zeros)."""
     x, y = ad.as_diff(x), ad.as_diff(y)
     n = x.shape[0]
     xy = ad.DiffValue(np.concatenate([x.value, y.value]), (x, y),
                       lambda g: (g[:n], g[n:]))
-    return ad.gather_rows(d_edge_distance(xy, pair_graph(n), c), np.arange(n))
+    dist = d_edge_distance(xy, pair_graph(n), c)
+    rest = np.zeros(dist.shape[0] - n)
+    return ad.DiffValue(dist.value[:n], (dist,), lambda g: (np.concatenate([g, rest]),))
 
 
 class TestDifferentiableBallOps:
@@ -317,6 +320,42 @@ class TestAttentionLogits:
         assert np.max(np.abs(got - old)) <= 1e-12
 
 
+class TestLayerOps:
+    """Each fused layer step against central differences, in every input."""
+
+    @staticmethod
+    def error(op, leaves):
+        w = np.random.default_rng(40).normal(size=op(*leaves).shape)
+        return ad.finite_diff_check(lambda: ad.mean_(ad.mul(op(*leaves), w)), leaves)
+
+    def test_linear(self):
+        rng = np.random.default_rng(41)
+        x, W = ad.DiffValue(rng.normal(size=(5, 3))), ad.DiffValue(rng.normal(size=(4, 3)))
+        assert self.error(layers._linear, [x, W]) < 1e-6
+
+    def test_attention_logits(self):
+        rng = np.random.default_rng(42)
+        g = generate_tree(2, 2)
+        src, dst = g.attention_index
+        h, a = ad.DiffValue(rng.normal(size=(7, 3))), ad.DiffValue(rng.normal(size=6))
+        op = lambda h, a: _attention_logits(h, a, src, dst)
+        assert self.error(op, [h, a]) < 1e-6
+
+    def test_selection(self):
+        rng = np.random.default_rng(43)
+        p = init_layer_params(rng, 4, 4, 3).fusion
+        p.b.value = rng.normal(size=3) * 0.5
+        z_r, z_d = ad.DiffValue(rng.normal(size=(6, 4))), ad.DiffValue(ball_rows(rng, 6, 4))
+        op = lambda z_r, z_d, M, b, q: layers._selection(z_r, z_d, layers.FusionParams(M, b, q))
+        assert self.error(op, [z_r, z_d, p.M, p.b, p.q]) < 1e-6
+
+    def test_mix(self):
+        rng = np.random.default_rng(44)
+        beta_r, beta_d = (ad.DiffValue(rng.uniform(size=6)) for _ in range(2))
+        z_r, z_d = (ad.DiffValue(rng.normal(size=(6, 4))) for _ in range(2))
+        assert self.error(layers._mix, [beta_r, beta_d, z_r, z_d]) < 1e-6
+
+
 class TestGATLayer:
     def test_single_node_self_loop(self):
         g = WeightedGraph(1, ())
@@ -392,18 +431,17 @@ class TestHGATLayer:
         tangent, m_out = hgat_forward(z, g, p)
 
         c = p.curvature
-        x = d_exp_origin(z, c)
-        t = ad.matmul(ad.as_diff(z), ad.transpose(p.W))
-        bias = d_exp_origin(ad.reshape(p.b, (1, 3)), c)
+        x = d_exp_origin(z, c).value
+        t = z @ p.W.value.T
+        bias = d_exp_origin(p.b.value.reshape(1, 3), c)
         m = d_mobius_add(d_exp_origin(t, c), bias, c)
         src, dst = attention_arrays(g)
-        scores = ad.reshape(ad.matmul(t, ad.transpose(ad.reshape(p.a, (2, 3)))),
-                            (6,))
-        raw = ad.add(ad.gather_rows(scores, 2 * dst), ad.gather_rows(scores, 2 * src + 1))
-        xd, xs = x.value[dst], x.value[src]
+        scores = (t @ p.a.value.reshape(2, 3).T).reshape(6)
+        raw = scores[2 * dst] + scores[2 * src + 1]
+        xd, xs = x[dst], x[src]
         dist = pc._distance_parts(xd, xs, float(c), pc._sq_norm(xd), pc._sq_norm(xs))[0][:, 0]
         # The aggregation tail in plain numpy, in the order the tape computes it.
-        x = raw.value * dist
+        x = raw * dist
         e = np.where(x > 0.0, x, 0.2 * x)
         mx = np.full(3, -np.inf)
         np.maximum.at(mx, dst, e)
@@ -432,16 +470,16 @@ class TestHGATLayer:
         assert ad.finite_diff_check(loss_fn, [p.W, p.b, p.a, p.curvature]) < 1e-4
 
 
-def _tape_nodes(outputs, inp) -> int:
-    """Tape nodes reachable from ``outputs`` through ``_parents``, short of ``inp``."""
-    seen, stack, count = {id(inp)}, list(outputs), 0
+def _tape_nodes(outputs, *inputs) -> list:
+    """Tape nodes reachable from ``outputs`` through ``_parents``, short of ``inputs``."""
+    seen, stack, nodes = {id(x) for x in inputs}, list(outputs), []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            count += 1
+            nodes.append(node)
             stack.extend(node._parents)
-    return count
+    return nodes
 
 
 class TestTapeSize:
@@ -453,9 +491,8 @@ class TestTapeSize:
         lp = init_layer_params(rng, 3, 4, 2)
         feats = ad.DiffValue(rng.normal(size=(7, 3)))
         kw = dict(dropout=dropout, rng=rng, training=True)
-        assert _tape_nodes([gat_forward(feats, g, lp.gat, **kw)], feats) <= 14
-        assert _tape_nodes(hgat_forward(feats, g, lp.hgat, **kw), feats) <= 22
-
+        assert len(_tape_nodes([gat_forward(feats, g, lp.gat, **kw)], feats)) <= 5
+        assert len(_tape_nodes(hgat_forward(feats, g, lp.hgat, **kw), feats)) <= 14
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_hgat_one_edge_distance_node(self, dropout):
@@ -465,7 +502,17 @@ class TestTapeSize:
         lp = init_layer_params(rng, 3, 4, 2)
         z = ad.DiffValue(rng.normal(size=(7, 3)))
         out = hgat_forward(z, g, lp.hgat, dropout=dropout, rng=rng, training=True)
-        assert _tape_nodes(out, z) <= 22
+        assert len(_tape_nodes(out, z)) <= 14
+
+    def test_fusion_three_nodes(self):
+        # The selection weight, beta_d = 1 - beta_r and the mix.
+        rng = np.random.default_rng(17)
+        p = init_layer_params(rng, 4, 4, 3).fusion
+        z_r, z_d = ad.DiffValue(rng.normal(size=(6, 4))), ad.DiffValue(ball_rows(rng, 6, 4))
+        out = fusion_forward(z_r, z_d, p)
+        nodes = _tape_nodes([out.z, out.beta_r, out.beta_d], z_r, z_d)
+        assert sum(node._vjp is not None for node in nodes) <= 3
+        assert np.array_equal(out.beta_d.value, 1.0 - out.beta_r.value)
 
 
 class TestFusion:
@@ -485,11 +532,15 @@ class TestFusion:
         assert np.allclose(out.z.value, z_r, atol=1e-12)
 
     def test_shift_invariance_of_beta(self):
-        # beta depends on w_r - w_d only; sigmoid form makes this structural
-        d = ad.DiffValue(np.array([0.7, -1.2]))
-        b1 = ad.sigmoid(d)
-        b2 = ad.sigmoid(ad.sub(ad.add(d, 100.0), 100.0))
-        assert np.allclose(b1.value, b2.value, atol=1e-12)
+        # beta depends on w_r - w_d only: equal branches weigh exactly 1/2
+        # whatever their scores, and swapping the branches swaps the weights
+        rng = np.random.default_rng(18)
+        p = init_layer_params(rng, 4, 4, 3).fusion
+        z_r, z_d = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        out = fusion_forward(z_r, z_d, p)
+        swapped = fusion_forward(z_d, z_r, p)
+        assert np.allclose(swapped.beta_r.value, out.beta_d.value, atol=1e-12)
+        assert np.all(fusion_forward(z_r, z_r, p).beta_r.value == 0.5)
 
     def test_saturated_selection(self):
         # score gap +20 puts all weight on the Euclidean branch

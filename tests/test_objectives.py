@@ -389,7 +389,8 @@ class TestOverallLoss:
         mu = np.sort(rng.uniform(0, 1, size=5))
 
         def loss_fn():
-            beta = ad.sigmoid(raw)
+            s = ad._logistic(raw.value)
+            beta = DiffValue(s, (raw,), lambda g: (g * s * (1.0 - s),))
             record = [(beta, ad.sub(1.0, beta))]
             return overall_loss(ad.mean_(ad.mul(raw, raw)), record, mu,
                                 LossWeights(0.3, 0.4), mode)

@@ -166,7 +166,63 @@ class TestMetrics:
             evaluate_lp(np.array([0.5, 0.6]), np.array([1, 1]))
 
 
+class PerParameterAdam:
+    """Reference: the Adam update one parameter at a time."""
+
+    def __init__(self, params, lr, weight_decay):
+        self.params, self.lr, self.weight_decay, self.t = list(params), lr, weight_decay, 0
+        self.m = [np.zeros_like(p.value) for p in self.params]
+        self.v = [np.zeros_like(p.value) for p in self.params]
+
+    def step(self):
+        b1, b2, eps = training._ADAM_BETA1, training._ADAM_BETA2, training._ADAM_EPS
+        self.t += 1
+        b1c, b2c = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.value)
+            if self.weight_decay:
+                g = g + self.weight_decay * p.value
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
+            p.value = p.value - self.lr * (self.m[i] / b1c) / (np.sqrt(self.v[i] / b2c) + eps)
+
+
 class TestAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-3])
+    def test_flat_step_equals_per_parameter_update(self, weight_decay):
+        # Matrices, vectors, a 0-d trainable curvature and a parameter that no
+        # loss reaches (grad None); after step 3, load_state_dict rebinds every
+        # model value to the one after step 1.
+        g = generate_tree(2, 2)
+        feats = np.random.default_rng(19).normal(size=(7, 3))
+        models, opts = [], []
+        for opt_class in (Adam, PerParameterAdam):
+            model = JointSpaceGNN(3, 4, 2, num_layers=1, q_dim=3, seed=5,
+                                  trainable_curvature=True)
+            params = model.parameters() + [ad.DiffValue(np.array([1.0, -2.0, 0.5]))]
+            models.append(model)
+            opts.append(opt_class(params, lr=0.05, weight_decay=weight_decay))
+        assert {p.value.ndim for p in opts[0].params} == {0, 1, 2}
+        for step in range(6):
+            if step == 3:
+                for model in models:
+                    model.load_state_dict(state)
+            for model, opt in zip(models, opts):
+                out, record = model.forward(g, feats)
+                ad.backward(ad.add(ad.mean_(ad.mul(out.z, out.z)),
+                                   ad.mean_(record[0].beta_r)))
+                opt.step()
+            assert opts[0].params[-1].grad is None
+            for got, want in zip(opts[0].params, opts[1].params):
+                assert got.value.shape == want.value.shape
+                assert got.value.tobytes() == want.value.tobytes()
+            if step == 1:
+                state = models[0].state_dict()
+
+    def test_empty_parameter_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one parameter"):
+            Adam([])
+
     def test_descends_quadratic(self):
         x = ad.DiffValue(np.array([5.0, -3.0]))
         opt = Adam([x], lr=0.1)
