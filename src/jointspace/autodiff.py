@@ -8,13 +8,16 @@ populates ``grad`` on every reachable node exactly once.
 
 The engine is deliberately small: its primitives are plain functions (a
 ``DiffValue`` has no operator overloads), exactly what the attention layers
-and the composite loss need.  Arithmetic and shape: ``add``, ``sub``,
-``mul``, ``reshape``.  Attention: ``attend``, the one node in which both
-attention branches end.  Reduction: ``mean_``.  Every other step is a fused
-node built as a ``DiffValue`` directly, with a numpy forward and a
-closed-form VJP: the ball operations in ``poincare``, each layer step
-(linear map, attention logits, selection weights, mix) in ``layers`` and
-each loss term in ``objectives``.
+and the composite loss need.  Arithmetic: ``add``, ``sub``, ``mul``.
+Attention: ``attend``, the one node in which both attention branches end.
+Reduction: ``mean_``.  Every other step is a fused node built as a
+``DiffValue`` directly, with a numpy forward and a closed-form VJP: the two
+ball operations in ``poincare``, each layer step (linear map, attention
+logits, selection weights, mix) in ``layers`` and each loss term in
+``objectives``.  The primitives wrap a plain array argument in a leaf.  The
+fused steps that read a layer's input (the linear map and the edge distance)
+treat a plain array as a constant instead: it gets no parent and no gradient,
+so backward does no work for the input features.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ __all__ = [
     "as_diff",
     "backward",
     "finite_diff_check",
-    "add", "sub", "mul", "reshape",
+    "add", "sub", "mul",
     "RowIndex", "as_row_index", "attend",
     "mean_",
 ]
@@ -106,12 +109,6 @@ def mul(a, b) -> DiffValue:
         return (_unbroadcast(g * b.value, a.value.shape),
                 _unbroadcast(g * a.value, b.value.shape))
     return DiffValue(out, (a, b), vjp)
-
-
-def reshape(a, shape: tuple[int, ...]) -> DiffValue:
-    a = as_diff(a)
-    old = a.value.shape
-    return DiffValue(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ def backward(loss: DiffValue) -> None:
 
     Gradient buffers are made lazily: a node's first contribution is kept as
     is and later ones are added out of place, because some VJPs return views
-    of their input (``reshape``) or one array for two parents.
+    of their input or one array for two parents.
     So every VJP returns, per parent, ``None`` or an array of exactly that
     parent's shape, and gradients may share memory: read them, never write
     into them.  A node nothing flows into runs no VJP and ends with zeros.

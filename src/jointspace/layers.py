@@ -7,9 +7,12 @@ The Euclidean selection weight beta_r of each node is the model's
 hyperbolicity score and is recorded per layer for the alignment and
 non-uniformity losses.
 
-The layers hold no ball arithmetic: the hyperbolic branch calls the tape
-operations of ``poincare``, whose forward values are the ball kernel's and
-whose gradients are closed-form.
+The layers hold no ball arithmetic: the hyperbolic branch calls the two tape
+operations of ``poincare`` (its bias step and its edge distance), whose
+forward values are the ball kernel's and whose gradients are closed-form.
+Layer one's input features stay a plain array: the steps that read them (the
+linear maps and the edge distance) record no parent for them and compute no
+gradient into them.
 """
 
 from __future__ import annotations
@@ -127,8 +130,12 @@ def _parameter_count(dims: list[int], q_dim: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _linear(x, W) -> DiffValue:
-    """``x @ W.T`` as one node, whose VJP is ``g @ W`` and ``(x.T @ g).T``."""
-    x, W = ad.as_diff(x), ad.as_diff(W)
+    """``x @ W.T`` as one node, whose VJP is ``g @ W`` and ``(x.T @ g).T``; a
+    plain array ``x`` is a constant, and ``W`` is then the only parent."""
+    W = ad.as_diff(W)
+    if not isinstance(x, DiffValue):
+        xv = np.asarray(x, dtype=np.float64)
+        return DiffValue(xv @ W.value.T, (W,), lambda g: ((xv.T @ g).T,))
     xv, Wv = x.value, W.value
     return DiffValue(xv @ Wv.T, (x, W), lambda g: (g @ Wv, (xv.T @ g).T))
 
@@ -188,26 +195,21 @@ def hgat_forward(z, g: WeightedGraph, p: HGATParams, *,
     """One hyperbolic graph-attention layer on the tangent input ``z``.
 
     It acts on the ball points exp_0(z), whose Mobius matrix action is
-    exp_0(t) with t = W z; messages are exp_0(t) (+) exp_0(b).  Each attention
-    logit is the GAT logit of t, read from per-node scores, times the
-    closed-form geodesic distance between the endpoints exp_0(z), one
-    ``d_edge_distance`` node over the graph's attention edges.
-    Returns (tangent-space output, ball messages).
+    exp_0(t) with t = W z; messages are exp_0(t) (+) exp_0(b), read in the
+    tangent space as one ``d_bias_messages`` node.  Each attention logit is
+    the GAT logit of t, read from per-node scores, times the closed-form
+    geodesic distance between the endpoints exp_0(z), one ``d_edge_distance``
+    node over the graph's attention edges.  Six tape nodes besides ``W``,
+    ``b``, ``a`` and a trained curvature.  Returns (tangent-space output,
+    tangent-space messages).
     """
     c = p.curvature
     src, dst = g.attention_index
-    z = ad.as_diff(z)
-    x = pc.d_exp_origin(z, c)
     t = _linear(z, p.W)
-    bias_ball = pc.d_exp_origin(ad.reshape(p.b, (1, t.shape[1])), c)
-    m = pc.d_mobius_add(pc.d_exp_origin(t, c), bias_ball, c)
-
-    logits = _attention_logits(t, p.a, src, dst)
-    dist = pc.d_edge_distance(x, g, c)
+    messages = pc.d_bias_messages(t, p.b, c)
+    logits = ad.mul(_attention_logits(t, p.a, src, dst), pc.d_edge_distance(z, g, c))
     mask = _dropout_mask(src.idx.shape, dropout, rng, training)
-    tangent = ad.attend(ad.mul(logits, dist), pc.d_log_origin(m, c), src, dst,
-                        g.num_nodes, mask)
-    return tangent, m
+    return ad.attend(logits, messages, src, dst, g.num_nodes, mask), messages
 
 
 def _selection(z_r, z_d, p: FusionParams) -> DiffValue:
@@ -260,17 +262,19 @@ def joint_space_forward(features, g: WeightedGraph, layers: list[LayerParams], *
     """Run the full stack; each layer consumes the previous fused embedding.
 
     Both branches take the same dropout-masked fused embedding (the raw input
-    features on layer one) as their tangent-space input.  Returns the final
-    layer output and the per-layer record used by the alignment losses.
+    features on layer one) as their tangent-space input.  Plain input
+    features stay a constant array, masked in numpy, so no gradient flows
+    into them.  Returns the final layer output and the per-layer record used
+    by the alignment losses.
     """
     if not layers:
         raise ValueError("need at least one layer")
-    z = ad.as_diff(features)
+    z = features if isinstance(features, DiffValue) else np.asarray(features, dtype=np.float64)
     record: list[LayerOutput] = []
     for lp in layers:
         mask = _dropout_mask(z.shape, dropout, rng, training)
         if mask is not None:
-            z = ad.mul(z, mask)
+            z = ad.mul(z, mask) if isinstance(z, DiffValue) else z * mask
         z_r = gat_forward(z, g, lp.gat, dropout=dropout, rng=rng, training=training)
         z_d, _ = hgat_forward(z, g, lp.hgat, dropout=dropout, rng=rng,
                               training=training)

@@ -6,11 +6,14 @@ origin are radial maps x * s(sqrt(c) ||x||) that supply only s and ds/du;
 Mobius addition has one closed form (callers compose the matrix action
 exp_0(W log_0(x)) from the maps); the geodesic distance is its own closed form
 over row dot products, with no Mobius sum.  The ``BallPoint`` functions and the
-``d_*`` tape operations share this kernel.  Each tape operation is one autodiff
-node per radial map, Mobius addition or edge distance, with closed-form
-gradients in the inputs and in the curvature (a ``DiffValue`` when trained).
-Ball-valued results are projected back to norm at most (1 - margin) / sqrt(c);
-atanh inputs are clipped below 1 so boundary blow-up cannot occur.
+two tape operations share this kernel, each one autodiff node on tangent
+rows: ``d_bias_messages``, HGAT's bias step log_0(exp_0(t) (+)_c exp_0(b)),
+and ``d_edge_distance``, the distance between the exp_0 images of edge
+endpoints.  Their gradients are closed-form in the inputs and in the
+curvature (a ``DiffValue`` when trained); a plain array input is a constant
+and gets none.  Ball-valued results are projected back to norm at most
+(1 - margin) / sqrt(c); atanh inputs are clipped below 1 so boundary blow-up
+cannot occur.
 """
 
 from __future__ import annotations
@@ -20,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import DiffValue
 
 __all__ = [
     "PROJECTION_MARGIN", "BallPoint",
     "mobius_add", "exp_origin", "log_origin", "hyp_distance", "project_to_ball",
-    "d_exp_origin", "d_log_origin", "d_mobius_add", "d_edge_distance",
+    "d_bias_messages", "d_edge_distance",
 ]
 
 PROJECTION_MARGIN = 1e-5
@@ -111,6 +113,14 @@ def _log_scale(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at / safe, ds
 
 
+def _project_log_scale(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log_0 of the projected point as one scale, p(u) l(u p(u)), with p the
+    projection's scale and l the log map's; u p(u) lies below the atanh clip."""
+    p, dp = _project_scale(u)
+    l, dl = _log_scale(u * p)
+    return p * l, dp * l + p * dl * (p + u * dp)
+
+
 def _radial(x: np.ndarray, c: float, scale) -> tuple[np.ndarray, tuple]:
     """Apply the radial map row-wise; also return what its gradient needs."""
     sqrt_c = math.sqrt(c)
@@ -119,11 +129,15 @@ def _radial(x: np.ndarray, c: float, scale) -> tuple[np.ndarray, tuple]:
     return x * s, (x, norm, s, ds, sqrt_c)
 
 
-def _radial_grad(g: np.ndarray, x, norm, s, ds, sqrt_c) -> tuple[np.ndarray, float]:
-    """VJP of x * s(u) in x and in c, using du/dx = sqrt(c) x/||x||, du/dc = u/(2c)."""
+def _radial_grad(g: np.ndarray, x, norm, s, ds, sqrt_c,
+                 want_x: bool = True) -> tuple[np.ndarray | None, float]:
+    """VJP of x * s(u) in x (``None`` unless ``want_x``) and in c, using
+    du/dx = sqrt(c) x/||x||, du/dc = u/(2c)."""
     k = ds * _row_dot(g, x)
-    gx = s * g + (k * sqrt_c / np.maximum(norm, _MIN_NORM)) * x
-    return gx, float(np.sum(k * norm)) / (2.0 * sqrt_c)
+    g_c = float(np.sum(k * norm)) / (2.0 * sqrt_c)
+    if not want_x:
+        return None, g_c
+    return s * g + (k * sqrt_c / np.maximum(norm, _MIN_NORM)) * x, g_c
 
 
 # ---------------------------------------------------------------------------
@@ -248,68 +262,100 @@ def _c_value(c) -> float:
     return float(c.value) if isinstance(c, DiffValue) else float(c)
 
 
+def _value(x) -> np.ndarray:
+    return x.value if isinstance(x, DiffValue) else np.asarray(x, dtype=np.float64)
+
+
 def _ball_node(value: np.ndarray, inputs: tuple, c, vjp) -> DiffValue:
-    """Tape node over ``inputs`` plus the curvature when it is a DiffValue.
+    """Tape node over the ``DiffValue``s among ``inputs`` and the curvature when
+    it is one, or a leaf when there are none.  ``vjp`` returns one gradient per
+    input, ``None`` for a plain array (a constant, whose gradient it does not
+    compute), then the curvature's float."""
+    trained = isinstance(c, DiffValue)
+    parents = tuple(x for x in inputs if isinstance(x, DiffValue)) + ((c,) if trained else ())
+    if not parents:
+        return DiffValue(value)
 
-    ``vjp`` returns one gradient per input followed by the curvature's, a
-    float that the tape receives as an array of the curvature's shape.
+    def node_vjp(g):
+        *grads, g_c = vjp(g)
+        grads = [gr for gr, x in zip(grads, inputs) if isinstance(x, DiffValue)]
+        return grads + [np.full(c.shape, g_c)] if trained else grads
+    return DiffValue(value, parents, node_vjp)
+
+
+def d_bias_messages(t, b, c) -> DiffValue:
+    """HGAT's bias step log_0(exp_0(t) (+)_c exp_0(b)) per row of ``t``, as one node.
+
+    ``b`` is one vector, mapped once to y = exp_0(b).  The row's projected exp
+    image is X = s_x t, so the Mobius sum X (+)_c y is r = alpha t + beta y,
+    whose row scalars come from ||t||^2 and <t, y> alone; its projection to
+    the margin and the log map are one radial scale of r
+    (``_project_log_scale``).  The VJP runs the same chain back in row
+    scalars, in closed form in t, b and c.
     """
-    if isinstance(c, DiffValue):
-        def with_c(g):
-            *grads, g_c = vjp(g)
-            return (*grads, np.full(c.shape, g_c))
-        return DiffValue(value, inputs + (c,), with_c)
-    return DiffValue(value, inputs, lambda g: vjp(g)[:-1])
-
-
-def _radial_node(x, c, scale) -> DiffValue:
-    x = ad.as_diff(x)
-    out, parts = _radial(x.value, _c_value(c), scale)
-    return _ball_node(out, (x,), c, lambda g: _radial_grad(g, *parts))
-
-
-def d_exp_origin(v, c) -> DiffValue:
-    """Row-wise exponential map at the origin, projected to the margin."""
-    return _radial_node(v, c, _exp_scale)
-
-
-def d_log_origin(y, c) -> DiffValue:
-    """Row-wise logarithmic map at the origin."""
-    return _radial_node(y, c, _log_scale)
-
-
-def d_mobius_add(x, y, c) -> DiffValue:
-    """Row-wise Mobius addition; ``y`` may be one row broadcast over ``x``."""
-    x, y = ad.as_diff(x), ad.as_diff(y)
-    out, parts = _mobius_add_parts(x.value, y.value, _c_value(c))
+    cv, tv = _c_value(c), _value(t)
+    sqrt_c = math.sqrt(cv)
+    y, y_parts = _radial(_value(b), cv, _exp_scale)
+    tt, ty, y2 = _sq_norm(tv), (tv @ y)[:, None], float(y @ y)
+    nt = np.sqrt(tt)
+    sx, dsx = _exp_scale(sqrt_c * nt)
+    x2, xy = sx * sx * tt, sx * ty
+    a = 1.0 + 2.0 * cv * xy + cv * y2
+    den = 1.0 + 2.0 * cv * xy + cv * cv * x2 * y2
+    safe = np.maximum(den, _MIN_NORM)
+    alpha, beta = a * sx / safe, (1.0 - cv * x2) / safe
+    r = alpha * tv + beta * y
+    out, parts = _radial(r, cv, _project_log_scale)
 
     def vjp(g):
-        g_x, g_y, g_c = _mobius_add_grad(g, *parts)
-        return ad._unbroadcast(g_x, x.shape), ad._unbroadcast(g_y, y.shape), g_c
-    return _ball_node(out, (x, y), c, vjp)
+        # Mobius addition's VJP (``_mobius_add_grad``) with its row dots on X
+        # read as s_x times those on t, then exp_0's at t and at b.
+        g_r, g_c = _radial_grad(g, *parts)
+        gr_t = _row_dot(g_r, tv)
+        g_a = sx * gr_t / safe
+        g_b = (g_r @ y)[:, None] / safe
+        g_den = np.where(den > _MIN_NORM, -_row_dot(g_r, r) / safe, 0.0)
+        g_xy = 2.0 * cv * (g_a + g_den)
+        k_x = 2.0 * cv * (cv * y2 * g_den - g_b)        # g_X = (a/den) g_r + g_xy y + k_x X
+        k_t = dsx * ((a / safe) * gr_t + g_xy * ty + k_x * sx * tt)   # ds_x <g_X, t>
+        g_c += float(np.sum(g_a * (2.0 * xy + y2) - g_b * x2
+                            + 2.0 * g_den * (xy + cv * x2 * y2)))
+        g_c += float(np.sum(k_t * nt)) / (2.0 * sqrt_c)
+        g_t = None
+        if isinstance(t, DiffValue):
+            g_t = (alpha * g_r + (sx * sx * k_x + k_t * sqrt_c / np.maximum(nt, _MIN_NORM)) * tv
+                   + (sx * g_xy) * y)
+        g_y = (beta[:, 0] @ g_r + (g_xy * sx)[:, 0] @ tv
+               + 2.0 * cv * float(np.sum(g_a + cv * x2 * g_den)) * y)
+        g_bias, g_cb = _radial_grad(g_y, *y_parts, isinstance(b, DiffValue))
+        return g_t, g_bias, g_c + g_cb
+    return _ball_node(out, (t, b), c, vjp)
 
 
-def d_edge_distance(x, g, c) -> DiffValue:
-    """Geodesic distance along each attention edge of ``g``, flat, in one node.
+def d_edge_distance(z, g, c) -> DiffValue:
+    """Geodesic distance between the ball points exp_0(z) along each attention
+    edge of ``g``, flat, in one node.
 
     The tape's one distance, in ``g.attention_index`` order: the m edges
-    u -> v, the m edges v -> u, then the n self loops.  ``_distance_parts``
-    is bitwise symmetric (its difference row only changes sign), so it runs
-    once per undirected edge, with dst = v and src = u, and the value goes to
-    both directions; self loops get +0.0 and no gradient.  Squared norms are
-    computed once per node.  The VJP adds the two directions' upstream
-    gradients, runs ``_distance_grad`` on the m rows and sums its u and v
-    rows into ``x`` with one ``np.bincount`` over the kept flat offsets of
-    the first 2m source indices, which are ``[u, v]``.
+    u -> v, the m edges v -> u, then the n self loops.  ``z`` holds tangent
+    rows, which the node maps with ``_radial(z, c, _exp_scale)``.
+    ``_distance_parts`` is bitwise symmetric (its difference row only changes
+    sign), so it runs once per undirected edge, with dst = v and src = u, and
+    the value goes to both directions; self loops get +0.0 and no gradient.
+    Squared norms are computed once per node.  The VJP adds the two
+    directions' upstream gradients, runs ``_distance_grad`` on the m rows,
+    sums its u and v rows into the ball points with one ``np.bincount`` over
+    the kept flat offsets of the first 2m source indices, which are
+    ``[u, v]``, and then runs ``_radial_grad``.
     """
-    x = ad.as_diff(x)
     src, dst = g.attention_index
     n, m = g.num_nodes, g.num_edges
     u, v = src.idx[:m], dst.idx[:m]
-    x2 = _sq_norm(x.value)
-    d, parts = _distance_parts(np.take(x.value, v, axis=0), np.take(x.value, u, axis=0),
-                               _c_value(c), np.take(x2, v, axis=0),
-                               np.take(x2, u, axis=0))
+    cv = _c_value(c)
+    x, exp_parts = _radial(_value(z), cv, _exp_scale)
+    x2 = _sq_norm(x)
+    d, parts = _distance_parts(np.take(x, v, axis=0), np.take(x, u, axis=0), cv,
+                               np.take(x2, v, axis=0), np.take(x2, u, axis=0))
     out = np.zeros(src.idx.shape[0])
     out[:m] = out[m:2 * m] = d[:, 0]
 
@@ -319,5 +365,7 @@ def d_edge_distance(x, g, c) -> DiffValue:
         g_x = np.bincount(src.flat(width)[:2 * m * width],
                           weights=np.concatenate([g_u, g_v]).ravel(),
                           minlength=n * width)
-        return g_x.reshape(n, width), g_c
-    return _ball_node(out, (x,), c, vjp)
+        g_z, g_cz = _radial_grad(g_x.reshape(n, width), *exp_parts,
+                                 isinstance(z, DiffValue))
+        return g_z, g_c + g_cz
+    return _ball_node(out, (z,), c, vjp)

@@ -13,8 +13,7 @@ from jointspace.layers import (JointSpaceGNN, _attention_logits,
                                _parameter_count, fusion_forward, gat_forward, hgat_forward,
                                init_layer_params, load_params_json,
                                save_params_json)
-from jointspace.poincare import (PROJECTION_MARGIN, d_edge_distance, d_exp_origin,
-                                 d_log_origin, d_mobius_add)
+from jointspace.poincare import PROJECTION_MARGIN, d_bias_messages, d_edge_distance
 from jointspace.training import synthetic_lp_tree, synthetic_nc_graph
 
 from conftest import path_graph
@@ -30,16 +29,50 @@ def ball_rows(rng, n, dim, c=1.0, scale=0.3):
     return pc._radial(rng.normal(size=(n, dim)) * scale, c, pc._project_scale)[0]
 
 
+def exp_rows(z, c):
+    """The ball points exp_0(z) of tangent rows, from the kernel."""
+    return pc._radial(z, c, pc._exp_scale)[0]
+
+
+def log_rows(x, c):
+    return pc._radial(x, c, pc._log_scale)[0]
+
+
+def bias_node(t, b, c):
+    """log_0(exp_0(t) (+)_c exp_0(b)) as one local node composed from the kernel
+    in the order of the four ball nodes it replaced (exp_0 of t, exp_0 of b as
+    a row, Mobius addition, log_0), with their gradients chained."""
+    t, b = ad.as_diff(t), ad.as_diff(b)
+    cv = float(c.value) if isinstance(c, ad.DiffValue) else float(c)
+    x, x_parts = pc._radial(t.value, cv, pc._exp_scale)
+    y, y_parts = pc._radial(b.value.reshape(1, -1), cv, pc._exp_scale)
+    m, m_parts = pc._mobius_add_parts(x, y, cv)
+    out, log_parts = pc._radial(m, cv, pc._log_scale)
+
+    def vjp(g):
+        g_m, c_log = pc._radial_grad(g, *log_parts)
+        g_x, g_y, c_add = pc._mobius_add_grad(g_m, *m_parts)
+        g_t, c_x = pc._radial_grad(g_x, *x_parts)
+        g_b, c_y = pc._radial_grad(ad._unbroadcast(g_y, y.shape), *y_parts)
+        grads = (g_t, g_b.reshape(b.shape))
+        if isinstance(c, ad.DiffValue):
+            grads += (np.full(c.shape, c_log + c_add + c_x + c_y),)
+        return grads
+    parents = (t, b) + ((c,) if isinstance(c, ad.DiffValue) else ())
+    return ad.DiffValue(out, parents, vjp)
+
+
 def pair_graph(n):
     """A graph on 2n nodes whose m = n edges join node i to node n + i."""
     return WeightedGraph(2 * n, tuple((i, n + i, 1.0) for i in range(n)))
 
 
 def pair_distance(x, y, c):
-    """Distance between rows ``x[i]`` and ``y[i]``: ``d_edge_distance`` over the
-    rows of ``x`` stacked on those of ``y`` (a node whose VJP splits the rows
-    back), on ``pair_graph``, whose first n attention edges are the pairs (a
-    node whose VJP pads the other edges' gradients with zeros)."""
+    """Distance between the ball points of tangent rows ``x[i]`` and ``y[i]``:
+    ``d_edge_distance`` over the rows of ``x`` stacked on those of ``y`` (a
+    node whose VJP splits the rows back), on ``pair_graph``, whose first n
+    attention edges are the pairs (a node whose VJP pads the other edges'
+    gradients with zeros)."""
     x, y = ad.as_diff(x), ad.as_diff(y)
     n = x.shape[0]
     xy = ad.DiffValue(np.concatenate([x.value, y.value]), (x, y),
@@ -53,27 +86,23 @@ class TestDifferentiableBallOps:
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_match_numpy_kernel(self, c):
         rng = np.random.default_rng(0)
-        x = ball_rows(rng, 6, 4, c)
-        y = ball_rows(rng, 6, 4, c)
+        zx = log_rows(ball_rows(rng, 6, 4, c), c)
+        zy = log_rows(ball_rows(rng, 6, 4, c), c)
+        b = zy[0]
         def rows(f):
             return np.stack([f(i) for i in range(6)])
-        add_np = rows(lambda i: pc.mobius_add(pc.BallPoint(x[i], c),
-                                              pc.BallPoint(y[i], c)).coords)
-        assert np.allclose(d_mobius_add(x, y, c).value, add_np, atol=1e-14)
-        exp_np = rows(lambda i: pc.exp_origin(x[i], c).coords)
-        assert np.allclose(d_exp_origin(x, c).value, exp_np, atol=1e-14)
-        log_np = rows(lambda i: pc.log_origin(pc.BallPoint(x[i], c)))
-        assert np.allclose(d_log_origin(x, c).value, log_np, atol=1e-14)
-        dist_np = np.array([pc.hyp_distance(pc.BallPoint(x[i], c),
-                                            pc.BallPoint(y[i], c))
+        bias_np = rows(lambda i: pc.log_origin(pc.mobius_add(pc.exp_origin(zx[i], c),
+                                                             pc.exp_origin(b, c))))
+        assert np.allclose(d_bias_messages(zx, b, c).value, bias_np, atol=1e-14)
+        dist_np = np.array([pc.hyp_distance(pc.exp_origin(zx[i], c),
+                                            pc.exp_origin(zy[i], c))
                             for i in range(6)])
-        assert np.allclose(pair_distance(x, y, c).value, dist_np, atol=1e-12)
+        assert np.allclose(pair_distance(zx, zy, c).value, dist_np, atol=1e-12)
 
     def test_zero_vector_exactness(self):
         z = np.zeros((2, 3))
-        assert np.all(d_exp_origin(z, 1.0).value == 0.0)
-        assert np.all(d_log_origin(z, 1.0).value == 0.0)
-        x = ad.DiffValue(ball_rows(np.random.default_rng(0), 2, 3))
+        assert np.all(d_bias_messages(z, np.zeros(3), 1.0).value == 0.0)
+        x = ad.DiffValue(np.random.default_rng(0).normal(size=(2, 3)) * 0.3)
         y = ad.DiffValue(x.value.copy())
         curv = ad.DiffValue(1.5)
         dist = pair_distance(x, y, curv)
@@ -85,25 +114,28 @@ class TestDifferentiableBallOps:
         rng = np.random.default_rng(2)
         x = ad.DiffValue(rng.normal(size=(4, 3)) * 0.3)
         y = ad.DiffValue(rng.normal(size=(4, 3)) * 0.3)
+        b = ad.DiffValue(rng.normal(size=3) * 0.3)
         wts = rng.normal(size=(4, 3))
 
         def loss_fn():
-            s = d_mobius_add(d_exp_origin(x, 1.0), d_exp_origin(y, 1.0), 1.0)
-            t = d_log_origin(s, 1.0)
-            d = pair_distance(d_exp_origin(x, 1.0), d_exp_origin(y, 1.0), 1.0)
+            t = d_bias_messages(x, b, 1.0)
+            d = pair_distance(x, y, 1.0)
             return ad.add(ad.mean_(ad.mul(t, wts)), ad.mean_(d))
 
-        assert ad.finite_diff_check(loss_fn, [x, y]) < 1e-5
+        assert ad.finite_diff_check(loss_fn, [x, y, b]) < 1e-5
 
-        # Each op alone, in every input and in a trainable curvature, on rows
-        # at the edges of its formula.  Rows are given by u = sqrt(c) ||row||.
+        # Each op alone, in every input and in a trainable curvature, on
+        # tangent rows at the edges of its formula.  Rows are given by
+        # u = sqrt(c) ||row||; exp_0 clips where tanh(u) passes the margin,
+        # at u of about 6.1.
         for c in (0.5, 1.0, 2.0):
-            def rows(*us):
-                v = rng.normal(size=(len(us), 3))
+            def rows(*us, direction=None):
+                v = rng.normal(size=(len(us), 3)) if direction is None \
+                    else np.tile(direction, (len(us), 1))
                 return v / np.linalg.norm(v, axis=1, keepdims=True) \
                     * np.array(us)[:, None] / math.sqrt(c)
 
-            near = rows(0.999)
+            near = log_rows(rows(0.999), c)
             # Distance pairs: zero rows on either side, interior rows, an
             # identical pair, a pair 1e-3 apart, and an antipodal
             # near-boundary pair whose sqrt(c) ||-x (+) y|| is clipped at the
@@ -116,21 +148,28 @@ class TestDifferentiableBallOps:
             dist_x = np.vstack([rows(0.0, 0.5, 0.9, 0.0), close, near])
             dist_y = np.vstack([rows(0.4, 0.0, 0.7, 0.0),
                                 close + step / np.linalg.norm(step) * 1e-3, -near])
+            e = rng.normal(size=3)
             cases = {
-                # zero row, interior, tanh(u) beyond the margin
-                "exp": (d_exp_origin, [rows(0.0, 0.5, 3.0, 8.0)]),
-                # zero row, interior, near the boundary, at the atanh clip
-                "log": (d_log_origin, [rows(0.0, 0.5, 0.99, 1.5)]),
-                # zero rows on either side; two aligned near-boundary rows
-                # whose sum lands beyond the margin and is projected
-                "mobius_add": (d_mobius_add, [np.vstack([rows(0.0, 0.5, 0.9), near]),
-                                              np.vstack([rows(0.5, 0.0, 0.6), near])]),
-                "bias_row": (d_mobius_add, [rows(0.0, 0.5, 0.9), rows(0.4)]),
+                # a zero row, interior rows, and rows whose exp_0 clips
+                "bias": (d_bias_messages, [rows(0.0, 0.5, 3.0, 8.0), rows(0.4)[0]]),
+                # a zero bias
+                "bias_zero_b": (d_bias_messages, [rows(0.0, 0.5, 1.5), np.zeros(3)]),
+                # rows aligned with the bias whose Mobius sum passes the
+                # margin and is projected, one of them with a clipped exp_0,
+                # and a row whose sum stays inside
+                "bias_margin": (d_bias_messages, [np.vstack([rows(5.0, 8.0, direction=e),
+                                                             rows(0.7)]),
+                                                  rows(4.0, direction=e)[0]]),
                 "distance": (pair_distance, [dist_x, dist_y]),
             }
             clip = 2.0 * math.atanh(1.0 - PROJECTION_MARGIN) / math.sqrt(c)
             clipped = pair_distance(near, -near, c).value[0]
             assert clipped == pytest.approx(clip, rel=1e-15)
+            t, b = cases["bias_margin"][1]
+            sums = pc._mobius_add_parts(exp_rows(t, c), exp_rows(b, c), c)[1][-2]
+            scaled = math.sqrt(c) * np.linalg.norm(sums, axis=1)
+            assert np.all(scaled[:2] > 1.0 - PROJECTION_MARGIN)
+            assert scaled[2] < 1.0 - PROJECTION_MARGIN
             for name, (op, arrays) in cases.items():
                 leaves = [ad.DiffValue(a) for a in arrays]
                 curv = ad.DiffValue(c)
@@ -155,28 +194,31 @@ class TestDifferentiableBallOps:
 
 class TestEdgeDistance:
     # Path 0-1-2, node 3 alone, and nodes 4-5 joined only to each other at
-    # antipodal near-boundary rows, whose distance is clipped at the margin.
+    # antipodal near-boundary points, whose distance is clipped at the margin.
     GRAPH = WeightedGraph(6, ((0, 1, 1.0), (1, 2, 1.0), (4, 5, 1.0)))
 
     def rows(self, rng, c):
+        """Tangent rows: the log_0 images of those ball points."""
         x = ball_rows(rng, 6, 3, c, scale=0.2 / math.sqrt(c))
         x[0] = 0.0                                  # a row at the origin
         v = rng.normal(size=3)
         x[4] = v / np.linalg.norm(v) * 0.999 / math.sqrt(c)
         x[5] = -x[4]
-        return x
+        return log_rows(x, c)
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_equals_gathered_composition(self, c):
         rng = np.random.default_rng(31)
-        x0 = self.rows(rng, c)
+        z0 = self.rows(rng, c)
         src, dst = self.GRAPH.attention_index
         w = rng.normal(size=src.idx.shape)
-        x, curv = ad.DiffValue(x0.copy()), ad.DiffValue(c)
-        dist = d_edge_distance(x, self.GRAPH, curv)
+        z, curv = ad.DiffValue(z0.copy()), ad.DiffValue(c)
+        dist = d_edge_distance(z, self.GRAPH, curv)
         ad.backward(ad.mean_(ad.mul(dist, w)))
-        value, g_x, g_c = dist.value, x.grad, curv.grad
+        value, g_z, g_c = dist.value, z.grad, curv.grad
         g_rows = (1.0 / w.size) * w
+        # The ball points exp_0(z), and the chain back through that map.
+        x0, exp_parts = pc._radial(z0, c, pc._exp_scale)
         # The pair-form reference, bitwise: the row kernel once per undirected
         # edge u < v (dst = v, src = u), its value written to both directions
         # and +0.0 to the self loops; the row gradients at the sum of the two
@@ -190,9 +232,10 @@ class TestEdgeDistance:
         pair_g_x = np.zeros_like(x0)
         np.add.at(pair_g_x, u, g_u)
         np.add.at(pair_g_x, v, g_v)
+        pair_g_z, exp_g_c = pc._radial_grad(pair_g_x, *exp_parts)
         pair_value = np.concatenate([d[:, 0], d[:, 0], np.zeros(self.GRAPH.num_nodes)])
         assert np.array_equal(value, pair_value)
-        assert np.array_equal(g_x, pair_g_x) and np.array_equal(g_c, pair_g_c)
+        assert np.array_equal(g_z, pair_g_z) and np.array_equal(g_c, pair_g_c + exp_g_c)
         # The per-direction reference: the row kernel on the gathered endpoint
         # rows of every attention edge, and its row gradients summed into each
         # endpoint with np.add.at.  Its values are the op's bit for bit, self
@@ -204,27 +247,128 @@ class TestEdgeDistance:
         into_dst, into_src = np.zeros_like(x0), np.zeros_like(x0)
         np.add.at(into_dst, dst.idx, g_dst)
         np.add.at(into_src, src.idx, g_src)
-        ref_g_x = into_src + into_dst
+        ref_g_z, ref_exp_g_c = pc._radial_grad(into_src + into_dst, *exp_parts)
         assert np.array_equal(value, ref_value[:, 0])
-        np.testing.assert_allclose(g_x, ref_g_x, rtol=1e-12)
-        np.testing.assert_allclose(g_c, ref_g_c, rtol=1e-12)
+        np.testing.assert_allclose(g_z, ref_g_z, rtol=1e-12)
+        np.testing.assert_allclose(g_c, ref_g_c + ref_exp_g_c, rtol=1e-12)
         loops = src.idx == dst.idx
         assert np.all(value[loops] == 0.0) and not np.any(np.signbit(value[loops]))
         clip = 2.0 * math.atanh(1.0 - PROJECTION_MARGIN) / math.sqrt(c)
         assert value[(src.idx == 4) & (dst.idx == 5)][0] == pytest.approx(clip, rel=1e-15)
         # Self loops and the clipped pair pass nothing; the path rows get some.
-        assert np.all(g_x[3:] == 0.0) and np.all(np.any(g_x[:3] != 0.0, axis=1))
+        assert np.all(g_z[3:] == 0.0) and np.all(np.any(g_z[:3] != 0.0, axis=1))
 
     @pytest.mark.parametrize("c", [0.5, 2.0])
     def test_gradcheck_with_trainable_curvature(self, c):
         rng = np.random.default_rng(32)
-        x, curv = ad.DiffValue(self.rows(rng, c)), ad.DiffValue(c)
+        z, curv = ad.DiffValue(self.rows(rng, c)), ad.DiffValue(c)
         w = rng.normal(size=attention_arrays(self.GRAPH)[0].shape)
 
         def loss_fn():
-            return ad.mean_(ad.mul(d_edge_distance(x, self.GRAPH, curv), w))
+            return ad.mean_(ad.mul(d_edge_distance(z, self.GRAPH, curv), w))
 
-        assert ad.finite_diff_check(loss_fn, [x, curv]) < 1e-5
+        assert ad.finite_diff_check(loss_fn, [z, curv]) < 1e-5
+
+
+class TestBiasMessages:
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_kernel_composition(self, c, seed):
+        # Rows from the origin to u = sqrt(c) ||t|| = 2, whose sums stay inside
+        # the ball.  Near the margin atanh multiplies the round-off of the
+        # two forms by 1 / (1 - u^2), about 5e4, and they agree to about
+        # 2e-12 there; test_gradients_through_ball_ops checks those rows.
+        rng = np.random.default_rng(seed)
+        us = np.array([0.0, 0.1, 0.5, 1.0, 1.5, 2.0])
+        v = rng.normal(size=(len(us), 5))
+        t0 = v / np.linalg.norm(v, axis=1, keepdims=True) * us[:, None] / math.sqrt(c)
+        b0 = rng.normal(size=5)
+        b0 *= 0.5 / (math.sqrt(c) * np.linalg.norm(b0))
+        w = rng.normal(size=t0.shape)
+        got = []
+        for op in (d_bias_messages, bias_node):
+            t, b, curv = ad.DiffValue(t0.copy()), ad.DiffValue(b0.copy()), ad.DiffValue(c)
+            out = op(t, b, curv)
+            assert out._parents == (t, b, curv)
+            ad.backward(ad.mean_(ad.mul(out, w)))
+            got.append((out.value, t.grad, b.grad, curv.grad))
+        # The curvature's gradient is one sum over all rows, whose terms
+        # cancel, so its relative error is larger.
+        for name, mine, ref, bound in zip(("value", "t", "b", "c"), *got,
+                                          (1e-12, 1e-12, 1e-12, 1e-11)):
+            err = np.max(np.abs(mine - ref)) / np.max(np.abs(ref))
+            assert err <= bound, (name, err)
+
+    def test_untrained_curvature_is_no_parent(self):
+        rng = np.random.default_rng(34)
+        t, b = ad.DiffValue(rng.normal(size=(4, 3))), ad.DiffValue(rng.normal(size=3))
+        assert d_bias_messages(t, b, 1.0)._parents == (t, b)
+
+
+class TestConstantInputs:
+    """A plain array given to a layer step is a constant: no parent, no gradient."""
+
+    def test_linear_has_only_the_weight_as_parent(self):
+        rng = np.random.default_rng(35)
+        x, W0 = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+        w = rng.normal(size=(5, 4))
+        results = []
+        for given in (x, ad.DiffValue(x.copy())):
+            W = ad.DiffValue(W0.copy())
+            out = layers._linear(given, W)
+            assert out._parents == ((W,) if given is x else (given, W))
+            ad.backward(ad.mean_(ad.mul(out, w)))
+            results.append(out.value.tobytes() + W.grad.tobytes())
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("c", [0.7, 1.3])
+    def test_edge_distance_is_a_leaf_or_hangs_on_the_curvature(self, c):
+        rng = np.random.default_rng(36)
+        g = TestEdgeDistance.GRAPH
+        z0 = TestEdgeDistance().rows(rng, c)
+        leaf = d_edge_distance(z0, g, c)
+        assert leaf._parents == () and leaf._vjp is None
+        w = rng.normal(size=leaf.shape)
+        results = []
+        for z in (z0, ad.DiffValue(z0.copy())):
+            curv = ad.DiffValue(c)
+            dist = d_edge_distance(z, g, curv)
+            assert dist._parents == ((curv,) if z is z0 else (z, curv))
+            ad.backward(ad.mean_(ad.mul(dist, w)))
+            results.append((dist.value, curv.grad))
+        assert results[0][0].tobytes() == results[1][0].tobytes() == leaf.value.tobytes()
+        assert results[0][1].tobytes() == results[1][1].tobytes()
+        assert results[0][1] != 0.0
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_model_gradients_equal_the_diffvalue_path(self, dropout):
+        # Layer one reads plain features as a constant; given as a DiffValue
+        # they are a tape leaf.  Every parameter gradient is bitwise the same,
+        # a trained curvature included, and layer one's curvature still gets
+        # a gradient through its edge distance.
+        g = generate_tree(2, 2)
+        feats = np.random.default_rng(37).normal(size=(7, 3))
+        model = JointSpaceGNN(3, 4, 2, num_layers=2, q_dim=3, seed=5,
+                              trainable_curvature=True)
+        grads = []
+        for given in (feats, ad.DiffValue(feats.copy())):
+            out, _ = model.forward(g, given, dropout=dropout, training=True,
+                                   rng=np.random.default_rng(38))
+            ad.backward(ad.mean_(ad.mul(out.z, out.z)))
+            grads.append({k: v.grad.tobytes() for k, v in model.named_parameters().items()})
+        assert grads[0] == grads[1]
+        assert model.layers[0].hgat.curvature.grad != 0.0
+
+    def test_hgat_on_plain_input_has_no_input_node(self):
+        # Nine nodes whose leaves are W, b, a and the edge distance.
+        g = generate_tree(2, 2)
+        rng = np.random.default_rng(39)
+        lp = init_layer_params(rng, 3, 4, 2)
+        nodes = _tape_nodes(hgat_forward(rng.normal(size=(7, 3)), g, lp.hgat))
+        leaves = [node for node in nodes if not node._parents]
+        assert len(nodes) == 9 and len(leaves) == 4
+        rest = [x for x in leaves if not any(x is p for p in (lp.hgat.W, lp.hgat.b, lp.hgat.a))]
+        assert len(rest) == 1 and rest[0].shape == g.attention_index[0].idx.shape
 
 
 class TestAttentionEdges:
@@ -431,10 +575,12 @@ class TestHGATLayer:
         tangent, m_out = hgat_forward(z, g, p)
 
         c = p.curvature
-        x = d_exp_origin(z, c).value
+        x = exp_rows(z, c)
         t = z @ p.W.value.T
-        bias = d_exp_origin(p.b.value.reshape(1, 3), c)
-        m = d_mobius_add(d_exp_origin(t, c), bias, c)
+        # The messages are the bias op's, which matches the kernel composition
+        # to round-off (TestBiasMessages).
+        m = d_bias_messages(t, p.b, c).value
+        assert np.max(np.abs(m - bias_node(t, p.b, c).value)) <= 1e-12 * np.max(np.abs(m))
         src, dst = attention_arrays(g)
         scores = (t @ p.a.value.reshape(2, 3).T).reshape(6)
         raw = scores[2 * dst] + scores[2 * src + 1]
@@ -450,10 +596,10 @@ class TestHGATLayer:
         np.add.at(denom, dst, ex)
         alpha = ex / denom[dst]
         agg = np.zeros((3, 3))
-        np.add.at(agg, dst, alpha[:, None] * d_log_origin(m, c).value[src])
+        np.add.at(agg, dst, alpha[:, None] * m[src])
         expected = np.where(agg > 0.0, agg, np.exp(np.minimum(agg, 0.0)) - 1.0)
         assert np.array_equal(tangent.value, expected)
-        assert np.array_equal(m_out.value, m.value)
+        assert np.array_equal(m_out.value, m)
 
     def test_gradcheck(self):
         g = path_graph(3)
@@ -492,17 +638,22 @@ class TestTapeSize:
         feats = ad.DiffValue(rng.normal(size=(7, 3)))
         kw = dict(dropout=dropout, rng=rng, training=True)
         assert len(_tape_nodes([gat_forward(feats, g, lp.gat, **kw)], feats)) <= 5
-        assert len(_tape_nodes(hgat_forward(feats, g, lp.hgat, **kw), feats)) <= 14
+        assert len(_tape_nodes(hgat_forward(feats, g, lp.hgat, **kw), feats)) <= 9
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_hgat_one_edge_distance_node(self, dropout):
-        # d_edge_distance replaces two row gathers and a distance node.
+        # d_edge_distance maps the input rows into the ball itself: it is the
+        # one node besides the linear map whose parent is the input.
         g = generate_tree(2, 2)
         rng = np.random.default_rng(16)
         lp = init_layer_params(rng, 3, 4, 2)
         z = ad.DiffValue(rng.normal(size=(7, 3)))
         out = hgat_forward(z, g, lp.hgat, dropout=dropout, rng=rng, training=True)
-        assert len(_tape_nodes(out, z)) <= 14
+        nodes = _tape_nodes(out, z)
+        assert len(nodes) <= 9
+        readers = [node for node in nodes if any(p is z for p in node._parents)]
+        assert len(readers) == 2
+        assert sum(node.shape == g.attention_index[0].idx.shape for node in readers) == 1
 
     def test_fusion_three_nodes(self):
         # The selection weight, beta_d = 1 - beta_r and the mix.
@@ -712,12 +863,18 @@ class TestStack:
                 z = ad.as_diff(feats)
                 for lp in model.layers:
                     c = float(lp.hgat.curvature)
-                    x = d_exp_origin(z, c)          # the layer's ball points
-                    z_r = gat_forward(z, g, lp.gat)
-                    z_d, m = hgat_forward(z, g, lp.hgat)
+                    # The ball points the layer forms, from the kernel: the
+                    # distance endpoints exp_0(z) and the projected Mobius
+                    # sums exp_0(W z) (+) exp_0(b).
+                    t = z.value @ lp.hgat.W.value.T
+                    x = exp_rows(z.value, c)
+                    m = pc._mobius_add_parts(exp_rows(t, c),
+                                             exp_rows(lp.hgat.b.value[None], c), c)[0]
                     for ball in (x, m):
-                        assert (math.sqrt(c) * np.linalg.norm(ball.value, axis=1)
+                        assert (math.sqrt(c) * np.linalg.norm(ball, axis=1)
                                 <= limit).all()
+                    z_r = gat_forward(z, g, lp.gat)
+                    z_d, _ = hgat_forward(z, g, lp.hgat)
                     z = fusion_forward(z_r, z_d, lp.fusion).z
 
 

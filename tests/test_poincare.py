@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointspace import poincare as pc
 from jointspace.graphs import WeightedGraph
-from jointspace.poincare import (PROJECTION_MARGIN, BallPoint,
-                                 d_edge_distance, d_exp_origin, d_log_origin,
+from jointspace.poincare import (PROJECTION_MARGIN, BallPoint, d_edge_distance,
                                  exp_origin, hyp_distance, log_origin,
                                  mobius_add, project_to_ball)
 
@@ -118,13 +118,15 @@ class TestMatvecDistanceProjection:
         assert np.all(out.coords == 0.0)
 
     def test_matvec_composition(self):
-        # The tape maps on rows, as HGAT applies them, give the same points.
+        # The kernel's radial maps on rows, as HGAT applies them, give the
+        # same points.
         rng = np.random.default_rng(8)
         for _ in range(50):
             w = rng.normal(size=(3, 4))
             x = rand_point(rng, 4, max_scaled_norm=0.8)
-            rows = d_exp_origin(d_log_origin(x.coords[None], 1.0).value @ w.T, 1.0)
-            assert np.allclose(rows.value[0], matvec(w, x).coords, atol=1e-12)
+            tangent = pc._radial(x.coords[None], 1.0, pc._log_scale)[0]
+            rows = pc._radial(tangent @ w.T, 1.0, pc._exp_scale)[0]
+            assert np.allclose(rows[0], matvec(w, x).coords, atol=1e-12)
 
     def test_distance_worked_pair(self):
         x = project_to_ball(np.array([0.5, 0.0]))
@@ -203,7 +205,8 @@ def _mp_distance(mp, x, y, c):
 
 
 class TestDistanceOracle:
-    """hyp_distance and d_edge_distance against a 50-digit Mobius-sum oracle."""
+    """hyp_distance against a 50-digit Mobius-sum oracle, and d_edge_distance
+    against the kernel on the ball points it forms."""
 
     @staticmethod
     def pairs(kind, c, rng, n=24):
@@ -241,8 +244,15 @@ class TestDistanceOracle:
         ref = np.array([float(d) for _, d in oracle])
         points = np.array([hyp_distance(BallPoint(a, c), BallPoint(b, c))
                            for a, b in zip(x, y)])
+        assert np.max(np.abs(points - ref) / ref) <= bound
+        # d_edge_distance takes tangent rows and maps them with exp_0 itself.
+        # Its values are bitwise the kernel's distance between those ball
+        # points.  Float exp_0 moves each point by about 1e-16, which is 1e-7
+        # of a distance of 1e-9, so the oracle reads the pairs above only.
         n = len(x)
         pairs = WeightedGraph(2 * n, tuple((i, n + i, 1.0) for i in range(n)))
-        rows = d_edge_distance(np.vstack([x, y]), pairs, c).value[:n]
-        for got in (points, rows):
-            assert np.max(np.abs(got - ref) / ref) <= bound
+        z = pc._radial(np.vstack([x, y]), c, pc._log_scale)[0]
+        bx = pc._radial(z, c, pc._exp_scale)[0]
+        want = pc._distance_parts(bx[n:], bx[:n], c, pc._sq_norm(bx[n:]),
+                                  pc._sq_norm(bx[:n]))[0][:, 0]
+        assert d_edge_distance(z, pairs, c).value[:n].tobytes() == want.tobytes()
