@@ -138,6 +138,14 @@ class WeightedGraph:
         return index
 
     @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """Read-only sorted int64 keys ``u * num_nodes + v`` of the edges (u < v)."""
+        u, v = self.edge_index.T
+        keys = np.sort(u * self.num_nodes + v)
+        keys.setflags(write=False)
+        return keys
+
+    @cached_property
     def edge_weight(self) -> np.ndarray:
         """Read-only ``(num_edges,)`` float64 array of the weights of ``edges``."""
         weight = np.array([w for _, _, w in self.edges], dtype=np.float64)
@@ -643,13 +651,13 @@ def sample_non_edges(g: WeightedGraph, count: int,
     Each round draws the endpoints of as many pairs as remain in one
     ``rng.integers`` call, the stream that many scalar draws would give, and
     keeps, in draw order, each pair that is no loop, no edge and not kept
-    before.  A round keeps at most the pairs that remain, so the sample ends
-    on the draw, and leaves ``rng`` in the state, that a pair-by-pair loop
-    would.
+    before: edges are found by binary search in the graph's sorted
+    ``edge_keys``, kept pairs by ``np.isin``.  A round keeps at most the
+    pairs that remain, so the sample ends on the draw, and leaves ``rng`` in
+    the state, that a pair-by-pair loop would.
     """
     n = g.num_nodes
-    u, v = g.edge_index.T
-    present = u * n + v                    # edges are stored with u < v
+    present = g.edge_keys
     max_non = n * (n - 1) // 2 - present.size
     if count > max_non:
         raise SplitError(f"requested {count} non-edges but only {max_non} exist")
@@ -657,8 +665,13 @@ def sample_non_edges(g: WeightedGraph, count: int,
     while keys.size < count:
         ends = np.sort(rng.integers(n, size=(count - keys.size, 2)), axis=1)
         drawn = ends[:, 0] * n + ends[:, 1]
-        drawn = drawn[(ends[:, 0] != ends[:, 1])
-                      & ~np.isin(drawn, np.concatenate([present, keys]))]
+        keep = ends[:, 0] != ends[:, 1]
+        if present.size:
+            at = np.minimum(np.searchsorted(present, drawn), present.size - 1)
+            keep &= present[at] != drawn
+        if keys.size:
+            keep &= ~np.isin(drawn, keys)
+        drawn = drawn[keep]
         _, first = np.unique(drawn, return_index=True)
         keys = np.concatenate([keys, drawn[np.sort(first)]])
     pairs = np.stack([keys // n, keys % n], axis=1)

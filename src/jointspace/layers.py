@@ -185,8 +185,7 @@ def gat_forward(features, g: WeightedGraph, p: GATParams, *,
     src, dst = g.attention_index
     h = _linear(features, p.W)
     mask = _dropout_mask(src.idx.shape, dropout, rng, training)
-    return ad.attend(_attention_logits(h, p.a, src, dst), h, src, dst,
-                     g.num_nodes, mask)
+    return ad.attend(_attention_logits(h, p.a, src, dst), h, g, mask)
 
 
 def hgat_forward(z, g: WeightedGraph, p: HGATParams, *,
@@ -209,7 +208,7 @@ def hgat_forward(z, g: WeightedGraph, p: HGATParams, *,
     messages = pc.d_bias_messages(t, p.b, c)
     logits = ad.mul(_attention_logits(t, p.a, src, dst), pc.d_edge_distance(z, g, c))
     mask = _dropout_mask(src.idx.shape, dropout, rng, training)
-    return ad.attend(logits, messages, src, dst, g.num_nodes, mask), messages
+    return ad.attend(logits, messages, g, mask), messages
 
 
 def _selection(z_r, z_d, p: FusionParams) -> DiffValue:
@@ -239,7 +238,7 @@ def _mix(beta_r, beta_d, z_r, z_d) -> DiffValue:
     br, bd = beta_r.value.reshape(n, 1), beta_d.value.reshape(n, 1)
     zr, zd = z_r.value, z_d.value
     def vjp(g):
-        return (g * zr).sum(axis=1), (g * zd).sum(axis=1), g * br, g * bd
+        return ad._row_dot(g, zr)[:, 0], ad._row_dot(g, zd)[:, 0], g * br, g * bd
     return DiffValue(br * zr + bd * zd, (beta_r, beta_d, z_r, z_d), vjp)
 
 

@@ -4,7 +4,9 @@ import pytest
 from jointspace import autodiff as ad
 from jointspace.autodiff import DiffValue
 from jointspace import poincare as pc
+from jointspace.graphs import WeightedGraph
 from jointspace.layers import _linear
+from jointspace.training import synthetic_nc_graph
 
 
 def take_rows(a, idx):
@@ -148,47 +150,138 @@ def _attend_reference(e, values, src, dst, n, slope, mask):
     return out
 
 
-class TestAttend:
-    # Undirected edges 0-1, 1-2, 0-3, 2-3, 1-3 both ways, then a self loop on
-    # every node; node 4's only edge is its self loop.
-    SRC = np.array([0, 1, 1, 2, 0, 3, 2, 3, 1, 3, 0, 1, 2, 3, 4])
-    DST = np.array([1, 0, 2, 1, 3, 0, 3, 2, 3, 1, 0, 1, 2, 3, 4])
+def _attend_all_rows(e, values, src, dst, n, mask):
+    """``attend`` as it ran over all 2m + n attention rows, self loops among
+    them: the same node with every gather, product and scatter on every row."""
+    x, hs = e, values[src]
+    s = np.where(x > 0.0, x, ad.LEAKY_SLOPE * x)
+    mx = np.full(n, -np.inf)
+    np.maximum.at(mx, dst, s)
+    ex = np.exp(s - mx[dst])
+    alpha = ex / ad._scatter_rows(ex, dst, n)[dst]
+    w = alpha if mask is None else alpha * mask
+    agg = ad._scatter_rows(w[:, None] * hs, dst, n)
+    ex_agg = np.exp(np.minimum(agg, 0.0))
+    out = np.where(agg > 0.0, agg, ex_agg - 1.0)
 
-    def inputs(self, seed, negative, masked):
+    def vjp(g):
+        gm = np.take(g * np.where(agg > 0.0, 1.0, ex_agg), dst, axis=0)
+        g_values = ad._scatter_rows(gm * w[:, None], src, n)
+        g_alpha = (gm * hs).sum(axis=1)
+        if mask is not None:
+            g_alpha = g_alpha * mask
+        dot = ad._scatter_rows(g_alpha * alpha, dst, n)
+        return (alpha * (g_alpha - dot[dst]) * np.where(x > 0.0, 1.0, ad.LEAKY_SLOPE),
+                g_values)
+    return out, vjp
+
+
+class TestAttend:
+    # Undirected edges 0-1, 1-2, 0-3, 2-3, 1-3, whose 10 directed rows come
+    # before a self loop on every node; node 4's only edge is its self loop.
+    GRAPH = WeightedGraph(5, ((0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0),
+                              (1, 3, 1.0)))
+
+    def index(self, g=GRAPH):
+        src, dst = g.attention_index
+        return src.idx, dst.idx
+
+    def inputs(self, seed, negative, masked, g=GRAPH):
         rng = np.random.default_rng(seed)
-        e = rng.normal(size=15) * 2.0
+        rows = g.attention_index[0].idx.size
+        e = rng.normal(size=rows) * 2.0
         if negative:
             e = -np.abs(e) - 0.1
-        values = rng.normal(size=(5, 3))
-        mask = (rng.random(15) >= 0.3) / 0.7 if masked else None
+        values = rng.normal(size=(g.num_nodes, 3))
+        mask = (rng.random(rows) >= 0.3) / 0.7 if masked else None
         return DiffValue(e), DiffValue(values), mask, rng
 
     @pytest.mark.parametrize("negative", [False, True])
     @pytest.mark.parametrize("masked", [False, True])
     def test_matches_reference_and_finite_differences(self, negative, masked):
         e, values, mask, rng = self.inputs(21, negative, masked)
-        out = ad.attend(e, values, self.SRC, self.DST, 5, mask)
-        ref = _attend_reference(e.value, values.value, self.SRC, self.DST, 5, 0.2, mask)
+        out = ad.attend(e, values, self.GRAPH, mask)
+        ref = _attend_reference(e.value, values.value, *self.index(), 5, 0.2, mask)
         assert out.shape == (5, 3)
         assert np.abs(out.value - ref).max() <= 1e-12
         wts = rng.normal(size=(5, 3))
 
         def loss_fn():
-            return ad.mean_(ad.mul(ad.attend(e, values, self.SRC, self.DST, 5, mask),
-                                   wts))
+            return ad.mean_(ad.mul(ad.attend(e, values, self.GRAPH, mask), wts))
 
         assert ad.finite_diff_check(loss_fn, [e, values]) < 1e-6
 
     @pytest.mark.parametrize("negative", [False, True])
     def test_weights_sum_to_one_and_self_loop_alone_weighs_one(self, negative):
         e, values, _, rng = self.inputs(22, negative, False)
-        ones = ad.attend(e, np.ones((5, 2)), self.SRC, self.DST, 5)
+        ones = ad.attend(e, np.ones((5, 2)), self.GRAPH)
         assert np.abs(ones.value - 1.0).max() <= 1e-12    # ELU(1) = 1
-        out = ad.attend(e, values, self.SRC, self.DST, 5)
+        out = ad.attend(e, values, self.GRAPH)
         v = values.value[4]
         assert np.array_equal(out.value[4], np.where(v > 0, v, np.exp(v) - 1.0))
         ad.backward(ad.mean_(ad.mul(out, rng.normal(size=(5, 3)))))
         assert e.grad[14] == 0.0 and np.any(e.grad[:14] != 0.0)
+
+    # The test graph; one with no edges, whose rows are all self loops; and a
+    # 40-node graph with 2m = 110 edge rows, where sums run over many rows.
+    GRAPHS = {"small": GRAPH, "no-edges": WeightedGraph(4, ()),
+              "synthetic": synthetic_nc_graph()}
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_equals_all_rows_attend(self, name, masked):
+        # The value and the values' gradient are the all-rows node's bit for
+        # bit; the logits' gradient reads its row dots from einsum rather
+        # than from a product's sum, so it agrees to round-off.
+        g = self.GRAPHS[name]
+        for seed in range(5):
+            e, values, mask, rng = self.inputs(seed, False, masked, g)
+            out = ad.attend(e, values, g, mask)
+            ref, ref_vjp = _attend_all_rows(e.value, values.value, *self.index(g),
+                                            g.num_nodes, mask)
+            assert out.value.tobytes() == ref.tobytes()
+            grad = rng.normal(size=out.shape) * 10.0 ** rng.uniform(-4, 4, size=out.shape)
+            g_e, g_values = out._vjp(grad)
+            ref_g_e, ref_g_values = ref_vjp(grad)
+            assert g_values.tobytes() == ref_g_values.tobytes()
+            assert g_e.shape == ref_g_e.shape
+            assert np.abs(g_e - ref_g_e).max() <= 1e-13 * np.abs(ref_g_e).max(initial=1.0)
+
+    def test_graph_without_edges(self):
+        # Every node's one row is its self loop, of weight 1 times its mask.
+        g = self.GRAPHS["no-edges"]
+        e, values, mask, rng = self.inputs(23, False, True, g)
+        mask[1] = 0.0
+        out = ad.attend(e, values, g, mask)
+        agg = values.value * mask[:, None]
+        assert np.array_equal(out.value, np.where(agg > 0, agg, np.exp(agg) - 1.0))
+        assert not out.value[1].any()
+        wts = rng.normal(size=out.shape)
+
+        def loss_fn():
+            return ad.mean_(ad.mul(ad.attend(e, values, g, mask), wts))
+
+        assert ad.finite_diff_check(loss_fn, [e, values]) < 1e-6
+        assert not e.grad.any() and not values.grad[1].any()
+
+    def test_masked_self_loop_rows(self):
+        # Node 4's loop masked to 0 leaves it nothing; node 1's loop masked to
+        # 0 leaves it its edge rows, weighed by the softmax over all of its
+        # rows, the loop included.
+        e, values, _, rng = self.inputs(24, False, False)
+        mask = np.ones(15)
+        mask[[11, 14]] = 0.0
+        out = ad.attend(e, values, self.GRAPH, mask)
+        ref = _attend_reference(e.value, values.value, *self.index(), 5, 0.2, mask)
+        assert np.abs(out.value - ref).max() <= 1e-12
+        assert not out.value[4].any()
+        wts = rng.normal(size=(5, 3))
+
+        def loss_fn():
+            return ad.mean_(ad.mul(ad.attend(e, values, self.GRAPH, mask), wts))
+
+        assert ad.finite_diff_check(loss_fn, [e, values]) < 1e-6
+        assert e.grad[14] == 0.0 and not values.grad[4].any()
 
 
 def _add_at_reference(rows, idx, n):

@@ -13,7 +13,9 @@ in the code.  Re-capture with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-and record every re-capture, with its reason, in CHANGES.md.
+which prints, before it writes, each config's largest relative drift from
+the file it replaces, and record every re-capture, with its reason and those
+drifts, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -49,7 +51,44 @@ def test_report_matches_golden(name):
     assert report_fields(name) == golden[name]
 
 
+def largest_drift(old, new, path: str = "") -> tuple[float, str]:
+    """Largest relative change |new - old| / max(|old|, |new|) over the numbers
+    of two JSON values, and where it is.  A change of type, key set, length
+    or any other value counts as drift 1."""
+    if isinstance(old, bool) or isinstance(new, bool) or isinstance(old, str):
+        return (0.0, path) if old == new else (1.0, path)
+    if isinstance(old, (int, float)) and isinstance(new, (int, float)):
+        scale = max(abs(old), abs(new))
+        return (0.0 if old == new else abs(new - old) / scale), path
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        parts = [largest_drift(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
+    elif isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        parts = [largest_drift(old[k], new[k], f"{path}.{k}" if path else k) for k in old]
+    else:
+        return (0.0, path) if old == new else (1.0, path)
+    return max(parts, key=lambda part: part[0], default=(0.0, path))
+
+
+def test_largest_drift_names_the_entry():
+    old = {"loss": [1.0, 2.0], "beta": {"r": 4.0}, "epochs": 3, "ok": True}
+    new = {"loss": [1.0, 2.0 + 4e-12], "beta": {"r": 4.0 + 4e-15}, "epochs": 3, "ok": True}
+    drift, where = largest_drift(old, new)
+    assert where == "loss[1]" and drift == pytest.approx(2e-12, rel=1e-3)
+    assert largest_drift(old, old)[0] == 0.0
+    assert largest_drift(old, {**old, "epochs": 4}) == (0.25, "epochs")
+    assert largest_drift(old, {**old, "loss": [1.0]}) == (1.0, "loss")
+    assert largest_drift(old, {**old, "ok": False}) == (1.0, "ok")
+
+
 if __name__ == "__main__":
-    GOLDEN_FILE.write_text(json.dumps({name: report_fields(name)
-                                       for name in sorted(CONFIGS)}, indent=1) + "\n")
+    reports = {name: report_fields(name) for name in sorted(CONFIGS)}
+    previous = json.loads(GOLDEN_FILE.read_text()) if GOLDEN_FILE.exists() else {}
+    for name, fields in reports.items():
+        if name not in previous:
+            print(f"{name}: new")
+            continue
+        drift, where = largest_drift(previous[name], fields)
+        print(f"{name}: bit for bit" if fields == previous[name]
+              else f"{name}: largest relative drift {drift:.2g} at {where}")
+    GOLDEN_FILE.write_text(json.dumps(reports, indent=1) + "\n")
     print(f"wrote {GOLDEN_FILE}")

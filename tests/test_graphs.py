@@ -570,6 +570,22 @@ class TestSplits:
         assert np.array_equal(sample_non_edges(g, 9, np.random.default_rng(3)),
                               sample_non_edges(g, 9, np.random.default_rng(3)))
 
+    def test_non_edge_sampler_on_graph_without_edges(self):
+        # No edge keys to search: every pair but a loop is a non-edge.
+        g = WeightedGraph(7, ())
+        assert g.edge_keys.shape == (0,) and g.edge_keys.dtype == np.int64
+        for count in (1, 10, 21):
+            rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
+            assert np.array_equal(sample_non_edges(g, count, rng),
+                                  scalar_non_edges(g, count, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_edge_keys_sorted_and_read_only(self):
+        g = random_connected_graph(np.random.default_rng(6), 25, 0.2)
+        want = sorted(u * 25 + v for u, v, _ in g.edges)
+        assert g.edge_keys.tolist() == want and not g.edge_keys.flags.writeable
+        assert g.edge_keys is g.edge_keys                   # built once per graph
+
     def test_non_edge_sampler_exhaustion(self):
         g = cycle_graph(4)  # 2 non-edges only
         rng = np.random.default_rng(0)

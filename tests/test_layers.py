@@ -227,8 +227,8 @@ class TestEdgeDistance:
         u, v = self.GRAPH.edge_index.T
         d, parts = pc._distance_parts(x0[v], x0[u], c, pc._sq_norm(x0[v]),
                                       pc._sq_norm(x0[u]))
-        g_v, g_u, pair_g_c = pc._distance_grad((g_rows[:m] + g_rows[m:2 * m])[:, None],
-                                               *parts)
+        (g_u, g_v), pair_g_c = pc._distance_grad((g_rows[:m] + g_rows[m:2 * m])[:, None],
+                                                 *parts)
         pair_g_x = np.zeros_like(x0)
         np.add.at(pair_g_x, u, g_u)
         np.add.at(pair_g_x, v, g_v)
@@ -243,7 +243,7 @@ class TestEdgeDistance:
         xd, xs = x0[dst.idx], x0[src.idx]
         ref_value, parts = pc._distance_parts(xd, xs, c, pc._sq_norm(xd),
                                               pc._sq_norm(xs))
-        g_dst, g_src, ref_g_c = pc._distance_grad(g_rows[:, None], *parts)
+        (g_src, g_dst), ref_g_c = pc._distance_grad(g_rows[:, None], *parts)
         into_dst, into_src = np.zeros_like(x0), np.zeros_like(x0)
         np.add.at(into_dst, dst.idx, g_dst)
         np.add.at(into_src, src.idx, g_src)
