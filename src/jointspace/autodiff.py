@@ -4,7 +4,9 @@ A ``DiffValue`` records one node of a computation graph: a float64 array plus
 the parents and vector-Jacobian product needed for the backward sweep.  Every
 primitive computes its forward value eagerly and registers an analytic VJP.
 ``backward`` runs one reverse topological sweep from a scalar loss and
-populates ``grad`` on every reachable node exactly once.
+populates ``grad`` on every reachable node exactly once.  The sweep consumes
+the tape: each VJP closure is released once it has run, values, parents and
+grads are kept, and a second sweep over the same nodes raises.
 
 The engine is deliberately small: its primitives are plain functions (a
 ``DiffValue`` has no operator overloads), exactly what the attention layers
@@ -260,9 +262,20 @@ def _toposort(root: DiffValue) -> list[DiffValue]:
     return order
 
 
+def _consumed(grad):
+    """Stands in for a VJP that a backward sweep has run and released."""
+    raise RuntimeError("this tape was consumed by an earlier backward: its VJPs "
+                       "ran once and were released; build the loss again")
+
+
 def backward(loss: DiffValue) -> None:
     """Populate ``grad`` on every node reachable from a scalar loss.
 
+    The sweep consumes the tape: each node's VJP closure, and the forward
+    intermediates only it holds, is released as soon as it has run, and
+    ``_consumed`` takes its place, so a second sweep over the same nodes
+    raises before it touches a gradient.  Values, parents and every node's
+    ``grad`` are kept.
     Gradient buffers are made lazily: a node's first contribution is kept as
     is and later ones are added out of place, because some VJPs return views
     of their input or one array for two parents.
@@ -273,13 +286,19 @@ def backward(loss: DiffValue) -> None:
     if loss.value.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.value.shape}")
     order = _toposort(loss)
+    if any(node._vjp is _consumed for node in order):
+        _consumed(None)
     for node in order:
         node.grad = None
     loss.grad = np.ones_like(loss.value)
     for node in reversed(order):
-        if node._vjp is None or node.grad is None:
+        vjp = node._vjp
+        if vjp is None:
             continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
+        node._vjp = _consumed
+        if node.grad is None:
+            continue
+        for parent, g in zip(node._parents, vjp(node.grad)):
             if g is not None:
                 parent.grad = g if parent.grad is None else parent.grad + g
     for node in order:

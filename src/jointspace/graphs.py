@@ -652,7 +652,8 @@ def sample_non_edges(g: WeightedGraph, count: int,
     ``rng.integers`` call, the stream that many scalar draws would give, and
     keeps, in draw order, each pair that is no loop, no edge and not kept
     before: edges are found by binary search in the graph's sorted
-    ``edge_keys``, kept pairs by ``np.isin``.  A round keeps at most the
+    ``edge_keys``, and the kept pairs are the keys of one insertion-ordered
+    ``dict``, which keeps a pair's first draw.  A round keeps at most the
     pairs that remain, so the sample ends on the draw, and leaves ``rng`` in
     the state, that a pair-by-pair loop would.
     """
@@ -661,19 +662,17 @@ def sample_non_edges(g: WeightedGraph, count: int,
     max_non = n * (n - 1) // 2 - present.size
     if count > max_non:
         raise SplitError(f"requested {count} non-edges but only {max_non} exist")
-    keys = np.empty(0, dtype=np.int64)     # kept pairs as lo * n + hi, in draw order
-    while keys.size < count:
-        ends = np.sort(rng.integers(n, size=(count - keys.size, 2)), axis=1)
+    kept: dict[int, None] = {}             # pairs as lo * n + hi, in draw order
+    while len(kept) < count:
+        ends = np.sort(rng.integers(n, size=(count - len(kept), 2)), axis=1)
         drawn = ends[:, 0] * n + ends[:, 1]
         keep = ends[:, 0] != ends[:, 1]
         if present.size:
             at = np.minimum(np.searchsorted(present, drawn), present.size - 1)
             keep &= present[at] != drawn
-        if keys.size:
-            keep &= ~np.isin(drawn, keys)
-        drawn = drawn[keep]
-        _, first = np.unique(drawn, return_index=True)
-        keys = np.concatenate([keys, drawn[np.sort(first)]])
+        for key in drawn[keep].tolist():
+            kept.setdefault(key)
+    keys = np.fromiter(kept, dtype=np.int64, count=len(kept))
     pairs = np.stack([keys // n, keys % n], axis=1)
     pairs.setflags(write=False)
     return pairs

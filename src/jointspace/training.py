@@ -391,6 +391,8 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
     that forward's output and only the last epoch runs an eval forward of its
     own.  With dropout, every epoch runs one.  After the restore, one eval
     forward gives both the test metric and the recorded selection weights.
+    Each epoch's training tape lives one epoch: ``backward`` consumes it and
+    the loop drops it after the optimizer step, before any later forward.
     """
     t_start = time.monotonic()
     if cfg.task == "nc":
@@ -466,6 +468,7 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
             # The previous epoch's validation, before this epoch's step.
             best.update(score(out.z, "val"), epoch - 1, model)
             if epoch - 1 - best.epoch >= cfg.patience:
+                del out, record
                 break
         loss = overall_loss(task_loss(out.z, rng_epoch),
                             [(r.beta_r, r.beta_d) for r in record],
@@ -475,6 +478,8 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         ad.backward(loss)
         opt.step()
+        # The tape lives one epoch: it is gone before the next forward.
+        del out, record, loss
         if cfg.trainable_curvature:
             for lp in model.layers:
                 lp.hgat.curvature.value = np.maximum(
@@ -487,7 +492,6 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
                               "val"), epoch, model)
             if epoch - best.epoch >= cfg.patience:
                 break
-    del out, record, loss   # free the last training tape
 
     if best.state is not None:
         model.load_state_dict(best.state)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -370,3 +372,48 @@ class TestLazyGradients:
         expected = _add_at_reference(w1, i1, 5) + _add_at_reference(w2, i2, 5)
         assert np.array_equal(a.grad, expected)
         assert np.array_equal(g1.grad, w1) and np.array_equal(g2.grad, w2)
+
+
+def scaled(a, w):
+    """``a * w`` for a constant array ``w`` that only the node's VJP keeps."""
+    return DiffValue(a.value * w, (a,), lambda g: (g * w,))
+
+
+class TestConsumedTape:
+    def test_second_backward_raises_and_keeps_the_gradients(self):
+        x = DiffValue(np.array([1.0, -2.0, 3.0]))
+        loss = ad.mean_(ad.mul(x, x))
+        ad.backward(loss)
+        grads = [node.grad for node in (loss, loss._parents[0], x)]
+        with pytest.raises(RuntimeError, match="consumed by an earlier backward"):
+            ad.backward(loss)
+        assert all(a is b for a, b in zip(grads, (loss.grad, loss._parents[0].grad, x.grad)))
+        assert np.array_equal(x.grad, 2.0 * x.value / 3.0)
+
+    def test_loss_over_a_consumed_node_raises(self):
+        # A second loss built on a swept subgraph would read released VJPs.
+        x = DiffValue(np.array([1.0, 2.0]))
+        h = ad.mul(x, x)
+        ad.backward(ad.mean_(h))
+        with pytest.raises(RuntimeError, match="consumed"):
+            ad.backward(ad.mean_(ad.add(h, x)))
+
+    def test_closure_arrays_released_and_structure_kept(self):
+        x = DiffValue(np.array([1.0, 2.0, 3.0]))
+        w = np.array([0.5, -1.0, 4.0])
+        held = weakref.ref(w)
+        node = scaled(x, w)
+        expected = w / 3.0
+        del w
+        loss = ad.mean_(node)
+        assert held() is not None                  # the VJP closure keeps it
+        ad.backward(loss)
+        assert held() is None
+        assert loss._parents == (node,) and node._parents == (x,)
+        assert np.array_equal(x.grad, expected)
+        assert node.grad is not None and loss.grad == 1.0
+
+    def test_leaves_stay_leaves(self):
+        x = DiffValue(np.array([1.0, 2.0]))
+        ad.backward(ad.mean_(ad.mul(x, 3.0)))
+        assert x._vjp is None and repr(x).endswith("leaf=True)")

@@ -14,6 +14,7 @@ from jointspace.graphs import (MAX_NODES, DistanceMatrix, EdgeListParseError,
                                save_edge_list, shortest_paths, split_edges,
                                split_nodes)
 from jointspace.hyperbolicity import _CENTER_BLOCK, delta_inf, local_profile
+from jointspace.training import synthetic_lp_tree
 
 from conftest import cycle_graph, path_graph, random_connected_graph, star_graph
 
@@ -470,6 +471,27 @@ def scalar_non_edges(g, count, rng):
     return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
+def unique_rounds_non_edges(g, count, rng):
+    """Reference sampler: vector rounds that keep first draws with
+    ``np.unique(..., return_index=True)`` and drop earlier rounds' pairs with
+    ``np.isin``."""
+    n, present = g.num_nodes, g.edge_keys
+    keys = np.empty(0, dtype=np.int64)
+    while keys.size < count:
+        ends = np.sort(rng.integers(n, size=(count - keys.size, 2)), axis=1)
+        drawn = ends[:, 0] * n + ends[:, 1]
+        keep = ends[:, 0] != ends[:, 1]
+        if present.size:
+            at = np.minimum(np.searchsorted(present, drawn), present.size - 1)
+            keep &= present[at] != drawn
+        if keys.size:
+            keep &= ~np.isin(drawn, keys)
+        drawn = drawn[keep]
+        _, first = np.unique(drawn, return_index=True)
+        keys = np.concatenate([keys, drawn[np.sort(first)]])
+    return np.stack([keys // n, keys % n], axis=1)
+
+
 class TestSplits:
     def test_node_split_counts_and_determinism(self):
         g = generate_lattice(2, 5)  # 10 nodes
@@ -551,6 +573,20 @@ class TestSplits:
                 assert np.array_equal(s.val_neg, scalar_non_edges(g, len(s.val), ref_rng))
                 assert np.array_equal(s.test_neg,
                                       scalar_non_edges(g, len(s.test), ref_rng))
+
+    @pytest.mark.parametrize("with_edges", [True, False])
+    def test_non_edge_sampler_equals_unique_rounds_over_seeds(self, with_edges):
+        # The link-prediction tree's training draw, and the same count on a
+        # graph of as many nodes with no edges: same pairs, same rng state.
+        g = synthetic_lp_tree(depth=6, seed=1)
+        count = len(split_edges(g, (0.85, 0.05, 0.10), seed=1).train)
+        if not with_edges:
+            g = WeightedGraph(g.num_nodes, ())
+        for seed in range(2000):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(sample_non_edges(g, count, rng),
+                                  unique_rounds_non_edges(g, count, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_non_edge_sampler_output_pinned_on_sparse_graph(self):
         g = random_connected_graph(np.random.default_rng(4), 12, 0.2)  # 19 of 66 pairs

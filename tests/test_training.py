@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import tracemalloc
+import weakref
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -9,9 +11,11 @@ import pytest
 
 from jointspace import autodiff as ad
 from jointspace import training
-from jointspace.graphs import generate_tree, split_edges, split_nodes
+from jointspace.graphs import (WeightedGraph, generate_combined, generate_lattice,
+                               generate_tree, split_edges, split_nodes)
 from jointspace.layers import JointSpaceGNN, load_params_json, save_params_json
-from jointspace.objectives import normalize_delta, overall_loss
+from jointspace.objectives import (LossWeights, cross_entropy_nc, normalize_delta,
+                                   overall_loss)
 from jointspace.training import (MAX_MODEL_SIZE, Adam, RunReport, TrainConfig,
                                  _beta_diagnostics, evaluate_lp, evaluate_nc,
                                  mu_profile, run_seeds,
@@ -497,6 +501,75 @@ class TestTrainLoop:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(TrainingDiverged):
                 train(g, cfg)
+
+
+def lattice_tree_nc(rows: int = 20, cols: int = 20, depth: int = 4) -> WeightedGraph:
+    """A rows x cols lattice (class 0) glued at node 0 to the root of
+    tree(3, depth) (class 1), with 16 N(0, 1) features plus the one-hot label."""
+    g = generate_combined(generate_lattice(rows, cols), generate_tree(3, depth), (0, 0))
+    labels = (np.arange(g.num_nodes) >= rows * cols).astype(np.int64)
+    features = np.random.default_rng(0).normal(size=(g.num_nodes, 16))
+    features[np.arange(g.num_nodes), labels] += 1.0
+    return g.with_features(features).with_labels(labels)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``tracemalloc`` sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTapeLifetime:
+    @pytest.mark.parametrize("dropout", [0.3, 0.0])
+    @pytest.mark.parametrize("stops_early", [False, True])
+    def test_previous_training_output_dead_at_each_forward(self, monkeypatch, dropout,
+                                                           stops_early):
+        # Each epoch's training tape is dropped after its step, so no earlier
+        # training output is alive when a training or an eval forward starts.
+        outputs, alive = [], []
+        real_forward = JointSpaceGNN.forward
+        def watched(self, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in outputs))
+            out, record = real_forward(self, *args, **kwargs)
+            if kwargs.get("training"):
+                outputs.append(weakref.ref(out.z.value))
+            return out, record
+        monkeypatch.setattr(JointSpaceGNN, "forward", watched)
+        cfg = quick_cfg(dropout=dropout, max_epochs=8, patience=3 if stops_early else 9,
+                        lr=1e-30 if stops_early else 0.01)
+        rep = train(synthetic_nc_graph(seed=0), cfg)
+        assert rep.epochs_run == (4 if stops_early else 8)
+        assert len(outputs) >= rep.epochs_run and len(alive) > len(outputs)
+        assert alive == [0] * len(alive)
+
+    def test_train_peak_is_one_training_step(self, tmp_path):
+        # Three epochs, each with its validation forward, peak at about one
+        # training forward plus backward: no tape outlives its epoch.
+        g = lattice_tree_nc()
+        cfg = TrainConfig(task="nc", layers=2, hidden=16, dropout=0.3, max_epochs=3,
+                          patience=4, seed=1, cache_dir=str(tmp_path))
+        train(g, replace(cfg, max_epochs=1))          # writes the profile cache
+        model = JointSpaceGNN(in_dim=16, hidden_dim=16, out_dim=2, num_layers=2,
+                              q_dim=cfg.q_dim, curvature=cfg.curvature, seed=1)
+        mu = normalize_delta(mu_profile(g, cfg.k, cfg.delta_mode, cfg.cache_dir))
+        train_nodes = split_nodes(g, cfg.fractions, cfg.seed).train
+
+        def step():
+            out, record = model.forward(g, g.features, training=True, dropout=cfg.dropout,
+                                        rng=np.random.default_rng(1))
+            loss = overall_loss(cross_entropy_nc(out.z, g.labels, train_nodes),
+                                [(r.beta_r, r.beta_d) for r in record], mu,
+                                LossWeights(cfg.omega_nu, cfg.omega_was),
+                                cfg.comparison_mode)
+            ad.backward(loss)
+
+        step_peak = traced_peak(step)
+        train_peak = traced_peak(lambda: train(g, cfg))
+        assert train_peak <= 1.2 * step_peak, (train_peak, step_peak)
 
 
 class TestProfileCache:
