@@ -1,7 +1,7 @@
-"""Bitwise golden ``RunReport``s for four small training configs.
+"""Bitwise golden ``RunReport``s for seven small training configs.
 
 Each config trains on the reference combined graph with seeded features
-(hidden 8, 30 epochs), and its report, with ``wall_time`` and ``config``
+(hidden 8, at most 30 epochs), and its report, with ``wall_time`` and ``config``
 zeroed, must equal the one stored in ``golden_run_reports.json`` field for
 field and bit for bit.  A change meant to leave training unchanged, such as a
 refactor or a speed-up, keeps this test green; a change meant to alter
@@ -35,7 +35,14 @@ CONFIGS = {
     "nc_trainable_curvature": dict(task="nc", trainable_curvature=True),
     "lp_dropout_0": dict(task="lp", dropout=0.0),
     "lp_3_layers_dropout_0.5": dict(task="lp", layers=3, dropout=0.5),
+    "nc_dropout_0_patience_3": dict(task="nc", dropout=0.0, patience=3),
+    "lp_dropout_0_patience_3": dict(task="lp", dropout=0.0, patience=3),
+    "lp_dropout_0.5_patience_3": dict(task="lp", dropout=0.5, patience=3),
 }
+# Configs that stop on patience before the 30-epoch cap, pinning the
+# early-stopping path as well as the full run.
+EARLY_STOPPING = ("nc_dropout_0_patience_3", "lp_dropout_0_patience_3",
+                  "lp_dropout_0.5_patience_3")
 
 
 def report_fields(name: str) -> dict:
@@ -49,6 +56,12 @@ def report_fields(name: str) -> dict:
 def test_report_matches_golden(name):
     golden = json.loads(GOLDEN_FILE.read_text())
     assert report_fields(name) == golden[name]
+
+
+@pytest.mark.parametrize("name", EARLY_STOPPING)
+def test_early_stopping_golden_stops_early(name):
+    golden = json.loads(GOLDEN_FILE.read_text())
+    assert golden[name]["epochs_run"] < 30
 
 
 def largest_drift(old, new, path: str = "") -> tuple[float, str]:
