@@ -47,7 +47,6 @@ from .training import (
     TrainConfig,
     evaluate_lp,
     evaluate_nc,
-    run_seeds,
     train,
 )
 

@@ -302,6 +302,16 @@ def _read_lines(path: str | Path) -> list[str]:
         raise EdgeListParseError(f"{Path(path).name}: not UTF-8 text ({exc})") from exc
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for ``json.loads`` that rejects a repeated key."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def save_edge_list(g: WeightedGraph, path: str | Path) -> None:
     """Write edges as ``u v`` (unit weight) or ``u v w`` lines."""
     with Path(path).open("w") as fh:
@@ -361,18 +371,23 @@ def _read_csv_by_id(path: str | Path, convert,
                     width: int | None = None) -> dict[int, list]:
     """Map each data row's integer id to its converted values.
 
-    Rows must have ``width`` fields (default: the header's, at least 2).  A
-    short or long row, a value ``convert`` rejects, a non-finite value (``nan``
-    or ``inf``) and a repeated id raise ``EdgeListParseError`` naming the file
-    and line.
+    The header must have ``width`` fields, or at least 2 when ``width`` is not
+    given, and every row as many as the header.  A header or row of another
+    width, a value ``convert`` rejects, a non-finite value (``nan`` or ``inf``)
+    and a repeated id raise ``EdgeListParseError`` naming the file and line.
     """
     path = Path(path)
     lines = [(no, ln.strip()) for no, ln in enumerate(_read_lines(path), start=1)
              if ln.strip()]
     if len(lines) < 2:
         raise EdgeListParseError(f"{path.name}: expected header plus data rows")
-    header = lines[0][1].split(",")
-    width = width or max(len(header), 2)
+    header_no, header = lines[0]
+    given = len(header.split(","))
+    if given < 2 or width not in (None, given):
+        raise EdgeListParseError(f"{path.name}:{header_no}: expected "
+                                 f"{width or 'at least 2'} header fields, got {given} "
+                                 f"in {header!r}")
+    width = given
     by_id: dict[int, list] = {}
     for lineno, line in lines[1:]:
         where, fields = f"{path.name}:{lineno}", line.split(",")

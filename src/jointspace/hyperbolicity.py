@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import DistanceMatrix, WeightedGraph, _k_hop_balls, _path_metric_stack
+from .graphs import (DistanceMatrix, WeightedGraph, _k_hop_balls, _path_metric_stack,
+                     _unique_keys)
 # Not called here: perfbench's tracer looks these two up on this module.
 from .graphs import k_hop_subgraph, shortest_paths  # noqa: F401
 
@@ -536,9 +537,10 @@ def profile_from_json(text: str) -> HyperbolicityProfile:
     """Read ``profile_to_json`` output; any other shape raises ``ValueError``.
 
     Nothing is coerced: ``k`` must be an int, each node id written as
-    ``str(int)`` writes it, and each node value an int or float.
+    ``str(int)`` writes it, and each node value an int or float.  A key
+    repeated in any object is rejected.
     """
-    obj = json.loads(text)
+    obj = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(obj, dict) or not isinstance(obj.get("delta"), dict):
         raise ValueError("profile JSON must be an object whose 'delta' is an object")
     for v, x in obj["delta"].items():

@@ -1,4 +1,4 @@
-"""Training loop with early stopping, evaluation metrics, a multi-seed runner.
+"""Training loop with early stopping, and its evaluation metrics.
 
 One run precomputes the geometric profile of the graph, trains the model
 full-batch with adaptive moment estimation, early-stops on the validation
@@ -14,14 +14,14 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import (WeightedGraph, graph_hash, sample_non_edges, split_edges,
-                     split_nodes)
+from .graphs import (WeightedGraph, _unique_keys, graph_hash, sample_non_edges,
+                     split_edges, split_nodes)
 from .hyperbolicity import (DELTA_MODES, HyperbolicityProfile, local_profile,
                             profile_from_json, profile_to_json)
 from .layers import JointSpaceGNN
@@ -41,7 +41,6 @@ __all__ = [
     "train",
     "evaluate_nc",
     "evaluate_lp",
-    "run_seeds",
     "synthetic_nc_graph",
     "synthetic_lp_tree",
 ]
@@ -80,8 +79,9 @@ class _JsonRecord:
     """JSON codec of a dataclass: ``to_json`` writes ``asdict``, ``from_json`` reads it.
 
     ``from_json`` turns JSON arrays back into tuples, at any depth.  A
-    non-object, unknown keys and missing required keys raise ``ValueError``
-    naming the keys and the record, which each subclass names in ``_json_name``.
+    non-object, a key repeated in any object, unknown keys and missing
+    required keys raise ``ValueError`` naming the keys and the record, which
+    each subclass names in ``_json_name``.
     """
 
     def to_json(self) -> str:
@@ -89,7 +89,7 @@ class _JsonRecord:
 
     @classmethod
     def from_json(cls, text: str):
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
         if not isinstance(obj, dict):
             raise ValueError(f"{cls._json_name} JSON must be an object")
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
@@ -350,25 +350,6 @@ def evaluate_lp(scores: np.ndarray, truth: np.ndarray) -> float:
 # Training
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Best:
-    """Best validation point so far and the parameters it was scored at."""
-
-    metric: float = -math.inf
-    loss: float = math.inf
-    epoch: int = 0
-    state: dict[str, np.ndarray] | None = None
-
-    def update(self, scored: tuple[float, float], epoch: int,
-               model: JointSpaceGNN) -> None:
-        # A strictly better metric improves; an equal metric with strictly
-        # lower validation loss also counts (small validation sets saturate).
-        metric, loss = scored
-        if metric > self.metric or (metric == self.metric and loss < self.loss):
-            self.metric, self.loss, self.epoch = metric, loss, epoch
-            self.state = model.state_dict()
-
-
 def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
     """Train one model; returns a RunReport, or ``(report, model)``.
 
@@ -385,14 +366,15 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
     ``score``, which returns a part's metric and that same task loss on it;
     the loss breaks ties in the validation metric.
 
-    Each epoch's validation scores the parameters its optimizer step wrote.
-    At ``dropout == 0`` the next epoch's training forward runs at exactly
-    those parameters with no mask and no rng draw, so validation is read from
-    that forward's output and only the last epoch runs an eval forward of its
-    own.  With dropout, every epoch runs one.  After the restore, one eval
-    forward gives both the test metric and the recorded selection weights.
-    Each epoch's training tape lives one epoch: ``backward`` consumes it and
-    the loop drops it after the optimizer step, before any later forward.
+    Each epoch runs a training forward, unless the previous epoch handed one
+    on, then the loss, backward and the optimizer step, and drops that tape.
+    One forward at the new parameters is then scored for validation and
+    checked for patience.  At ``dropout == 0`` and before the last epoch that
+    forward is a training forward, which draws no mask and no rng and so
+    equals the eval forward bit for bit, and it is handed on as the next
+    epoch's training forward; otherwise it is an eval forward and is dropped.
+    After the restore, one eval forward gives both the test metric and the
+    recorded selection weights.
     """
     t_start = time.monotonic()
     if cfg.task == "nc":
@@ -457,19 +439,13 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
     weights = LossWeights(cfg.omega_nu, cfg.omega_was)
     opt = Adam(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
 
-    forward_is_eval = cfg.dropout == 0.0
     loss_trace: list[float] = []
-    best = _Best()
+    best_metric, best_loss, best_epoch, best_state = -math.inf, math.inf, 0, None
+    carried = None
     for epoch in range(1, cfg.max_epochs + 1):
         rng_epoch = np.random.default_rng([cfg.seed, epoch])
-        out, record = model.forward(msg_graph, features, training=True,
-                                    dropout=cfg.dropout, rng=rng_epoch)
-        if forward_is_eval and epoch > 1:
-            # The previous epoch's validation, before this epoch's step.
-            best.update(score(out.z, "val"), epoch - 1, model)
-            if epoch - 1 - best.epoch >= cfg.patience:
-                del out, record
-                break
+        out, record = carried or model.forward(msg_graph, features, training=True,
+                                               dropout=cfg.dropout, rng=rng_epoch)
         loss = overall_loss(task_loss(out.z, rng_epoch),
                             [(r.beta_r, r.beta_d) for r in record],
                             mu, weights, cfg.comparison_mode)
@@ -479,31 +455,41 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
         ad.backward(loss)
         opt.step()
         # The tape lives one epoch: it is gone before the next forward.
-        del out, record, loss
+        del out, record, loss, carried
         if cfg.trainable_curvature:
             for lp in model.layers:
                 lp.hgat.curvature.value = np.maximum(
                     lp.hgat.curvature.value, _MIN_CURVATURE)
         loss_trace.append(loss_value)
 
-        if not forward_is_eval or epoch == cfg.max_epochs:
-            # Scored inline, so no name holds the eval tape into the next epoch.
-            best.update(score(model.forward(msg_graph, features, training=False)[0].z,
-                              "val"), epoch, model)
-            if epoch - best.epoch >= cfg.patience:
-                break
+        # At dropout 0 a training forward draws no mask and no rng, so it is
+        # the eval forward bit for bit; before the last epoch it is kept as the
+        # next epoch's training forward.
+        keep = cfg.dropout == 0.0 and epoch < cfg.max_epochs
+        carried = model.forward(msg_graph, features, training=keep)
+        metric, val_loss = score(carried[0].z, "val")
+        if not keep:
+            carried = None
+        # A strictly better metric improves; an equal metric with strictly
+        # lower validation loss also counts (small validation sets saturate).
+        if metric > best_metric or (metric == best_metric and val_loss < best_loss):
+            best_metric, best_loss, best_epoch = metric, val_loss, epoch
+            best_state = model.state_dict()
+        if epoch - best_epoch >= cfg.patience:
+            break
 
-    if best.state is not None:
-        model.load_state_dict(best.state)
+    del carried  # no training tape outlives the loop
+    if best_state is not None:
+        model.load_state_dict(best_state)
     out, record = model.forward(msg_graph, features, training=False)
     test_metric, _ = score(out.z, "test")
     beta_samples = tuple(tuple(float(b) for b in r.beta_r.value) for r in record)
     w2_unif, w2_mu = _beta_diagnostics(beta_samples, mu)
 
     report = RunReport(
-        best_val_metric=float(best.metric),
+        best_val_metric=float(best_metric),
         test_metric=float(test_metric),
-        epoch_of_best=best.epoch,
+        epoch_of_best=best_epoch,
         epochs_run=len(loss_trace),
         loss_trace=tuple(loss_trace),
         beta_samples=beta_samples,
@@ -518,7 +504,7 @@ def train(g: WeightedGraph, cfg: TrainConfig, return_model: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Diagnostics and seeds
+# Diagnostics
 # ---------------------------------------------------------------------------
 
 def _beta_diagnostics(beta_samples, mu: np.ndarray) -> tuple[float, float]:
@@ -532,23 +518,6 @@ def _beta_diagnostics(beta_samples, mu: np.ndarray) -> tuple[float, float]:
     w2_unif = wasserstein_1d(avg, unif_reference(avg.size), 2.0)
     w2_mu = wasserstein_1d(avg, mu, 2.0)
     return float(w2_unif), float(w2_mu)
-
-
-def run_seeds(g: WeightedGraph, cfg: TrainConfig, seeds: list[int]) -> dict:
-    """Repeat a configuration across seeds; report mean and std of the metrics."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    reports = [train(g, replace(cfg, seed=s)) for s in seeds]
-    tests = np.array([r.test_metric for r in reports])
-    vals = np.array([r.best_val_metric for r in reports])
-    return {
-        "seeds": list(seeds),
-        "test_mean": float(tests.mean()),
-        "test_std": float(tests.std(ddof=1)) if len(seeds) > 1 else 0.0,
-        "val_mean": float(vals.mean()),
-        "val_std": float(vals.std(ddof=1)) if len(seeds) > 1 else 0.0,
-        "reports": reports,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -573,6 +573,30 @@ class TestAblateCompareReport:
         assert capsys.readouterr().err == ("error: old.json: unknown config keys: "
                                            "f1_average, fermi_r, fermi_t, p\n")
 
+    def test_train_nc_repeated_config_key_exit_2(self, tmp_path, combined_files,
+                                                 capsys):
+        # The last value of a repeated key is not silently kept.
+        edges, feats, labels = combined_files
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"lr": 0.5, "lr": 0.001}')
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: cfg.json: repeated key 'lr'\n"
+
+    def test_report_run_with_repeated_nested_key_exit_2(self, tmp_path, combined_files,
+                                                        capsys):
+        edges, feats, labels = combined_files
+        run_path = tmp_path / "run.json"
+        assert main(["train-nc", "--graph", str(edges), "--features", str(feats),
+                     "--labels", str(labels), "--hidden", "8", "--max-epochs", "2",
+                     "--out", str(run_path)]) == 0
+        text = run_path.read_text()
+        assert text.count('"config": {') == 1
+        run_path.write_text(text.replace('"config": {', '"config": {"hidden": 16, ', 1))
+        capsys.readouterr()
+        assert main(["report", "--run", str(run_path)]) == 2
+        assert capsys.readouterr().err == "error: run.json: repeated key 'hidden'\n"
+
     @pytest.mark.parametrize("key,present,message", [
         ("bogus", True, "unknown run report keys: bogus"),
         ("epoch_of_best", False, "missing run report keys: epoch_of_best")],

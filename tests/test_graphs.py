@@ -167,6 +167,22 @@ class TestEdgeList:
             load_features_csv(ff)
 
     @pytest.mark.parametrize("loader, text, fault", [
+        (load_features_csv, "node_id\n0,1.5\n1,2.5\n",
+         r"data.csv:1: expected at least 2 header fields, got 1 in 'node_id'"),
+        (load_labels_csv, "node_id,label,extra\n0,1\n1,0\n",
+         r"data.csv:1: expected 2 header fields, got 3 in 'node_id,label,extra'"),
+        (load_labels_csv, "node_id\n0,1\n1,0\n",
+         r"data.csv:1: expected 2 header fields, got 1 in 'node_id'"),
+    ], ids=["features-without-feature-column", "three-field-labels",
+            "one-field-labels"])
+    def test_csv_header_of_wrong_width_rejected(self, tmp_path, loader, text, fault):
+        # Rows as wide as a wrong header are not read past it.
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(EdgeListParseError, match=fault):
+            loader(path)
+
+    @pytest.mark.parametrize("loader, text, fault", [
         (load_labels_csv, "node_id,label\n0,1\n1\n",
          r"data.csv:3: expected 2 fields, got 1 in '1'"),
         (load_labels_csv, "node_id,label\n0,1\n1,x\n",

@@ -18,8 +18,8 @@ from jointspace.objectives import (LossWeights, cross_entropy_nc, normalize_delt
                                    overall_loss)
 from jointspace.training import (MAX_MODEL_SIZE, Adam, RunReport, TrainConfig,
                                  _beta_diagnostics, evaluate_lp, evaluate_nc,
-                                 mu_profile, run_seeds,
-                                 synthetic_lp_tree, synthetic_nc_graph, train)
+                                 mu_profile, synthetic_lp_tree, synthetic_nc_graph,
+                                 train)
 
 
 def quick_cfg(**kw) -> TrainConfig:
@@ -613,6 +613,17 @@ class TestProfileCache:
                            r"no value for node 3, unexpected node 999"):
             mu_profile(g, 2, "inf", cache_dir=str(tmp_path))
 
+    def test_cache_with_repeated_node_rejected(self, tmp_path):
+        g = synthetic_nc_graph(seed=0)
+        mu_profile(g, 2, "inf", cache_dir=str(tmp_path))
+        path, = tmp_path.iterdir()
+        text = path.read_text()
+        assert text.count('"delta": {') == 1
+        path.write_text(text.replace('"delta": {', '"delta": {"0": 0.25, ', 1))
+        with pytest.raises(ValueError, match=rf"profile cache .*{path.name}: "
+                           r"repeated key '0'"):
+            mu_profile(g, 2, "inf", cache_dir=str(tmp_path))
+
     def test_cache_for_fewer_nodes_rejected(self, tmp_path):
         g = synthetic_nc_graph(seed=0)
         mu_profile(g, 2, "inf", cache_dir=str(tmp_path))
@@ -669,24 +680,11 @@ class TestAnalysis:
         assert w2_mu == pytest.approx(0.5, abs=1e-12)
 
 
-class TestRunners:
-    def test_run_seeds_summary(self):
-        g = synthetic_nc_graph(seed=0)
-        cfg = quick_cfg(max_epochs=6, patience=6)
-        summary = run_seeds(g, cfg, [0, 1, 2])
-        assert len(summary["reports"]) == 3
-        tests = [r.test_metric for r in summary["reports"]]
-        assert summary["test_mean"] == pytest.approx(np.mean(tests))
-        assert summary["test_std"] == pytest.approx(np.std(tests, ddof=1))
-
-
 @pytest.mark.parametrize("call, fault", [
     (lambda: evaluate_nc(np.zeros((3, 2)), np.array([0, 1, 0]), []),
      "mask must be non-empty"),
     (lambda: evaluate_nc(np.zeros((3, 2)), np.array([0, 1, 0]), [0], "auc"),
-     "metric must be 'accuracy' or 'f1'"),
-    (lambda: run_seeds(synthetic_nc_graph(), TrainConfig(), []),
-     "need at least one seed")], ids=["empty-mask", "unknown-metric", "no-seeds"])
+     "metric must be 'accuracy' or 'f1'")], ids=["empty-mask", "unknown-metric"])
 def test_empty_or_unknown_argument_rejected(call, fault):
     with pytest.raises(ValueError, match=fault):
         call()
