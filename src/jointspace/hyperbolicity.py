@@ -122,6 +122,14 @@ def _node_array(per_node: Mapping) -> np.ndarray:
     return values
 
 
+def _check_k(k) -> None:
+    """Reject a hop count that is not an int >= 1 (a bool is not one)."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 @dataclass(frozen=True)
 class HyperbolicityProfile:
     """Per-node local hyperbolicity values over k-hop subgraphs.
@@ -139,8 +147,7 @@ class HyperbolicityProfile:
     def __post_init__(self) -> None:
         if self.mode not in DELTA_MODES:
             raise ValueError(f"mode must be 'inf' or 'one', got {self.mode!r}")
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        _check_k(self.k)
         values = _node_array(self.per_node)
         if not (np.isfinite(values) & (values >= 0)).all():
             raise ValueError("hyperbolicity values must be finite and nonnegative")
@@ -427,17 +434,25 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
     degenerate).  The balls come from one array breadth-first search per
     block of centers (``_ball_stacks``) and are processed in stacks of equal
     size: one Floyd-Warshall, one tree certificate and one kernel per stack
-    (the pruned far-pair walk for "inf", the exact quadruple sum for "one"),
-    each giving every ball exactly the value a call on that ball alone
-    gives.  In "one" mode, non-tree balls above ``exact_limit`` nodes go one
-    by one to the sampled estimator: ``DEFAULT_NUM_SAMPLES`` draws, seeded by (seed, node).
+    (the pruned far-pair walk for "inf", the exact quadruple sum for "one").
+    In "one" mode each ball gets exactly the value ``delta_one_exact`` gives
+    on it alone; non-tree balls above ``exact_limit`` nodes go one by one to
+    the sampled estimator: ``DEFAULT_NUM_SAMPLES`` draws, seeded by (seed, node).
+
+    In "inf" mode each ball is first cut to its 2-core by stripping degree-1
+    vertices until none is left, which leaves every four-point defect as it
+    was; balls are then grouped by core size, and a core of fewer than 4
+    nodes (every tree ball's) gets 0.  A ball's value is exactly
+    ``delta_inf`` of its core's path metric, and that metric is bitwise the
+    whole ball's restricted to the core.  On integer and half-integer
+    weights it is bitwise the whole ball's ``delta_inf``; on other float
+    weights it is at most that and differs by round-off only.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_k(k)
     if mode not in DELTA_MODES:
         raise ValueError(f"mode must be 'inf' or 'one', got {mode!r}")
     values = np.zeros(g.num_nodes)
-    for centers, d in _ball_stacks(g, k):
+    for centers, d in _ball_stacks(g, k, cores=mode == "inf"):
         if mode == "inf":
             values[centers] = _delta_inf_stack(d)
         elif d.shape[1] <= exact_limit:
@@ -451,22 +466,28 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
     return HyperbolicityProfile(per_node=_NodeValues(values), k=k, mode=mode)
 
 
-def _ball_stacks(g: WeightedGraph, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _ball_stacks(g: WeightedGraph, k: int,
+                 cores: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(centers, d)``: the path metrics of the k-hop balls of ``centers``.
 
     Balls come from ``_k_hop_balls``, ``_CENTER_BLOCK`` centers at a time.
-    Balls of fewer than 4 nodes are skipped.  The rest are grouped by node
-    count n, and each group is cut into ``(B, n, n)`` stacks of at most
-    ``_STACK_ELEMENTS`` distances, which ``_path_metric_stack`` fills straight
-    from the edge arrays; a stack is yielded as soon as it fills.  A group
-    waiting for more balls holds arrays of its own edges only, not views of a
-    whole block's.
+    With ``cores``, each block's balls are first cut to their 2-cores
+    (``_two_cores``) and ``d`` is the path metric of each center's core.
+    Balls (or cores) of fewer than 4 nodes are skipped.  The rest are
+    grouped by node count n, and each group is cut into ``(B, n, n)`` stacks
+    of at most ``_STACK_ELEMENTS`` distances, which ``_path_metric_stack``
+    fills straight from the edge arrays; a stack is yielded as soon as it
+    fills.  A group waiting for more balls holds arrays of its own edges
+    only, not views of a whole block's.
     """
     pending: dict[int, tuple] = {}  # n -> (centers, edges per ball, u, v, w)
     for start in range(0, g.num_nodes, _CENTER_BLOCK):
         centers = np.arange(start, min(start + _CENTER_BLOCK, g.num_nodes))
-        offsets, _, (ball, u, v, w) = _k_hop_balls(g, centers, k)
-        sizes = np.diff(offsets)
+        offsets, _, edges = _k_hop_balls(g, centers, k)
+        if cores:
+            sizes, (ball, u, v, w) = _two_cores(offsets, *edges)
+        else:
+            sizes, (ball, u, v, w) = np.diff(offsets), edges
         per_ball = np.bincount(ball, minlength=centers.size)
         for n in (np.flatnonzero(np.bincount(sizes)[4:]) + 4).tolist():
             sel = sizes == n
@@ -495,6 +516,35 @@ def _split(group: tuple, count: int) -> tuple[tuple, tuple]:
 def _stack(n: int, centers, per_ball, u, v, w) -> tuple[np.ndarray, np.ndarray]:
     ball = np.repeat(np.arange(centers.size), per_ball)
     return centers, _path_metric_stack(centers.size, n, ball, u, v, w)
+
+
+def _two_cores(offsets: np.ndarray, ball, u, v, w) -> tuple[np.ndarray, tuple]:
+    """The 2-cores of a block of balls given as ``_k_hop_balls`` edge arrays.
+
+    Returns each core's node count and its edges in the same form.  Edges
+    touching a degree-1 member are dropped, with degrees recounted by
+    ``np.bincount`` over the block's member ids, until no member has degree
+    1.  A degree-1 vertex adds the same weight to all three pairing sums of
+    every quadruple it is in, so this leaves ``delta_inf`` unchanged.  The
+    members left keep their order and are numbered 0.. within each ball, so
+    the core's Floyd-Warshall visits the same intermediates in the same
+    order and, since a stripped vertex never strictly shortens a path
+    between core nodes, gives bitwise the whole ball's core distances.
+    """
+    start = offsets[ball]
+    a, b = u + start, v + start  # ids among all of the block's members
+    while True:
+        degree = np.bincount(np.concatenate((a, b)), minlength=int(offsets[-1]))
+        pendant = degree == 1
+        keep = ~(pendant[a] | pendant[b])
+        if keep.all():
+            break
+        ball, a, b, w = ball[keep], a[keep], b[keep], w[keep]
+    rank = np.zeros(degree.size + 1, dtype=np.int64)  # core members before each id
+    np.cumsum(degree > 0, out=rank[1:])
+    first = rank[offsets]
+    start = first[ball]
+    return np.diff(first), (ball, rank[a] - start, rank[b] - start, w)
 
 
 def histogram(values, bin_width: float = 0.5) -> Histogram:

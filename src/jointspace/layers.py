@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import poincare as pc
 from .autodiff import DiffValue
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _unique_keys
 
 __all__ = [
     "MAX_PARAMETERS",
@@ -359,6 +359,39 @@ def save_params_json(params: dict[str, np.ndarray]) -> str:
 
 
 def load_params_json(text: str) -> dict[str, np.ndarray]:
-    obj = json.loads(text)
-    return {name: np.asarray(spec["values"], dtype=np.float64).reshape(spec["shape"])
-            for name, spec in obj.items()}
+    """Read ``save_params_json`` output; any other shape raises ``ValueError``.
+
+    The top level must be an object whose every entry is an object with
+    exactly ``shape``, a list of non-negative ints, and ``values``, a list
+    of prod(shape) numbers (ints or floats, not bools).  A key repeated in
+    any object is rejected, and every other fault names its parameter.
+    """
+    obj = json.loads(text, object_pairs_hook=_unique_keys)
+    if not isinstance(obj, dict):
+        raise ValueError(f"checkpoint must be a JSON object of parameters, "
+                         f"got {type(obj).__name__}")
+    params = {}
+    for name, spec in obj.items():
+        if not isinstance(spec, dict) or sorted(spec) != ["shape", "values"]:
+            got = sorted(spec) if isinstance(spec, dict) else type(spec).__name__
+            raise ValueError(f"parameter {name!r} must be an object with keys 'shape' "
+                             f"and 'values', got {got}")
+        shape, values = spec["shape"], spec["values"]
+        if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
+            raise ValueError(f"parameter {name!r}: shape must be a list of non-negative "
+                             f"ints, got {shape!r}")
+        if not isinstance(values, list):
+            raise ValueError(f"parameter {name!r}: values must be a list of numbers, "
+                             f"got {type(values).__name__}")
+        bad = next((i for i, x in enumerate(values) if type(x) not in (int, float)), None)
+        if bad is not None:
+            raise ValueError(f"parameter {name!r}: values[{bad}] is {values[bad]!r}, "
+                             "not a number")
+        if len(values) != math.prod(shape):
+            raise ValueError(f"parameter {name!r}: shape {shape} needs {math.prod(shape)} "
+                             f"values, got {len(values)}")
+        try:
+            params[name] = np.array(values, dtype=np.float64).reshape(shape)
+        except OverflowError as exc:
+            raise ValueError(f"parameter {name!r}: {exc}") from exc
+    return params

@@ -78,6 +78,29 @@ def random_halfint_graph(rng: np.random.Generator, n: int,
                          edges=tuple((u, v, w) for (u, v), w in edges.items()))
 
 
+def two_core(g: WeightedGraph) -> tuple[list[int], tuple]:
+    """The 2-core of ``g`` by a plain loop: its node ids, ascending, and its edges.
+
+    Nodes of degree 0 or 1 among those left are removed, round by round,
+    until none is left; the edges between the rest are renumbered by
+    position in the id list and keep their order in ``g.edges``.
+    """
+    alive = set(range(g.num_nodes))
+    while True:
+        degree = dict.fromkeys(alive, 0)
+        for a, b, _ in g.edges:
+            if a in alive and b in alive:
+                degree[a] += 1
+                degree[b] += 1
+        low = {v for v, deg in degree.items() if deg <= 1}
+        if not low:
+            break
+        alive -= low
+    ids = sorted(alive)
+    new = {v: i for i, v in enumerate(ids)}
+    return ids, tuple((new[a], new[b], w) for a, b, w in g.edges if a in new and b in new)
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from jointspace.graphs import (MAX_NODES, DistanceMatrix, EdgeListParseError,
 from jointspace.hyperbolicity import _CENTER_BLOCK, delta_inf, local_profile
 from jointspace.training import synthetic_lp_tree
 
-from conftest import cycle_graph, path_graph, random_connected_graph, star_graph
+from conftest import (cycle_graph, path_graph, random_connected_graph, star_graph,
+                      two_core)
 
 
 class TestWeightedGraph:
@@ -402,12 +403,22 @@ class TestKHopBalls:
                                          ("random_float", (1, 2))],
                              ids=["two_components", "random_float"])
     def test_local_profile_matches_per_ball(self, name, ks):
+        # Each value is delta_inf of the ball's 2-core, bitwise; on float
+        # weights the whole ball's may differ from it by round-off only.
         g = BALL_GRAPHS[name]()
         for k in ks:
             prof = local_profile(g, k, "inf")
             for v in range(g.num_nodes):
                 sub, _ = k_hop_subgraph(g, v, k)
-                assert prof.per_node[v] == delta_inf(shortest_paths(sub)), (k, v)
+                ids, edges = two_core(sub)
+                core = (delta_inf(shortest_paths(WeightedGraph(len(ids), edges)))
+                        if len(ids) >= 4 else 0.0)
+                whole = delta_inf(shortest_paths(sub))
+                assert prof.per_node[v] == core, (k, v)
+                assert prof.per_node[v] <= whole
+                assert math.isclose(prof.per_node[v], whole, rel_tol=1e-12, abs_tol=1e-12)
+                if name != "random_float":
+                    assert core == whole, (k, v)
 
     def test_csr_is_cached_read_only_adjacency(self):
         g = BALL_GRAPHS["two_components"]()

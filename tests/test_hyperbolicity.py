@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from jointspace.hyperbolicity import (MAX_HISTOGRAM_BINS, CrossComponentError,
 
 from conftest import (cycle_graph, naive_delta_inf, ordered_mean_tau,
                       ordered_sup_tau, path_graph, random_connected_graph,
-                      random_halfint_graph, random_tree)
+                      random_halfint_graph, random_tree, two_core)
 
 
 class TestDeltaInf:
@@ -113,6 +114,44 @@ class TestDeltaInf:
             assert abs(perturbed - base) <= 8.0 * eps
 
 
+def core_delta_inf(g: WeightedGraph) -> float:
+    """``delta_inf`` of the path metric of ``g``'s 2-core, found by ``two_core``."""
+    ids, edges = two_core(g)
+    if len(ids) < 4:
+        return 0.0
+    return delta_inf(shortest_paths(WeightedGraph(len(ids), edges)))
+
+
+def with_pendant_trees(rng: np.random.Generator, g: WeightedGraph, count: int,
+                       weights) -> WeightedGraph:
+    """``g`` plus ``count`` new nodes, each joined to one random earlier node.
+
+    The new nodes form trees hung from ``g``'s nodes; each new edge's weight
+    is drawn from ``weights()``.
+    """
+    n = g.num_nodes
+    grafted = tuple((int(rng.integers(0, v)), v, weights()) for v in range(n, n + count))
+    return WeightedGraph(n + count, g.edges + grafted)
+
+
+def preferential_attachment(rng: np.random.Generator, n: int, m: int = 2) -> WeightedGraph:
+    """Unit-weight graph where each new node joins m distinct earlier nodes.
+
+    Nodes 0..m form a clique; each later node picks its m neighbors in
+    proportion to their degree, so a few early nodes become hubs.
+    """
+    edges = [(u, v, 1.0) for v in range(1, m + 1) for u in range(v)]
+    ends = [x for u, v, _ in edges for x in (u, v)]
+    for v in range(m + 1, n):
+        chosen: set[int] = set()
+        while len(chosen) < m:
+            chosen.add(ends[int(rng.integers(len(ends)))])
+        for u in sorted(chosen):
+            edges.append((u, v, 1.0))
+            ends += [u, v]
+    return WeightedGraph(n, tuple(edges))
+
+
 def float_lattice_tree() -> WeightedGraph:
     """A 20x20 lattice with seeded U(0.5, 2) weights, glued to tree(3, 5)."""
     rng = np.random.default_rng(12)
@@ -125,8 +164,8 @@ def float_lattice_tree() -> WeightedGraph:
 
 class TestDeltaInfStack:
     @pytest.mark.parametrize("graph,k,digest", [
-        ("lattice_tree", 2, "a69f8c1fd75b6e3bbb2c0cf4e6460a69211edba668b9046009dd66e61b38a9b8"),
-        ("lattice_tree", 3, "0d8b698299c8790855c851fd9abb2eea05f7be1d9847d9e6e63cf17671798504"),
+        ("lattice_tree", 2, "4a3a50298eb1f3e4312060fa30c3dd2df8ec10388c5828fc304422190811f796"),
+        ("lattice_tree", 3, "33e10a48cbc53d35c92b859a5f27df812ecc17345d50dba49f696affd9974c74"),
         ("reference", 1, "7b6436b0c98f62380866d9432c2af0ee08ce16a171bda6951aecd95ee1307d61"),
         ("reference", 2, "4b69c0328f183e89c64fd17dc787823ce00a54ada2b94829efd200470328efa4"),
         ("reference", 3, "659b767214edd8b1b7d67a212be7256c27603cc84c24e9150859ec28bf51b21f"),
@@ -373,7 +412,12 @@ class TestLocalProfile:
             if sub.num_nodes < 4:
                 expected = 0.0
             elif mode == "inf":
-                expected = delta_inf(shortest_paths(sub))
+                whole = delta_inf(shortest_paths(sub))
+                assert prof.per_node[v] <= whole
+                assert math.isclose(prof.per_node[v], whole, rel_tol=1e-12, abs_tol=1e-12)
+                expected = core_delta_inf(sub)
+                if weights == "half":
+                    assert expected == whole, v
             elif is_tree_metric(dm := shortest_paths(sub)):
                 expected = 0.0
             elif sub.num_nodes <= exact_limit:
@@ -437,6 +481,86 @@ class TestLocalProfile:
             HyperbolicityProfile({0: 0.0, 999: 1.0, 2: 0.5}, 2, "inf")
         with pytest.raises(ValueError, match="unexpected node '1'"):
             HyperbolicityProfile({0: 0.0, "1": 1.0}, 2, "inf")
+
+
+class TestTwoCores:
+    """In "inf" mode each ball is cut to its 2-core before the walk."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0], ids=["half", "integer"])
+    def test_exact_weights_match_naive_on_whole_ball(self, scale):
+        # Sums of half-integers are exact, so the core's value is bitwise
+        # the whole ball's, pendant trees and all.
+        rng = np.random.default_rng(71)
+        stripped = positive = 0
+        for trial in range(3):
+            base = random_halfint_graph(rng, int(rng.integers(6, 10)), p=0.35)
+            base = WeightedGraph(base.num_nodes,
+                                 tuple((u, v, w * scale) for u, v, w in base.edges))
+            g = with_pendant_trees(rng, base, 6,
+                                   lambda: scale * float(rng.choice((0.5, 1.0, 1.5))))
+            for k in (1, 2):
+                prof = local_profile(g, k, "inf")
+                for v in range(g.num_nodes):
+                    sub, _ = k_hop_subgraph(g, v, k)
+                    assert prof.per_node[v] == naive_delta_inf(shortest_paths(sub)), (k, v)
+                    stripped += 4 <= len(two_core(sub)[0]) < sub.num_nodes
+                    positive += prof.per_node[v] > 0
+        assert stripped > 10 and positive > 10
+
+    def float_graphs(self):
+        rng = np.random.default_rng(73)
+        for trial in range(4):
+            base = random_connected_graph(rng, int(rng.integers(6, 12)), p=0.3)
+            yield with_pendant_trees(rng, base, 8, lambda: float(rng.uniform(0.5, 2.0)))
+
+    def test_core_metric_is_whole_ball_metric_restricted(self):
+        # A stripped vertex never strictly shortens a path between core
+        # nodes, so the core's Floyd-Warshall gives the whole ball's floats.
+        cores = 0
+        for g in self.float_graphs():
+            for k in (1, 2, 3):
+                for v in range(g.num_nodes):
+                    sub, _ = k_hop_subgraph(g, v, k)
+                    ids, edges = two_core(sub)
+                    if not ids:
+                        continue
+                    core = shortest_paths(WeightedGraph(len(ids), edges)).d
+                    whole = shortest_paths(sub).d[np.ix_(ids, ids)]
+                    assert np.array_equal(core, whole), (k, v)
+                    cores += len(ids) < sub.num_nodes
+        assert cores > 50
+
+    def test_float_values_are_core_values(self):
+        # Exactly the core's delta_inf; at most the whole ball's, which can
+        # carry rounding of sums through pendant vertices, and within 1e-12.
+        for g in self.float_graphs():
+            for k in (1, 2, 3):
+                prof = local_profile(g, k, "inf")
+                for v in range(g.num_nodes):
+                    sub, _ = k_hop_subgraph(g, v, k)
+                    whole = delta_inf(shortest_paths(sub))
+                    assert prof.per_node[v] == core_delta_inf(sub), (k, v)
+                    assert prof.per_node[v] <= whole
+                    assert math.isclose(prof.per_node[v], whole, rel_tol=1e-12, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_float_weighted_trees_exactly_zero(self, k):
+        # The tree certificate rejects most float-weighted trees; their
+        # cores are empty, so no walk runs and no round-off shows.
+        rng = np.random.default_rng(79)
+        for trial in range(4):
+            n = int(rng.integers(20, 40))
+            g = WeightedGraph(n, tuple((int(rng.integers(0, i)), i, float(rng.uniform(0.5, 2.0)))
+                                       for i in range(1, n)))
+            assert not local_profile(g, k, "inf").values_by_node().any()
+
+    def test_hub_graph_matches_per_ball(self):
+        g = preferential_attachment(np.random.default_rng(83), 150)
+        assert max(np.bincount(g.edge_index.ravel())) > 30
+        prof = local_profile(g, 2, "inf")
+        for v in range(g.num_nodes):
+            sub, _ = k_hop_subgraph(g, v, 2)
+            assert prof.per_node[v] == delta_inf(shortest_paths(sub)), v
 
 
 class TestDistributions:
@@ -526,3 +650,15 @@ class TestDistributions:
 def test_local_profile_rejects_bad_argument(k, mode, fault):
     with pytest.raises(ValueError, match=fault):
         local_profile(path_graph(4), k, mode)
+
+
+@pytest.mark.parametrize("k", [np.int64(2), True, 2.0, "2", -1],
+                         ids=["numpy-int", "bool", "float", "string", "negative"])
+def test_local_profile_checks_k_before_any_work(k, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_ball_stacks reached")
+
+    monkeypatch.setattr(hyperbolicity, "_ball_stacks", refuse)
+    fault = "k must be >= 1, got -1" if k == -1 else f"k must be an integer >= 1, got {k!r}"
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        local_profile(path_graph(4), k, "inf")

@@ -887,6 +887,39 @@ class TestCheckpointFormat:
         for k in state:
             assert np.array_equal(restored[k], state[k])
 
+    @pytest.mark.parametrize("text, fault", [
+        ('{"a": {"shape": [1], "values": [1.0]}, "a": {"shape": [1], "values": [2.0]}}',
+         "repeated key 'a'"),
+        ('{"a": 3}', "parameter 'a' must be an object with keys 'shape' and 'values', got int"),
+        ('{"a": {"shape": [1]}}', "parameter 'a' must be an object with keys 'shape' and "
+                                  r"'values', got \['shape'\]"),
+        ("[1]", "checkpoint must be a JSON object of parameters, got list"),
+        ('{"a": {"shape": [2], "values": [1.0, true]}}', r"parameter 'a': values\[1\] is True"),
+        ('{"a": {"shape": [1], "values": ["1"]}}', r"parameter 'a': values\[0\] is '1'"),
+        ('{"a": {"shape": [1], "values": 1.0}}', "parameter 'a': values must be a list"),
+        ('{"a": {"shape": [2, 2], "values": [1, 2, 3]}}',
+         r"parameter 'a': shape \[2, 2\] needs 4 values, got 3"),
+        ('{"a": {"shape": [-1], "values": []}}',
+         "parameter 'a': shape must be a list of non-negative ints"),
+        ('{"a": {"shape": [2.0], "values": [1, 2]}}',
+         "parameter 'a': shape must be a list of non-negative ints"),
+        ('{"a": {"shape": [true], "values": [1]}}',
+         "parameter 'a': shape must be a list of non-negative ints"),
+        ('{"a": {"shape": [1], "values": [1' + "0" * 400 + ']}}',
+         "parameter 'a': int too large to convert to float"),
+    ], ids=["repeated-name", "spec-not-object", "spec-lacks-values", "top-level-list",
+            "bool-value", "string-value", "values-not-list", "count-mismatch",
+            "negative-dim", "float-dim", "bool-dim", "huge-int"])
+    def test_load_params_json_names_each_fault(self, text, fault):
+        with pytest.raises(ValueError, match=fault):
+            load_params_json(text)
+
+    def test_load_params_json_keeps_ints_and_empty_shapes(self):
+        got = load_params_json('{"a": {"shape": [], "values": [3]}, '
+                               '"b": {"shape": [0, 2], "values": []}}')
+        assert got["a"].shape == () and got["a"] == 3.0 and got["a"].dtype == np.float64
+        assert got["b"].shape == (0, 2)
+
     def test_load_rejects_unknown_and_mismatched(self):
         model = JointSpaceGNN(3, 4, 2, num_layers=1, q_dim=3, seed=1)
         with pytest.raises(KeyError):
