@@ -124,10 +124,8 @@ def _node_array(per_node: Mapping) -> np.ndarray:
 
 def _check_k(k) -> None:
     """Reject a hop count that is not an int >= 1 (a bool is not one)."""
-    if isinstance(k, bool) or not isinstance(k, int):
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from jointspace.graphs import DistanceMatrix, WeightedGraph
+from jointspace.graphs import DistanceMatrix, WeightedGraph, shortest_paths
+from jointspace.hyperbolicity import delta_inf
 
 
 def cycle_graph(n: int, w: float = 1.0) -> WeightedGraph:
@@ -99,6 +100,14 @@ def two_core(g: WeightedGraph) -> tuple[list[int], tuple]:
     ids = sorted(alive)
     new = {v: i for i, v in enumerate(ids)}
     return ids, tuple((new[a], new[b], w) for a, b, w in g.edges if a in new and b in new)
+
+
+def core_delta_inf(g: WeightedGraph) -> float:
+    """``delta_inf`` of the path metric of ``g``'s 2-core, found by ``two_core``."""
+    ids, edges = two_core(g)
+    if len(ids) < 4:
+        return 0.0
+    return delta_inf(shortest_paths(WeightedGraph(len(ids), edges)))
 
 
 # ---------------------------------------------------------------------------

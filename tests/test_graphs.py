@@ -16,8 +16,8 @@ from jointspace.graphs import (MAX_NODES, DistanceMatrix, EdgeListParseError,
 from jointspace.hyperbolicity import _CENTER_BLOCK, delta_inf, local_profile
 from jointspace.training import synthetic_lp_tree
 
-from conftest import (cycle_graph, path_graph, random_connected_graph, star_graph,
-                      two_core)
+from conftest import (core_delta_inf, cycle_graph, path_graph, random_connected_graph,
+                      star_graph)
 
 
 class TestWeightedGraph:
@@ -410,9 +410,7 @@ class TestKHopBalls:
             prof = local_profile(g, k, "inf")
             for v in range(g.num_nodes):
                 sub, _ = k_hop_subgraph(g, v, k)
-                ids, edges = two_core(sub)
-                core = (delta_inf(shortest_paths(WeightedGraph(len(ids), edges)))
-                        if len(ids) >= 4 else 0.0)
+                core = core_delta_inf(sub)
                 whole = delta_inf(shortest_paths(sub))
                 assert prof.per_node[v] == core, (k, v)
                 assert prof.per_node[v] <= whole

@@ -16,7 +16,7 @@ from jointspace.hyperbolicity import (MAX_HISTOGRAM_BINS, CrossComponentError,
                                       is_tree_metric, local_profile,
                                       profile_from_json, profile_to_json)
 
-from conftest import (cycle_graph, naive_delta_inf, ordered_mean_tau,
+from conftest import (core_delta_inf, cycle_graph, naive_delta_inf, ordered_mean_tau,
                       ordered_sup_tau, path_graph, random_connected_graph,
                       random_halfint_graph, random_tree, two_core)
 
@@ -112,14 +112,6 @@ class TestDeltaInf:
                 (u, v, w + float(rng.uniform(-eps, eps))) for u, v, w in g.edges)
             perturbed = delta_inf(shortest_paths(WeightedGraph(n, jitter)))
             assert abs(perturbed - base) <= 8.0 * eps
-
-
-def core_delta_inf(g: WeightedGraph) -> float:
-    """``delta_inf`` of the path metric of ``g``'s 2-core, found by ``two_core``."""
-    ids, edges = two_core(g)
-    if len(ids) < 4:
-        return 0.0
-    return delta_inf(shortest_paths(WeightedGraph(len(ids), edges)))
 
 
 def with_pendant_trees(rng: np.random.Generator, g: WeightedGraph, count: int,
@@ -645,7 +637,7 @@ class TestDistributions:
 
 
 @pytest.mark.parametrize("k, mode, fault", [
-    (0, "inf", "k must be >= 1"),
+    (0, "inf", "k must be an integer >= 1, got 0"),
     (2, "sup", "mode must be 'inf' or 'one', got 'sup'")], ids=["zero-k", "unknown-mode"])
 def test_local_profile_rejects_bad_argument(k, mode, fault):
     with pytest.raises(ValueError, match=fault):
@@ -659,6 +651,5 @@ def test_local_profile_checks_k_before_any_work(k, monkeypatch):
         raise AssertionError("_ball_stacks reached")
 
     monkeypatch.setattr(hyperbolicity, "_ball_stacks", refuse)
-    fault = "k must be >= 1, got -1" if k == -1 else f"k must be an integer >= 1, got {k!r}"
-    with pytest.raises(ValueError, match=re.escape(fault)):
+    with pytest.raises(ValueError, match=re.escape(f"k must be an integer >= 1, got {k!r}")):
         local_profile(path_graph(4), k, "inf")
