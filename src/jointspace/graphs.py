@@ -60,6 +60,18 @@ class SplitError(ValueError):
     """Raised when a split cannot give every part at least one element."""
 
 
+def _check_int(name: str, value, low: int | None = None,
+               error: type[ValueError] = ValueError) -> None:
+    """Reject ``value`` unless it is an int, not a bool, and at least ``low`` if given.
+
+    Raises ``error`` naming the argument, so a caller can check before any work.
+    """
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected simple graph with positive edge weights.
@@ -207,13 +219,25 @@ class WeightedGraph:
 class DistanceMatrix:
     """All-pairs path distances with an explicit +inf sentinel for unreachable pairs.
 
-    ``d`` is kept as a read-only view, so the caller's own array stays writable.
+    ``d`` must be a square 2-D array with no NaN, no negative entry, a zero
+    diagonal and exact symmetry; an off-diagonal +inf marks an unreachable
+    pair.  Each fault raises ``ValueError`` naming it.  ``d`` is kept as a
+    read-only float64 view, so the caller's own array stays writable.
     """
 
     d: np.ndarray
 
     def __post_init__(self) -> None:
         d = np.asarray(self.d, dtype=np.float64).view()
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+            raise ValueError(f"distance matrix must be square and 2-D, got shape {d.shape}")
+        diagonal = np.eye(len(d), dtype=bool)
+        for fault, bad in (("is NaN", np.isnan(d)), ("is negative", d < 0.0),
+                           ("is on the diagonal but not 0", diagonal & (d != 0.0)),
+                           ("differs from its mirror entry", d != d.T)):
+            if bad.any():
+                i, j = (int(x) for x in np.argwhere(bad)[0])
+                raise ValueError(f"distance matrix entry ({i}, {j}) = {d[i, j]} {fault}")
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
 
@@ -454,8 +478,11 @@ def k_hop_subgraph(g: WeightedGraph, v: int, k: int) -> tuple[WeightedGraph, tup
     the metric.  Returns the subgraph (edges only, no features or labels) plus
     the old-id table indexed by new id (ascending old ids).  This is
     ``_k_hop_balls`` on one center: after the graph's cached ``csr``, the cost
-    depends on the ball, not on the whole graph.
+    depends on the ball, not on the whole graph.  ``v`` and ``k`` must be
+    ints, not bools; a fault raises ``GraphValidationError`` naming it.
     """
+    _check_int("v", v, error=GraphValidationError)
+    _check_int("k", k, error=GraphValidationError)
     if not (0 <= v < g.num_nodes):
         raise GraphValidationError(f"node {v} out of range")
     if k < 0:

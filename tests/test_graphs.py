@@ -687,3 +687,48 @@ def test_graph_hash_stability():
 def test_bad_argument_rejected_by_name(make, error, fault):
     with pytest.raises(error, match=fault):
         make()
+
+
+@pytest.mark.parametrize("v, k, fault", [
+    (True, 1, "v must be an integer, got True"),
+    (1.5, 1, "v must be an integer, got 1.5"),
+    (1, True, "k must be an integer, got True"),
+    (1, 1.5, "k must be an integer, got 1.5"),
+    (1, "2", "k must be an integer, got '2'"),
+    (1, None, "k must be an integer, got None")],
+    ids=["bool-v", "float-v", "bool-k", "float-k", "string-k", "none-k"])
+def test_k_hop_subgraph_checks_v_and_k(v, k, fault):
+    with pytest.raises(GraphValidationError, match=fault):
+        k_hop_subgraph(path_graph(4), v, k)
+
+
+def c4_metric() -> np.ndarray:
+    return shortest_paths(cycle_graph(4)).d.copy()
+
+
+def with_entries(d: np.ndarray, *entries) -> np.ndarray:
+    for i, j, x in entries:
+        d[i, j] = x
+    return d
+
+
+@pytest.mark.parametrize("make, fault", [
+    (lambda: with_entries(c4_metric(), (0, 2, -2.0), (2, 0, -2.0)),
+     r"entry \(0, 2\) = -2.0 is negative"),
+    (lambda: with_entries(c4_metric(), (0, 2, 9.0)),
+     r"entry \(0, 2\) = 9.0 differs from its mirror entry"),
+    (lambda: with_entries(c4_metric(), (1, 3, math.nan), (3, 1, math.nan)),
+     r"entry \(1, 3\) = nan is NaN"),
+    (lambda: with_entries(c4_metric(), (2, 2, 1.0)),
+     r"entry \(2, 2\) = 1.0 is on the diagonal but not 0"),
+    (lambda: c4_metric()[:3], r"must be square and 2-D, got shape \(3, 4\)"),
+    (lambda: c4_metric()[0], r"must be square and 2-D, got shape \(4,\)")],
+    ids=["negative", "asymmetric", "nan", "diagonal", "non-square", "one-d"])
+def test_distance_matrix_rejects_faulty_array(make, fault):
+    with pytest.raises(ValueError, match=fault):
+        DistanceMatrix(make())
+
+
+def test_distance_matrix_keeps_inf_sentinel():
+    d = with_entries(np.zeros((3, 3)), (0, 2, math.inf), (2, 0, math.inf))
+    assert not DistanceMatrix(d).connected

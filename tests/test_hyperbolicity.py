@@ -313,10 +313,12 @@ class TestDeltaOneStack:
                   random_connected_graph(rng, n, p=0.2), float_star(rng, n)]
         d = np.stack([shortest_paths(g).d for g in graphs])
         stacked = hyperbolicity._delta_one_stack(d)
-        for i, g in enumerate(graphs):
-            alone = hyperbolicity._delta_one_stack(d[i:i + 1])[0]
-            assert stacked[i] == alone == delta_one_exact(shortest_paths(g)), i
-        assert stacked[[1, 3, 5]].tolist() == [0.0, 0.0, 0.0]
+        for i in range(d.shape[0]):
+            assert stacked[i] == hyperbolicity._delta_one_stack(d[i:i + 1])[0], i
+        # The stack runs no certificate; delta_one_exact gives the trees 0.
+        exact = [delta_one_exact(shortest_paths(g)) for g in graphs]
+        assert [exact[i] for i in (1, 3, 5)] == [0.0, 0.0, 0.0]
+        assert [exact[i] for i in (0, 2, 4)] == stacked[[0, 2, 4]].tolist()
         assert (stacked[[0, 2, 4]] > 0.0).all()
 
     def test_certified_float_weighted_tree_exactly_zero(self):
@@ -410,9 +412,9 @@ class TestLocalProfile:
                 expected = core_delta_inf(sub)
                 if weights == "half":
                     assert expected == whole, v
-            elif is_tree_metric(dm := shortest_paths(sub)):
+            elif len(two_core(sub)[0]) < 4:
                 expected = 0.0
-            elif sub.num_nodes <= exact_limit:
+            elif (dm := shortest_paths(sub)).num_nodes <= exact_limit:
                 expected = delta_one_exact(dm, exact_limit)
             else:
                 expected, _ = delta_one_sampled(dm, num_samples,
@@ -546,6 +548,30 @@ class TestTwoCores:
                                        for i in range(1, n)))
             assert not local_profile(g, k, "inf").values_by_node().any()
 
+    @pytest.mark.parametrize("mode", ["inf", "one"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tree_balls_cost_no_path_metric(self, k, mode, monkeypatch):
+        # Every ball's 2-core has under 4 nodes, so each value is exactly 0
+        # in both modes, float weights included, and no ball is stacked.
+        rng = np.random.default_rng(89)
+        weight = lambda: float(rng.uniform(0.5, 2.0))  # noqa: E731
+        triangle = WeightedGraph(3, ((0, 1, weight()), (0, 2, weight()), (1, 2, weight())))
+        graphs = [with_pendant_trees(rng, triangle, 30, weight), generate_tree(3, 5)]
+        for trial in range(3):
+            n = int(rng.integers(20, 60))
+            graphs.append(WeightedGraph(n, tuple((int(rng.integers(0, i)), i, weight())
+                                                 for i in range(1, n))))
+        stacks, build = [], hyperbolicity._path_metric_stack
+
+        def record(count, n, *edges):
+            stacks.append((count, n))
+            return build(count, n, *edges)
+
+        monkeypatch.setattr(hyperbolicity, "_path_metric_stack", record)
+        for g in graphs:
+            assert local_profile(g, k, mode).values_by_node().tolist() == [0.0] * g.num_nodes
+        assert stacks == []
+
     def test_hub_graph_matches_per_ball(self):
         g = preferential_attachment(np.random.default_rng(83), 150)
         assert max(np.bincount(g.edge_index.ravel())) > 30
@@ -653,3 +679,37 @@ def test_local_profile_checks_k_before_any_work(k, monkeypatch):
     monkeypatch.setattr(hyperbolicity, "_ball_stacks", refuse)
     with pytest.raises(ValueError, match=re.escape(f"k must be an integer >= 1, got {k!r}")):
         local_profile(path_graph(4), k, "inf")
+
+
+@pytest.mark.parametrize("kwargs, fault", [
+    ({"seed": np.int64(5)}, f"seed must be an integer, got {np.int64(5)!r}"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"exact_limit": None}, "exact_limit must be an integer, got None")],
+    ids=["numpy-seed", "float-seed", "bool-seed", "none-exact-limit"])
+def test_local_profile_checks_int_arguments_before_any_work(kwargs, fault, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_ball_stacks reached")
+
+    monkeypatch.setattr(hyperbolicity, "_ball_stacks", refuse)
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        local_profile(path_graph(4), 2, "one", **kwargs)
+
+
+@pytest.mark.parametrize("call, fault", [
+    (lambda dm: delta_one_sampled(dm, 1e3), "num_samples must be an integer, got 1000.0"),
+    (lambda dm: delta_one_sampled(dm, 1000, seed=np.int64(5)),
+     f"seed must be an integer, got {np.int64(5)!r}"),
+    (lambda dm: delta_one_sampled(dm, 1000, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda dm: delta_one_sampled(dm, 1000, seed=True), "seed must be an integer, got True"),
+    (lambda dm: delta_one_exact(dm, exact_limit="x"),
+     "exact_limit must be an integer, got 'x'")],
+    ids=["float-samples", "numpy-seed", "float-seed", "bool-seed", "string-exact-limit"])
+def test_delta_one_checks_int_arguments(call, fault):
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        call(shortest_paths(cycle_graph(6)))
+
+
+def test_negative_seed_is_its_64_bit_twin():
+    dm = shortest_paths(cycle_graph(6))
+    assert delta_one_sampled(dm, 200, seed=-1) == delta_one_sampled(dm, 200, seed=2**64 - 1)
