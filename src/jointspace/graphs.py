@@ -231,12 +231,13 @@ class DistanceMatrix:
         d = np.asarray(self.d, dtype=np.float64).view()
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"distance matrix must be square and 2-D, got shape {d.shape}")
-        diagonal = np.eye(len(d), dtype=bool)
-        for fault, bad in (("is NaN", np.isnan(d)), ("is negative", d < 0.0),
-                           ("is on the diagonal but not 0", diagonal & (d != 0.0)),
-                           ("differs from its mirror entry", d != d.T)):
-            if bad.any():
-                i, j = (int(x) for x in np.argwhere(bad)[0])
+        # One mask at a time; the diagonal's has n entries, and its hit (i,) is (i, i).
+        for fault, bad in (("is NaN", lambda: np.isnan(d)), ("is negative", lambda: d < 0.0),
+                           ("is on the diagonal but not 0", lambda: np.diagonal(d) != 0.0),
+                           ("differs from its mirror entry", lambda: d != d.T)):
+            if bad().any():
+                hit = np.argwhere(bad())[0]
+                i, j = int(hit[0]), int(hit[-1])
                 raise ValueError(f"distance matrix entry ({i}, {j}) = {d[i, j]} {fault}")
         d.setflags(write=False)
         object.__setattr__(self, "d", d)

@@ -193,22 +193,35 @@ def is_tree_metric(dm: DistanceMatrix) -> bool:
     With gp[x,y] = (d[x,w] + d[y,w] - d[x,y]) / 2 at a fixed base w, the
     condition gp[x,y] >= min(gp[x,z], gp[z,y]) for all x, y, z holds with zero
     slack iff the metric embeds in a real tree, in which case every four-point
-    defect is zero.  The first ``z`` that violates it ends the test, so a
-    non-tree metric costs little more than a certified tree, at most O(n^3).
-    Only lone metrics are certified: ``delta_inf`` and ``delta_one_exact`` call
-    it, while ``local_profile`` gives 0 by the 2-core rule instead.
+    defect is zero.  Cost is O(n^3) vectorized, far below quadruple
+    enumeration.  This is ``_tree_mask`` on a stack of one.
     """
     _require_connected(dm)
     if dm.num_nodes < 3:
         return True
-    d = dm.d
-    gp = (d[0, :, None] + d[0, None, :] - d) / 2.0
+    return bool(_tree_mask(dm.d[None])[0])
+
+
+def _tree_mask(d: np.ndarray) -> np.ndarray:
+    """``is_tree_metric`` of each metric in a ``(B, n, n)`` stack, as a bool array.
+
+    Metrics leave the stack at the first ``z`` that violates the condition,
+    so non-tree metrics cost little more than a certified tree.
+    """
+    tree = np.ones(d.shape[0], dtype=bool)
+    open_ = np.arange(d.shape[0])
+    gp = (d[:, 0, :, None] + d[:, 0, None, :] - d) / 2.0
     lower = np.empty_like(gp)
-    for z in range(d.shape[0]):
-        np.minimum(gp[:, z, None], gp[None, z, :], out=lower)
-        if (lower > gp).any():
-            return False
-    return True
+    for z in range(d.shape[1]):
+        np.minimum(gp[:, :, z, None], gp[:, None, z, :], out=lower)
+        bad = (lower > gp).any(axis=(1, 2))
+        if bad.any():
+            tree[open_[bad]] = False
+            open_, gp = open_[~bad], gp[~bad]
+            if not open_.size:
+                break
+            lower = np.empty_like(gp)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +258,10 @@ def _delta_inf_stack(d: np.ndarray) -> np.ndarray:
     a..a+R-1 of every walking metric against columns a+1 .. max(cut)-1, R
     filling ``_STACK_ELEMENTS`` candidates.  A metric stops once
     ``cut <= a + 1`` or best reaches half its diameter, which bounds every
-    defect, so it gets its exact maximum whatever else is in the stack.  No
-    tree certificate runs: a tree metric walks every pair and gets 0 (at
-    most round-off on float weights).
+    defect, so it gets its exact maximum whatever else is in the stack.
+    A tree metric's best stays 0, so it would walk all P^2 / 2 pair pairs:
+    a metric still at 0 after the first block, the farthest pairs, runs
+    ``_tree_mask``, and a certified one stops there at 0.
     """
     out = np.zeros(d.shape[0])
     walking = np.arange(d.shape[0])
@@ -289,6 +303,10 @@ def _delta_inf_stack(d: np.ndarray) -> np.ndarray:
         rose = np.flatnonzero((m > best) & (m < cap))  # cut only matters below cap
         np.maximum(best, m, out=best)
         cut[rose] = (pd[rose] > 2.0 * best[rose, None]).sum(axis=1)
+        if not a:
+            zero = np.flatnonzero(best == 0.0)
+            if zero.size:
+                cut[zero[_tree_mask(d[walking[zero]])]] = 0
         a += rows
 
 
@@ -300,9 +318,9 @@ def delta_one_exact(dm: DistanceMatrix,
                     exact_limit: int = DEFAULT_EXACT_LIMIT) -> float:
     """Mean four-point defect over all n^4 ordered vertex quadruples.
 
-    A metric ``is_tree_metric`` certifies gets exactly 0, float-weighted ones
-    included, and not round-off noise.  The others run ``_delta_one_stack``
-    on a stack of one.  ``exact_limit`` must be an int, not a bool.
+    This is ``_delta_one_stack`` on a stack of one, so a metric the tree
+    certificate accepts gets exactly 0, float-weighted ones included, and
+    not round-off noise.  ``exact_limit`` must be an int, not a bool.
     """
     _check_int("exact_limit", exact_limit)
     _require_connected(dm)
@@ -311,7 +329,7 @@ def delta_one_exact(dm: DistanceMatrix,
         raise ExactLimitExceeded(
             f"n={n} exceeds exact enumeration limit {exact_limit}; "
             "use delta_one_sampled instead")
-    if n < 4 or is_tree_metric(dm):
+    if n < 4:
         return 0.0
     return float(_delta_one_stack(dm.d[None])[0])
 
@@ -322,16 +340,20 @@ def _delta_one_stack(d: np.ndarray) -> np.ndarray:
     An unordered quadruple stands for 24 ordered tuples, 8 per pairing, and
     only the 8 of the largest pairing sum S1 have a positive defect,
     (S1 - S2) / 2 against the second largest; tuples with a repeat have none.
-    So the mean is 4/n^4 times the sum of S1 - S2 over a < b < c < e.  The
-    kernel loops over b, taking all a < b at once against the pairs c < e
-    above b, a suffix of ``_pair_indices``.  Each metric's sum runs in C
-    order over its own rows, so it is the same whatever else is in the
-    stack.  No tree certificate runs: a tree metric gets 0 (at most
-    round-off on float weights).
+    So the mean is 4/n^4 times the sum of S1 - S2 over a < b < c < e.  Tree
+    metrics, certified by ``_tree_mask``, get 0.  The others loop over b,
+    taking all a < b at once against the pairs c < e above b, a suffix of
+    ``_pair_indices``.  Each metric's sum runs in C order over its own rows,
+    so it is the same whatever else is in the stack.
     """
+    out = np.zeros(d.shape[0])
+    live = np.flatnonzero(~_tree_mask(d))
+    if not live.size:
+        return out
+    d = d[live]
     n = d.shape[1]
     iu, ju = _pair_indices(n)
-    total = np.zeros(d.shape[0])
+    total = np.zeros(live.size)
     for b in range(1, n - 2):
         start = int(np.searchsorted(iu, b + 1))  # the first pair above b
         c, e = iu[start:], ju[start:]
@@ -343,8 +365,9 @@ def _delta_one_stack(d: np.ndarray) -> np.ndarray:
         np.maximum(mid, np.minimum(top, ae_bc, out=ac_be), out=mid)
         np.maximum(top, ae_bc, out=top)
         top -= mid
-        total += top.reshape(d.shape[0], -1).sum(axis=1)
-    return 4.0 * total / float(n) ** 4
+        total += top.reshape(live.size, -1).sum(axis=1)
+    out[live] = 4.0 * total / float(n) ** 4
+    return out
 
 
 def delta_one_sampled(dm: DistanceMatrix,
@@ -408,28 +431,24 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
 
     Distances are computed within the subgraph, not the ambient graph.  The
     balls come from one array breadth-first search per block of centers
-    (``_ball_stacks``), and each is cut to its 2-core by stripping degree-1
-    vertices until none is left.  One zero rule serves both modes: a ball
-    whose core has fewer than 4 nodes, as every tree ball's has, gets exactly
-    0.  Its biconnected components are bridges and at most one triangle,
-    each a tree metric, so every four-point defect of the ball is 0 (Cohen,
-    Coudert and Lancin, ACM JEA 2015).  The other balls go in stacks of
-    equal size, one Floyd-Warshall and one kernel per stack.
+    (``_ball_stacks``), each cut to its 2-core by stripping degree-1 vertices
+    until none is left.  In both modes a ball whose core has fewer than 4
+    nodes, as every tree ball's, gets exactly 0: its biconnected components
+    are bridges and at most one triangle, tree metrics all, so every
+    four-point defect is 0 (Cohen, Coudert and Lancin, ACM JEA 2015).  The
+    others go in stacks of equal size, one Floyd-Warshall and one kernel each.
 
-    In "inf" mode the stacks hold the cores, grouped by core size, and a
-    ball's value is exactly ``delta_inf`` of its core's path metric, which
-    is bitwise the whole ball's restricted to the core: stripping a degree-1
-    vertex leaves every four-point defect as it was.  On integer and
+    In "inf" mode the stacks hold the cores, and a ball's value is exactly
+    ``delta_inf`` of its core's path metric, the whole ball's restricted to
+    the core, since stripping leaves every defect as it was.  On integer and
     half-integer weights it is bitwise the whole ball's ``delta_inf``; on
     other float weights it is at most that and differs by round-off only.
-
-    In "one" mode stripping is not exact for the mean, so the stacks hold
-    whole balls.  A ball of up to ``exact_limit`` nodes gets the exact
-    quadruple sum, which is ``delta_one_exact`` of the ball whenever that
-    certifies no tree; larger balls go one by one to the sampled estimator:
-    ``DEFAULT_NUM_SAMPLES`` draws, seeded by (seed, node).  ``k`` (at least
-    1), ``exact_limit`` and ``seed`` must be ints, not bools; each is
-    checked before any work, and a fault raises ``ValueError`` naming it.
+    In "one" mode, where stripping is not exact, the stacks hold the whole
+    balls, and each gets exactly ``delta_one_exact`` of the ball; non-tree
+    balls above ``exact_limit`` nodes go one by one to the sampled
+    estimator: ``DEFAULT_NUM_SAMPLES`` draws, seeded by (seed, node).
+    ``k`` (at least 1), ``exact_limit`` and ``seed`` must be ints, not
+    bools, checked before any work; a fault raises ``ValueError`` naming it.
     """
     _check_int("k", k, 1)
     _check_int("exact_limit", exact_limit)
@@ -443,9 +462,10 @@ def local_profile(g: WeightedGraph, k: int, mode: str = "inf",
         elif d.shape[1] <= exact_limit:
             values[centers] = _delta_one_stack(d)
         else:
-            for v, dv in zip(centers.tolist(), d):
+            for i in np.flatnonzero(~_tree_mask(d)):
+                v = int(centers[i])  # an np.int64 would make the seed overflow its uint64 mask
                 values[v], _ = delta_one_sampled(
-                    DistanceMatrix(dv), DEFAULT_NUM_SAMPLES, seed=seed * 1_000_003 + v)
+                    DistanceMatrix(d[i]), DEFAULT_NUM_SAMPLES, seed=seed * 1_000_003 + v)
     values.setflags(write=False)
     return HyperbolicityProfile(per_node=_NodeValues(values), k=k, mode=mode)
 
@@ -455,25 +475,22 @@ def _ball_stacks(g: WeightedGraph, k: int,
     """Yield ``(centers, d)``: the path metrics of the k-hop balls of ``centers``.
 
     Balls come from ``_k_hop_balls``, ``_CENTER_BLOCK`` centers at a time,
-    and each block's balls are cut to their 2-cores (``_two_cores``).  A ball
-    whose core has fewer than 4 nodes is skipped: its value is 0.  With
-    ``cores``, ``d`` is the path metric of each center's core; without, of
-    its whole ball.  The balls (or cores) are grouped by node count n, and
-    each group is cut into ``(B, n, n)`` stacks of at most
-    ``_STACK_ELEMENTS`` distances, which ``_path_metric_stack`` fills
-    straight from the edge arrays; a stack is yielded as soon as it fills.
-    A group waiting for more balls holds arrays of its own edges only, not
-    views of a whole block's.
+    and are cut to their 2-cores (``_two_cores``); a ball whose core has
+    fewer than 4 nodes is skipped, as its value is 0.  ``d`` is the path
+    metric of each center's core with ``cores``, else of its whole ball.
+    These are grouped by node count n, and each group is cut into
+    ``(B, n, n)`` stacks of at most ``_STACK_ELEMENTS`` distances, which
+    ``_path_metric_stack`` fills straight from the edge arrays; a stack is
+    yielded as soon as it fills.  A group waiting for more balls holds
+    arrays of its own edges only, not views of a whole block's.
     """
     pending: dict[int, tuple] = {}  # n -> (centers, edges per ball, u, v, w)
     for start in range(0, g.num_nodes, _CENTER_BLOCK):
         centers = np.arange(start, min(start + _CENTER_BLOCK, g.num_nodes))
         offsets, _, edges = _k_hop_balls(g, centers, k)
-        core_sizes, core_edges = _two_cores(offsets, *edges)
-        if cores:
-            sizes, (ball, u, v, w) = core_sizes, core_edges
-        else:  # size 0 skips the ball
-            sizes, (ball, u, v, w) = np.where(core_sizes < 4, 0, np.diff(offsets)), edges
+        sizes, (ball, u, v, w) = _two_cores(offsets, *edges)
+        if not cores:  # whole balls, and size 0 skips those with small cores
+            sizes, (ball, u, v, w) = np.where(sizes < 4, 0, np.diff(offsets)), edges
         per_ball = np.bincount(ball, minlength=centers.size)
         for n in (np.flatnonzero(np.bincount(sizes)[4:]) + 4).tolist():
             sel = sizes == n

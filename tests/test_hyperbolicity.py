@@ -144,6 +144,23 @@ def preferential_attachment(rng: np.random.Generator, n: int, m: int = 2) -> Wei
     return WeightedGraph(n, tuple(edges))
 
 
+def clique_chain(sizes, windmill: bool = False) -> WeightedGraph:
+    """Unit-weight cliques of the given sizes, joined at single shared nodes.
+
+    Each clique shares its first node with the previous clique's last one,
+    or, for a windmill, with node 0.  Every block is a clique, so the path
+    metric of the graph, and of each connected induced ball, is a tree
+    metric whose 2-core is all of its nodes.
+    """
+    edges, start = [], 0
+    for m in sizes:
+        first = 0 if windmill else start
+        nodes = [first] + list(range(start + 1, start + m))
+        edges += [(a, b, 1.0) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+        start += m - 1
+    return WeightedGraph(start + 1, tuple(edges))
+
+
 def float_lattice_tree() -> WeightedGraph:
     """A 20x20 lattice with seeded U(0.5, 2) weights, glued to tree(3, 5)."""
     rng = np.random.default_rng(12)
@@ -188,6 +205,41 @@ class TestDeltaInfStack:
         for i in range(d.shape[0]):
             alone = hyperbolicity._delta_inf_stack(d[i:i + 1])[0]
             assert stacked[i] == alone == naive_delta_inf(DistanceMatrix(d[i])), i
+
+
+    def test_tree_metrics_certified_after_the_first_block(self, monkeypatch):
+        # A tree metric's best stays 0, so it would walk all P^2 / 2 pair
+        # pairs.  Only the metrics still at 0 after the first block run the
+        # certificate, once, and the certified ones stop there at 0.
+        rng = np.random.default_rng(97)
+        trees = [clique_chain([13]), clique_chain([5, 5, 5]), clique_chain([7, 7]),
+                 clique_chain([5, 5, 5], windmill=True), random_tree(rng, 13)]
+        others = [cycle_graph(13)] + [random_connected_graph(rng, 13, 0.3) for _ in range(6)]
+        d = np.stack([shortest_paths(g).d for g in others + trees])
+        calls, certify = [], hyperbolicity._tree_mask
+
+        def record(stack):
+            tree = certify(stack)
+            calls.append(tree.tolist())
+            return tree
+
+        monkeypatch.setattr(hyperbolicity, "_tree_mask", record)
+        stacked = hyperbolicity._delta_inf_stack(d)
+        assert calls == [[True] * len(trees)]
+        assert (stacked[:len(others)] > 0.0).all()
+        assert stacked[len(others):].tolist() == [0.0] * len(trees)
+        for i in range(d.shape[0]):
+            assert stacked[i] == naive_delta_inf(DistanceMatrix(d[i])), i
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_lattice_cores_run_no_certificate(self, k, monkeypatch):
+        # Every lattice core reaches a positive best in its first block.
+        def refuse(stack):
+            raise AssertionError("_tree_mask reached")
+
+        monkeypatch.setattr(hyperbolicity, "_tree_mask", refuse)
+        for g in (generate_lattice(12, 12), float_lattice_tree()):
+            assert local_profile(g, k, "inf").values_by_node().any()
 
 
 class TestTreeMetricCertificate:
@@ -313,12 +365,10 @@ class TestDeltaOneStack:
                   random_connected_graph(rng, n, p=0.2), float_star(rng, n)]
         d = np.stack([shortest_paths(g).d for g in graphs])
         stacked = hyperbolicity._delta_one_stack(d)
-        for i in range(d.shape[0]):
-            assert stacked[i] == hyperbolicity._delta_one_stack(d[i:i + 1])[0], i
-        # The stack runs no certificate; delta_one_exact gives the trees 0.
-        exact = [delta_one_exact(shortest_paths(g)) for g in graphs]
-        assert [exact[i] for i in (1, 3, 5)] == [0.0, 0.0, 0.0]
-        assert [exact[i] for i in (0, 2, 4)] == stacked[[0, 2, 4]].tolist()
+        for i, g in enumerate(graphs):
+            alone = hyperbolicity._delta_one_stack(d[i:i + 1])[0]
+            assert stacked[i] == alone == delta_one_exact(shortest_paths(g)), i
+        assert stacked[[1, 3, 5]].tolist() == [0.0, 0.0, 0.0]
         assert (stacked[[0, 2, 4]] > 0.0).all()
 
     def test_certified_float_weighted_tree_exactly_zero(self):
@@ -412,9 +462,9 @@ class TestLocalProfile:
                 expected = core_delta_inf(sub)
                 if weights == "half":
                     assert expected == whole, v
-            elif len(two_core(sub)[0]) < 4:
+            elif len(two_core(sub)[0]) < 4 or is_tree_metric(dm := shortest_paths(sub)):
                 expected = 0.0
-            elif (dm := shortest_paths(sub)).num_nodes <= exact_limit:
+            elif sub.num_nodes <= exact_limit:
                 expected = delta_one_exact(dm, exact_limit)
             else:
                 expected, _ = delta_one_sampled(dm, num_samples,
@@ -571,6 +621,30 @@ class TestTwoCores:
         for g in graphs:
             assert local_profile(g, k, mode).values_by_node().tolist() == [0.0] * g.num_nodes
         assert stacks == []
+
+    @pytest.mark.parametrize("mode, exact_limit", [("inf", 60), ("one", 60), ("one", 8)],
+                             ids=["inf", "one-exact", "one-sampled"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_block_graph_balls_are_certified(self, k, mode, exact_limit, monkeypatch):
+        # Each ball's 2-core is the whole ball, yet it is a tree metric: the
+        # certificate settles every stacked ball, and none is sampled.
+        def refuse(*args, **kwargs):
+            raise AssertionError("delta_one_sampled reached")
+
+        calls, certify = [], hyperbolicity._tree_mask
+
+        def record(stack):
+            tree = certify(stack)
+            calls.append(tree.tolist())
+            return tree
+
+        monkeypatch.setattr(hyperbolicity, "delta_one_sampled", refuse)
+        monkeypatch.setattr(hyperbolicity, "_tree_mask", record)
+        for g in (clique_chain([6, 8, 10, 8, 6]), clique_chain([5] * 6, windmill=True)):
+            calls.clear()
+            prof = local_profile(g, k, mode, exact_limit=exact_limit)
+            assert prof.values_by_node().tolist() == [0.0] * g.num_nodes
+            assert sum(len(c) for c in calls) == g.num_nodes and all(map(all, calls))
 
     def test_hub_graph_matches_per_ball(self):
         g = preferential_attachment(np.random.default_rng(83), 150)
